@@ -21,6 +21,7 @@ from .harness import (
     TrialReport,
     ablation_grid,
     gamma_sweep,
+    run_trials,
     train_trial,
 )
 from .layout import (
@@ -29,7 +30,6 @@ from .layout import (
     TokenRole,
     adjusted_positions,
     build_layout,
-    relative_text_visual_distance,
     temporal_ids,
 )
 from .masks import (
@@ -42,7 +42,7 @@ from .masks import (
     mask_to_pgm,
 )
 from .model import ModelConfig, TinyModel
-from .numerics import make_rng, masked_row_softmax, matmul
+from .numerics import make_rng, masked_row_softmax
 from .rope import (
     FrequencyTable,
     RopeConfig,
@@ -92,11 +92,10 @@ __all__ = [
     "mask_to_csv",
     "mask_to_pgm",
     "masked_row_softmax",
-    "matmul",
     "pair_score",
-    "relative_text_visual_distance",
     "rotary_oracle",
     "rotate_rows",
+    "run_trials",
     "temporal_ids",
     "train_trial",
     "__version__",

@@ -31,13 +31,12 @@ are orthonormal, so their backward is the rotation at the negated position.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import SequenceLayout, adjusted_positions
+from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_flag, check_int
 from .masks import AttentionMask, MaskKind, allowed, build_mask
 from .numerics import masked_row_softmax, softmax_backward
 from .rope import FrequencyTable, RopeConfig, frequencies, pair_score, rotate_rows
@@ -56,20 +55,12 @@ __all__ = [
 ]
 
 
-class PeMode(enum.Enum):
+class PeMode(NamedEnum):
     ROPE_ONLY = "rope_only"
     TIME_ROPE_ONLY = "time_rope_only"
     DUAL_ROPE = "dual_rope"
     TIME_APE = "time_ape"
     TIME_RPE = "time_rpe"
-
-    @classmethod
-    def from_string(cls, name: str) -> "PeMode":
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown pe mode {name!r}; valid modes: {valid}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +75,10 @@ class AttentionConfig:
     fw_block_causal_within_frame: bool = False
 
     def __post_init__(self):
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
+        check_int("num_heads", self.num_heads, 1)
+        check_int("d_head", self.d_head, 2)
+        check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
+        check_flag("fw_block_causal_within_frame", self.fw_block_causal_within_frame)
         if self.d_head != self.rope.d_head:
             raise ValueError(f"d_head {self.d_head} does not match rope.d_head {self.rope.d_head}")
         if self.scale is None:
@@ -116,16 +109,30 @@ class AttentionGrads:
     grad_v: np.ndarray
 
 
-def mode_positions(layout: SequenceLayout, config: AttentionConfig) -> np.ndarray:
-    """Rotation position per token under the configured pe mode."""
+def _positions(
+    layout: SequenceLayout, config: AttentionConfig, override: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rotation position, temporal id) per token, both from one position table.
+
+    `override`, when given, replaces the mode-derived rotation positions.
+    """
     table = adjusted_positions(
         layout, config.rope.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix
     )
-    if config.pe_mode is PeMode.TIME_ROPE_ONLY:
-        return config.rope.gamma * table.temporal_ids.astype(np.float64)
-    if config.pe_mode is PeMode.DUAL_ROPE:
-        return table.adjusted
-    return table.global_ids.astype(np.float64)
+    if override is not None:
+        pos = np.asarray(override, dtype=np.float64)
+    elif config.pe_mode is PeMode.TIME_ROPE_ONLY:
+        pos = config.rope.gamma * table.temporal_ids.astype(np.float64)
+    elif config.pe_mode is PeMode.DUAL_ROPE:
+        pos = table.adjusted
+    else:
+        pos = table.global_ids.astype(np.float64)
+    return pos, table.temporal_ids
+
+
+def mode_positions(layout: SequenceLayout, config: AttentionConfig) -> np.ndarray:
+    """Rotation position per token under the configured pe mode."""
+    return _positions(layout, config)[0]
 
 
 def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
@@ -150,12 +157,6 @@ def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarr
     t = np.asarray(temporal, dtype=np.int64)
     delta = np.clip(t[:, None] - t[None, :], -radius, radius)
     return b[radius + delta]
-
-
-def _temporal_for(layout: SequenceLayout, config: AttentionConfig) -> np.ndarray:
-    return adjusted_positions(
-        layout, config.rope.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix
-    ).temporal_ids
 
 
 def _check_tensor(name: str, x: np.ndarray, config: AttentionConfig, t: int) -> np.ndarray:
@@ -191,19 +192,19 @@ def attention_forward(
         raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
 
     freqs = frequencies(config.rope)
-    pos = mode_positions(layout, config) if positions is None else np.asarray(positions, dtype=np.float64)
+    pos, temporal = _positions(layout, config, positions)
     if pos.shape != (t,):
         raise ValueError(f"positions must have shape ({t},), got {pos.shape}")
     mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
 
     q_in, k_in = Q, K
     if config.pe_mode is PeMode.TIME_APE:
-        ape = time_ape_embedding(_temporal_for(layout, config), freqs)
+        ape = time_ape_embedding(temporal, freqs)
         q_in = Q + ape[None, :, :]
         k_in = K + ape[None, :, :]
     bias = None
     if config.pe_mode is PeMode.TIME_RPE and rpe_bias is not None:
-        bias = temporal_bias_matrix(_temporal_for(layout, config), rpe_bias)
+        bias = temporal_bias_matrix(temporal, rpe_bias)
 
     h = config.num_heads
     q_rot = np.empty_like(q_in)
@@ -277,8 +278,7 @@ def attention_brute_oracle(
     K = _check_tensor("K", K, config, t)
     V = _check_tensor("V", V, config, t)
     freqs = frequencies(config.rope)
-    pos = mode_positions(layout, config) if positions is None else np.asarray(positions, dtype=np.float64)
-    temporal = _temporal_for(layout, config)
+    pos, temporal = _positions(layout, config, positions)
 
     q_in, k_in = Q, K
     if config.pe_mode is PeMode.TIME_APE:

@@ -22,15 +22,16 @@ import numpy as np
 from .attention import AttentionConfig, PeMode, attention_forward
 from .gradcheck import attention_fd_error, default_micro_cases, model_fd_error
 from .harness import (
+    GRID_COLUMNS,
     PAPER_GAMMA_GRID,
+    SWEEP_COLUMNS,
     TrialConfig,
     ablation_grid,
     gamma_sweep,
-    grid_csv,
     grid_summary,
-    sweep_csv,
+    trials_csv,
 )
-from .layout import SequenceLayout, adjusted_positions
+from .layout import SequenceLayout, adjusted_positions, check_fields
 from .masks import MaskKind, build_mask, mask_stats, mask_to_csv, mask_to_pgm
 from .numerics import make_rng
 from .pgmio import csv_text, pgm_text, write_text_atomic
@@ -62,20 +63,9 @@ def _load_json_arg(value: str) -> dict:
         except OSError as exc:
             raise InputError(f"cannot read {value!r}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InputError("expected a JSON object")
-    return obj
-
-
-def _layout_from_arg(value: str) -> SequenceLayout:
-    obj = _load_json_arg(value)
-    try:
-        return SequenceLayout.from_json(json.dumps(obj))
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _resolve_out(path: str | None, default_name: str) -> str:
@@ -87,52 +77,48 @@ def _resolve_out(path: str | None, default_name: str) -> str:
     raise InputError(f"--out not given and {OUT_DIR_ENV} is not set")
 
 
+ATTENTION_FIELDS = (
+    "layout",
+    "num_heads",
+    "d_head",
+    "mask_kind",
+    "pe_mode",
+    "gamma",
+    "base",
+    "scale",
+    "strict_monotonic_suffix",
+    "fw_block_causal_within_frame",
+)
+
+
 def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig]:
-    """Attention config JSON: layout plus head/mask/pe fields."""
-    if "layout" not in obj:
-        raise InputError("config needs a 'layout' object")
-    layout = SequenceLayout.from_json(json.dumps(obj["layout"]))
-    known = {
-        "layout",
-        "num_heads",
-        "d_head",
-        "mask_kind",
-        "pe_mode",
-        "gamma",
-        "base",
-        "scale",
-        "strict_monotonic_suffix",
-        "fw_block_causal_within_frame",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise InputError(f"unknown config fields: {sorted(unknown)}")
+    """Attention config JSON: layout plus head/mask/pe fields, checked by the config types."""
+    check_fields("config", obj, ATTENTION_FIELDS, ("layout",))
+    layout = SequenceLayout.from_dict(obj["layout"])
+    d_head = obj.get("d_head", 8)
     try:
         config = AttentionConfig(
-            num_heads=int(obj.get("num_heads", 2)),
-            d_head=int(obj.get("d_head", 8)),
+            num_heads=obj.get("num_heads", 2),
+            d_head=d_head,
             rope=RopeConfig(
-                d_head=int(obj.get("d_head", 8)),
+                d_head=d_head,
                 base=float(obj.get("base", 10000.0)),
                 gamma=float(obj.get("gamma", 1.0)),
             ),
             mask_kind=MaskKind.from_string(obj.get("mask_kind", "fw_block_causal")),
             pe_mode=PeMode.from_string(obj.get("pe_mode", "dual_rope")),
             scale=obj.get("scale"),
-            strict_monotonic_suffix=bool(obj.get("strict_monotonic_suffix", False)),
-            fw_block_causal_within_frame=bool(obj.get("fw_block_causal_within_frame", False)),
+            strict_monotonic_suffix=obj.get("strict_monotonic_suffix", False),
+            fw_block_causal_within_frame=obj.get("fw_block_causal_within_frame", False),
         )
-    except (ValueError, TypeError) as exc:
+    except TypeError as exc:
         raise InputError(str(exc)) from exc
     return layout, config
 
 
 def cmd_render_mask(args) -> int:
-    layout = _layout_from_arg(args.layout)
-    try:
-        kind = MaskKind.from_string(args.kind)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    layout = SequenceLayout.from_dict(_load_json_arg(args.layout))
+    kind = MaskKind.from_string(args.kind)
     mask = build_mask(kind, layout, fw_block_causal_within_frame=args.fw_block_causal_within_frame)
     out = _resolve_out(args.out, f"mask_{kind.value}.pgm")
     if out.endswith(".pgm"):
@@ -148,11 +134,8 @@ def cmd_render_mask(args) -> int:
 
 
 def cmd_positions(args) -> int:
-    layout = _layout_from_arg(args.layout)
-    gamma = args.gamma
-    if not np.isfinite(gamma):
-        raise InputError(f"gamma must be finite, got {gamma}")
-    table = adjusted_positions(layout, gamma, strict_monotonic_suffix=args.strict_monotonic_suffix)
+    layout = SequenceLayout.from_dict(_load_json_arg(args.layout))
+    table = adjusted_positions(layout, args.gamma, strict_monotonic_suffix=args.strict_monotonic_suffix)
     rows = [
         (
             int(n),
@@ -198,10 +181,7 @@ def cmd_heatmap(args) -> int:
     else:
         rng = make_rng(args.seed, 200)
         q, k, v = (rng.standard_normal(shape) for _ in range(3))
-    try:
-        result = attention_forward(q, k, v, layout, config)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = attention_forward(q, k, v, layout, config)
     out_dir = _resolve_out(args.out, "heatmap")
     os.makedirs(out_dir, exist_ok=True)
     for h in range(config.num_heads):
@@ -235,7 +215,7 @@ def cmd_gradcheck(args) -> int:
 def _trial_config_from_arg(value: str) -> TrialConfig:
     try:
         return TrialConfig.from_dict(_load_json_arg(value))
-    except (ValueError, TypeError) as exc:
+    except TypeError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -252,9 +232,9 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 def cmd_sweep(args) -> int:
     base = _trial_config_from_arg(args.config)
     gammas = _parse_float_list(args.gammas, "--gammas") if args.gammas else list(PAPER_GAMMA_GRID)
-    reports = gamma_sweep(base, gammas, workers=args.workers)
-    csv = sweep_csv(reports)
     out_dir = _resolve_out(args.out, "sweep")
+    reports = gamma_sweep(base, gammas, workers=args.workers)
+    csv = trials_csv(reports, SWEEP_COLUMNS)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     write_text_atomic(csv_path, csv)
@@ -270,20 +250,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_grid(args) -> int:
     base = _trial_config_from_arg(args.config)
-    try:
-        tasks = [Task.from_string(t) for t in args.tasks.split(",") if t]
-        masks = [MaskKind.from_string(m) for m in args.masks.split(",") if m]
-        pe_modes = [PeMode.from_string(p) for p in args.pe_modes.split(",") if p]
-        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if not (tasks and masks and pe_modes and seeds):
-        raise InputError("every grid axis needs at least one value")
-    reports = ablation_grid(base, tasks, masks, pe_modes, seeds, workers=args.workers)
+    tasks = [Task.from_string(t) for t in args.tasks.split(",") if t]
+    masks = [MaskKind.from_string(m) for m in args.masks.split(",") if m]
+    pe_modes = [PeMode.from_string(p) for p in args.pe_modes.split(",") if p]
+    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     out_dir = _resolve_out(args.out, "grid")
+    reports = ablation_grid(base, tasks, masks, pe_modes, seeds, workers=args.workers)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "grid.csv")
-    write_text_atomic(csv_path, grid_csv(reports))
+    write_text_atomic(csv_path, trials_csv(reports, GRID_COLUMNS))
     summary = grid_summary(reports)
     summary_path = os.path.join(out_dir, "summary.txt")
     write_text_atomic(summary_path, summary)
@@ -365,9 +340,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -16,6 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, replace
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .attention import AttentionConfig, PeMode
-from .layout import SequenceLayout
+from .layout import SequenceLayout, check_fields, check_flag, check_int
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import make_rng
@@ -36,10 +37,12 @@ __all__ = [
     "TrialReport",
     "PAPER_GAMMA_GRID",
     "train_trial",
+    "run_trials",
     "gamma_sweep",
     "ablation_grid",
-    "sweep_csv",
-    "grid_csv",
+    "SWEEP_COLUMNS",
+    "GRID_COLUMNS",
+    "trials_csv",
     "grid_summary",
 ]
 
@@ -50,6 +53,21 @@ REPORT_HEADER = (
 
 # The gamma grid the sweep defaults to.
 PAPER_GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0)
+
+# Smallest accepted value of each integer TrialConfig field.
+_INT_MINIMUMS = {
+    "seed": 0,
+    "steps": 1,
+    "layers": 1,
+    "num_heads": 1,
+    "d_head": 2,
+    "ff_hidden": 0,
+    "num_symbols": 1,
+    "train_size": 1,
+    "eval_size": 1,
+    "batch_size": 1,
+    "rpe_radius": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -79,11 +97,10 @@ class TrialConfig:
     fw_block_causal_within_frame: bool = False
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        for name in ("train_size", "eval_size", "batch_size", "rpe_radius"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, minimum in _INT_MINIMUMS.items():
+            check_int(name, getattr(self, name), minimum)
+        check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
+        check_flag("fw_block_causal_within_frame", self.fw_block_causal_within_frame)
         if not (math.isfinite(self.gamma) and math.isfinite(self.lr)):
             raise ValueError("gamma and lr must be finite")
 
@@ -120,26 +137,16 @@ class TrialConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrialConfig":
-        data = dict(obj)
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown trial config fields: {sorted(unknown)}")
-        if "task" not in data or "layout" not in data:
-            raise ValueError("trial config needs at least 'task' and 'layout'")
-        data["task"] = Task.from_string(data["task"])
-        data["layout"] = SequenceLayout(**data["layout"])
-        if "pe_mode" in data:
-            data["pe_mode"] = PeMode.from_string(data["pe_mode"])
-        if "mask_kind" in data:
-            data["mask_kind"] = MaskKind.from_string(data["mask_kind"])
+        check_fields("trial config", obj, cls.__dataclass_fields__, ("task", "layout"))
+        data = dict(obj, task=Task.from_string(obj["task"]), layout=SequenceLayout.from_dict(obj["layout"]))
+        for name, kind in (("pe_mode", PeMode), ("mask_kind", MaskKind)):
+            if name in data:
+                data[name] = kind.from_string(data[name])
         return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "TrialConfig":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("trial config JSON must be an object")
-        return cls.from_dict(obj)
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -159,11 +166,8 @@ class TrialReport:
             "converged": self.converged,
         }
 
-    def to_json(self, include_wall: bool = False) -> str:
-        d = self.result_dict()
-        if include_wall:
-            d["wall_ms"] = self.wall_ms
-        return json.dumps(d, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.result_dict(), sort_keys=True)
 
 
 def _make_rpe_bias(config: TrialConfig) -> np.ndarray | None:
@@ -191,7 +195,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
     rpe_bias = _make_rpe_bias(config)
     batch_rng = make_rng(config.seed, 3)
 
-    velocity = {k: np.zeros_like(v) for k, v in model.params.items()} if config.momentum else None
+    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     curve: list[float] = []
     diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,13 +214,9 @@ def train_trial(config: TrialConfig) -> TrialReport:
             ):
                 diverged = True
                 break
-            if velocity is not None:
-                for k, g in grads.items():
-                    velocity[k] = config.momentum * velocity[k] + g
-                    model.params[k] -= config.lr * velocity[k]
-            else:
-                for k, g in grads.items():
-                    model.params[k] -= config.lr * g
+            for k, g in grads.items():
+                velocity[k] = config.momentum * velocity[k] + g
+                model.params[k] -= config.lr * velocity[k]
     while len(curve) < config.steps:
         curve.append(float("nan"))
 
@@ -241,17 +241,23 @@ def train_trial(config: TrialConfig) -> TrialReport:
     )
 
 
-def gamma_sweep(base: TrialConfig, gammas, workers: int = 1) -> list[TrialReport]:
-    """One trial per gamma, sharing everything else including the seed.
+def run_trials(configs, workers: int = 1) -> list[TrialReport]:
+    """train_trial over `configs`, reports in config order.
 
-    Trials are independent; with workers > 1 they run in separate processes
-    and the results are identical to a serial run, in gamma order.
+    With workers > 1 the trials run in a process pool of at most
+    os.cpu_count() workers; the reports are identical to a serial run.
     """
-    configs = [replace(base, gamma=float(g)) for g in gammas]
+    check_int("workers", workers, 1)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(train_trial, configs))
     return [train_trial(c) for c in configs]
+
+
+def gamma_sweep(base: TrialConfig, gammas, workers: int = 1) -> list[TrialReport]:
+    """One trial per gamma, sharing everything else including the seed."""
+    return run_trials([replace(base, gamma=float(g)) for g in gammas], workers)
 
 
 def ablation_grid(
@@ -273,41 +279,25 @@ def ablation_grid(
         for pm in pe_modes
         for s in seeds
     ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(train_trial, configs))
-    return [train_trial(c) for c in configs]
+    return run_trials(configs, workers)
 
 
-def _final_loss(report: TrialReport) -> float:
-    return report.loss_curve[-1] if report.loss_curve else float("nan")
+# Column orders of the sweep and grid tables.
+SWEEP_COLUMNS = ("gamma", "pe_mode", "mask_kind", "task", "seed", "steps", "final_loss", "accuracy", "converged")
+GRID_COLUMNS = ("task", "mask_kind", "pe_mode", "seed", "gamma", "steps", "final_loss", "accuracy", "converged")
 
 
-def sweep_csv(reports: list[TrialReport]) -> str:
-    lines = [
-        REPORT_HEADER,
-        "gamma,pe_mode,mask_kind,task,seed,steps,final_loss,accuracy,converged",
-    ]
+def trials_csv(reports: list[TrialReport], columns) -> str:
+    """REPORT_HEADER, the column names, then one row per trial.
+
+    Columns name TrialConfig fields or final_loss, accuracy and converged;
+    enums print their value, floats their repr, converged prints 0 or 1.
+    """
+    lines = [REPORT_HEADER, ",".join(columns)]
     for r in reports:
-        c = r.config
-        lines.append(
-            f"{c.gamma!r},{c.pe_mode.value},{c.mask_kind.value},{c.task.value},"
-            f"{c.seed},{c.steps},{_final_loss(r)!r},{r.accuracy!r},{int(r.converged)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def grid_csv(reports: list[TrialReport]) -> str:
-    lines = [
-        REPORT_HEADER,
-        "task,mask_kind,pe_mode,seed,gamma,steps,final_loss,accuracy,converged",
-    ]
-    for r in reports:
-        c = r.config
-        lines.append(
-            f"{c.task.value},{c.mask_kind.value},{c.pe_mode.value},{c.seed},"
-            f"{c.gamma!r},{c.steps},{_final_loss(r)!r},{r.accuracy!r},{int(r.converged)}"
-        )
+        row = r.config.to_dict()
+        row.update(final_loss=r.loss_curve[-1], accuracy=r.accuracy, converged=int(r.converged))
+        lines.append(",".join(str(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 

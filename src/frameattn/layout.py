@@ -12,6 +12,10 @@ The temporal map is implemented exactly as the piecewise definition reads,
 which makes the first suffix token share the last frame's temporal id. Pass
 ``strict_monotonic_suffix=True`` to bump the suffix branch by one and avoid
 that collision.
+
+This module also holds the strict field checks that every config parser in
+the package shares (layout, attention and trial configs): integers must be
+non-bool ints, flags must be bools, and nothing is coerced.
 """
 
 from __future__ import annotations
@@ -19,19 +23,57 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 __all__ = [
+    "NamedEnum",
+    "check_fields",
+    "check_int",
+    "check_flag",
     "TokenRole",
     "SequenceLayout",
     "PositionTable",
     "build_layout",
     "temporal_ids",
     "adjusted_positions",
-    "relative_text_visual_distance",
 ]
+
+
+class NamedEnum(enum.Enum):
+    """Enum whose members are parsed from their string values."""
+
+    @classmethod
+    def from_string(cls, name: str):
+        try:
+            return cls(name)
+        except ValueError:
+            valid = ", ".join(member.value for member in cls)
+            raise ValueError(f"unknown {cls.__name__} {name!r}; valid values: {valid}") from None
+
+
+def check_fields(what: str, obj, known, required=()) -> None:
+    """Reject a non-object, unknown field names and missing required fields."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
+
+
+def check_int(name: str, value, minimum: int = 0) -> None:
+    """Reject anything but an int >= minimum, bools and integral floats such as 2.0 included."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 class TokenRole(enum.Enum):
@@ -50,10 +92,8 @@ class SequenceLayout:
     suffix_len: int
 
     def __post_init__(self):
-        for name in ("prefix_len", "num_frames", "tokens_per_frame", "suffix_len"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        for name in self.__dataclass_fields__:
+            check_int(name, getattr(self, name))
         if (self.num_frames == 0) != (self.tokens_per_frame == 0):
             raise ValueError("num_frames and tokens_per_frame must be zero together or both positive")
         if self.total_len < 1:
@@ -108,29 +148,17 @@ class SequenceLayout:
             raise ValueError(f"position {n} out of range for T={self.total_len}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "prefix_len": self.prefix_len,
-                "num_frames": self.num_frames,
-                "tokens_per_frame": self.tokens_per_frame,
-                "suffix_len": self.suffix_len,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "SequenceLayout":
+        """Exactly the four fields; __post_init__ rejects any value that is not an int."""
+        check_fields("layout", obj, cls.__dataclass_fields__, cls.__dataclass_fields__)
+        return cls(**obj)
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceLayout":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("layout JSON must be an object")
-        required = {"prefix_len", "num_frames", "tokens_per_frame", "suffix_len"}
-        unknown = set(obj) - required
-        if unknown:
-            raise ValueError(f"unknown layout fields: {sorted(unknown)}")
-        missing = required - set(obj)
-        if missing:
-            raise ValueError(f"missing layout fields: {sorted(missing)}")
-        return cls(**{k: int(obj[k]) for k in required})
+        return cls.from_dict(json.loads(text))
 
 
 def build_layout(prefix_len: int, num_frames: int, tokens_per_frame: int, suffix_len: int) -> SequenceLayout:
@@ -171,9 +199,6 @@ class PositionTable:
     adjusted: np.ndarray
     gamma: float
 
-    def __len__(self) -> int:
-        return len(self.global_ids)
-
 
 def adjusted_positions(
     layout: SequenceLayout, gamma: float, strict_monotonic_suffix: bool = False
@@ -187,14 +212,3 @@ def adjusted_positions(
     adjusted = g.astype(np.float64) + gamma * t.astype(np.float64)
     return PositionTable(global_ids=g, temporal_ids=t, adjusted=adjusted, gamma=gamma)
 
-
-def relative_text_visual_distance(table: PositionTable, text_pos: int, visual_pos: int) -> float:
-    """Adjusted-position distance from a text token to a visual token.
-
-    With gamma=0 this is the plain global-id difference.
-    """
-    t = len(table)
-    for name, idx in (("text_pos", text_pos), ("visual_pos", visual_pos)):
-        if not 0 <= idx < t:
-            raise ValueError(f"{name}={idx} out of range for T={t}")
-    return float(table.adjusted[text_pos] - table.adjusted[visual_pos])

@@ -16,12 +16,11 @@ only on visual-visual pairs:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import SequenceLayout
+from .layout import NamedEnum, SequenceLayout
 from .pgmio import csv_text, pgm_text
 
 __all__ = [
@@ -35,19 +34,11 @@ __all__ = [
 ]
 
 
-class MaskKind(enum.Enum):
+class MaskKind(NamedEnum):
     CAUSAL = "causal"
     FULL_VISUAL = "full_visual"
     FW_BLOCK = "fw_block"
     FW_BLOCK_CAUSAL = "fw_block_causal"
-
-    @classmethod
-    def from_string(cls, name: str) -> "MaskKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown mask kind {name!r}; valid kinds: {valid}")
 
 
 @dataclass(frozen=True)

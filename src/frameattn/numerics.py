@@ -13,8 +13,6 @@ import numpy as np
 __all__ = [
     "make_rng",
     "as_matrix",
-    "matmul",
-    "transpose",
     "masked_row_softmax",
     "softmax_backward",
 ]
@@ -46,23 +44,6 @@ def as_matrix(a, allow_neg_inf: bool = False) -> np.ndarray:
     if not allow_neg_inf and np.isneginf(m).any():
         raise ValueError("-inf is only allowed in mask matrices")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape checking.
-
-    Delegates to numpy's matmul. Results are deterministic run-to-run on a
-    given platform; the per-cell summation order is the BLAS one.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return as_matrix(a).T.copy()
 
 
 def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:

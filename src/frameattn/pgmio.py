@@ -14,15 +14,15 @@ import numpy as np
 __all__ = ["pgm_text", "csv_text", "write_text_atomic"]
 
 
-def pgm_text(pixels: np.ndarray, maxval: int = 255) -> str:
-    """Render a 2-D integer array (values in 0..maxval) as a plain PGM string."""
+def pgm_text(pixels: np.ndarray) -> str:
+    """Render a 2-D integer array (values in 0..255) as a plain PGM string."""
     px = np.asarray(pixels)
     if px.ndim != 2:
         raise ValueError(f"expected 2-D pixel array, got shape {px.shape}")
-    if px.size and (px.min() < 0 or px.max() > maxval):
-        raise ValueError(f"pixel values must lie in 0..{maxval}")
+    if px.size and (px.min() < 0 or px.max() > 255):
+        raise ValueError("pixel values must lie in 0..255")
     h, w = px.shape
-    lines = ["P2", f"{w} {h}", str(maxval)]
+    lines = ["P2", f"{w} {h}", "255"]
     lines.extend(" ".join(str(int(v)) for v in row) for row in px)
     return "\n".join(lines) + "\n"
 

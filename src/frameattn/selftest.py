@@ -28,7 +28,7 @@ from .numerics import make_rng, masked_row_softmax
 from .rope import RopeConfig, apply_rotary, frequencies, pair_score, rotary_oracle
 from .tasks import Task, gen_task
 
-__all__ = ["run_selftest"]
+__all__ = ["run_selftest", "temporal_id_literal"]
 
 
 def _random_layout(rng, max_total=24) -> SequenceLayout:
@@ -43,7 +43,11 @@ def _random_layout(rng, max_total=24) -> SequenceLayout:
                 return lay
 
 
-def _temporal_literal(lay: SequenceLayout, n: int) -> int:
+def temporal_id_literal(lay: SequenceLayout, n: int) -> int:
+    """Temporal id of position n, from the three-branch definition token by token.
+
+    Independent of layout.temporal_ids, which it checks here and in the tests.
+    """
     if not lay.has_visual:
         return n
     v_s, v_e, m = lay.visual_start, lay.visual_end, lay.tokens_per_frame
@@ -60,7 +64,7 @@ def _check_temporal_ids():
         lay = _random_layout(rng)
         ids = temporal_ids(lay)
         for n in range(lay.total_len):
-            assert ids[n] == _temporal_literal(lay, n), f"temporal id mismatch at {n} in {lay}"
+            assert ids[n] == temporal_id_literal(lay, n), f"temporal id mismatch at {n} in {lay}"
 
 
 def _check_rope_oracle():

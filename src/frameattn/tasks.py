@@ -19,13 +19,12 @@ marker, 3 onward the content symbols.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import SequenceLayout
+from .layout import NamedEnum, SequenceLayout
 from .numerics import make_rng
 
 __all__ = [
@@ -46,18 +45,10 @@ TOKEN_MARKER = 2
 SYMBOL_BASE = 3
 
 
-class Task(enum.Enum):
+class Task(NamedEnum):
     FRAME_ORDER = "frame_order"
     MOVING_COUNT = "moving_count"
     LAST_FRAME_RECALL = "last_frame_recall"
-
-    @classmethod
-    def from_string(cls, name: str) -> "Task":
-        for task in cls:
-            if task.value == name:
-                return task
-        valid = ", ".join(t.value for t in cls)
-        raise ValueError(f"unknown task {name!r}; valid tasks: {valid}")
 
 
 @dataclass(frozen=True)

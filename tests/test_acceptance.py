@@ -25,6 +25,7 @@ from frameattn.layout import build_layout, temporal_ids
 from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.numerics import make_rng
 from frameattn.rope import RopeConfig, apply_rotary, frequencies, pair_score, rotary_oracle
+from frameattn.selftest import temporal_id_literal
 from frameattn.tasks import Task
 
 PAPER_GAMMAS = [0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0]
@@ -43,17 +44,6 @@ def random_layout(rng, max_total, max_prefix=40, max_frames=20, max_per_frame=10
         total = prefix + frames * per_frame + suffix
         if 1 <= total <= max_total:
             return build_layout(prefix, frames, per_frame, suffix)
-
-
-def temporal_id_literal(lay, n):
-    if not lay.has_visual:
-        return n
-    v_s, v_e, m = lay.visual_start, lay.visual_end, lay.tokens_per_frame
-    if n < v_s:
-        return n
-    if v_s <= n <= v_e:
-        return v_s + (n - v_s) // m
-    return n - (v_e - v_s + 1 - (v_e - v_s) // m)
 
 
 def test_criterion_01_temporal_id_oracle():

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from frameattn.cli import main
 
@@ -210,6 +211,25 @@ def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
         assert np.array_equal(got, expected[h])
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("strict_monotonic_suffix", "false"), ("fw_block_causal_within_frame", 1), ("num_heads", 2.9), ("d_head", 4.0)],
+)
+def test_heatmap_mistyped_config_exits_2(tmp_path, capsys, field, value):
+    config = json.dumps({**json.loads(HEATMAP_CONFIG), field: value})
+    code, _, err = run(capsys, "heatmap", "--config", config, "--out", str(tmp_path))
+    assert code == 2
+    assert field in err
+    assert not (tmp_path / "head_0.pgm").exists()
+
+
+def test_layout_float_field_exits_2(tmp_path, capsys):
+    layout = LAYOUT_T3_TEXT.replace('"prefix_len":3', '"prefix_len":2.7')
+    code, _, err = run(capsys, "render-mask", "--layout", layout, "--kind", "causal", "--out", str(tmp_path / "m.pgm"))
+    assert code == 2
+    assert "prefix_len" in err and "2.7" in err
+
+
 def test_heatmap_bad_config_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "heatmap", "--config", '{"num_heads": 2}', "--out", str(tmp_path))
     assert code == 2
@@ -244,6 +264,23 @@ def test_sweep_two_gammas_two_rows(tmp_path, capsys):
 
 def test_sweep_bad_gammas_exits_2(tmp_path, capsys):
     assert run(capsys, "sweep", "--config", TRIAL_CONFIG, "--gammas", "0,abc", "--out", str(tmp_path))[0] == 2
+
+
+def test_sweep_float_seed_exits_2(tmp_path, capsys):
+    config = json.dumps({**json.loads(TRIAL_CONFIG), "seed": 1.5})
+    code, _, err = run(capsys, "sweep", "--config", config, "--gammas", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert "seed" in err and "1.5" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "grid"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_non_positive_workers_exits_2(tmp_path, capsys, command, workers):
+    code, _, err = run(capsys, command, "--config", TRIAL_CONFIG, "--workers", workers, "--out", str(tmp_path))
+    assert code == 2
+    assert "workers" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_grid_writes_summary_and_csv(tmp_path, capsys):

@@ -4,19 +4,24 @@ import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import frameattn.harness as harness
 from frameattn.attention import PeMode
 from frameattn.harness import (
+    GRID_COLUMNS,
     REPORT_HEADER,
+    SWEEP_COLUMNS,
     TrialConfig,
     ablation_grid,
     gamma_sweep,
-    grid_csv,
     grid_summary,
-    sweep_csv,
+    run_trials,
     train_trial,
+    trials_csv,
 )
-from frameattn.layout import build_layout
+from frameattn.layout import SequenceLayout, build_layout
 from frameattn.masks import MaskKind
 from frameattn.tasks import Task
 
@@ -49,6 +54,65 @@ def test_config_json_rejects_unknown_fields():
     obj["optimizer"] = "adam"
     with pytest.raises(ValueError):
         TrialConfig.from_dict(obj)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+small = st.integers(1, 10_000)
+trial_configs = st.builds(
+    TrialConfig,
+    task=st.sampled_from(Task),
+    layout=st.builds(build_layout, st.integers(0, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 5)),
+    pe_mode=st.sampled_from(PeMode),
+    mask_kind=st.sampled_from(MaskKind),
+    gamma=finite,
+    seed=st.integers(0, 2**63 - 1),
+    steps=small,
+    lr=finite,
+    momentum=finite,
+    layers=st.integers(1, 4),
+    num_heads=small,
+    d_head=st.integers(1, 64).map(lambda h: 2 * h),
+    ff_hidden=st.integers(0, 10_000),
+    num_symbols=small,
+    rope_base=st.floats(1.5, 1e6),
+    train_size=small,
+    eval_size=small,
+    batch_size=small,
+    converge_threshold=finite,
+    rpe_radius=small,
+    rpe_scale=finite,
+    strict_monotonic_suffix=st.booleans(),
+    fw_block_causal_within_frame=st.booleans(),
+)
+
+
+@given(trial_configs)
+@settings(max_examples=100, deadline=None)
+def test_config_json_round_trip_property(cfg):
+    assert TrialConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("field", ["seed", "steps", "batch_size"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", True])
+def test_config_rejects_non_integer_fields(field, bad):
+    obj = {**json.loads(TINY.to_json()), field: bad}
+    with pytest.raises(ValueError, match=field):
+        TrialConfig.from_dict(obj)
+
+
+@pytest.mark.parametrize("bad", ["false", 0, None])
+def test_config_rejects_non_bool_flags(bad):
+    obj = {**json.loads(TINY.to_json()), "strict_monotonic_suffix": bad}
+    with pytest.raises(ValueError, match="strict_monotonic_suffix"):
+        TrialConfig.from_dict(obj)
+
+
+def test_unknown_layout_field_named_on_both_paths():
+    layout = {**json.loads(TINY.layout.to_json()), "fps": 30}
+    with pytest.raises(ValueError, match="fps"):
+        SequenceLayout.from_dict(layout)
+    with pytest.raises(ValueError, match="fps"):
+        TrialConfig.from_dict({**json.loads(TINY.to_json()), "layout": layout})
 
 
 def test_single_step_trial():
@@ -124,7 +188,7 @@ def test_gamma_sweep_seven_values():
     gammas = [0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0]
     reports = gamma_sweep(TINY, gammas)
     assert [r.config.gamma for r in reports] == gammas
-    csv = sweep_csv(reports)
+    csv = trials_csv(reports, SWEEP_COLUMNS)
     assert csv.startswith(REPORT_HEADER)
     assert len(csv.strip().splitlines()) == 2 + 7  # header comment + column row + 7 rows
 
@@ -155,7 +219,7 @@ def test_ablation_grid_cardinality_and_marking():
     assert summary.startswith(REPORT_HEADER)
     # six-step trials cannot converge, so every cell is flagged
     assert summary.count("UNCONVERGED 3/3") == 4
-    csv = grid_csv(reports)
+    csv = trials_csv(reports, GRID_COLUMNS)
     assert len(csv.strip().splitlines()) == 2 + 12
 
 
@@ -181,3 +245,45 @@ def test_time_rpe_trial_runs():
     report = train_trial(replace(TINY, pe_mode=PeMode.TIME_RPE))
     assert len(report.loss_curve) == TINY.steps
     assert math.isfinite(report.loss_curve[-1])
+
+
+def test_trials_csv_rows_follow_the_column_list():
+    report = train_trial(replace(TINY, steps=1))
+    c = report.config
+    lines = trials_csv([report], ("seed", "gamma", "task", "converged", "final_loss")).splitlines()
+    assert lines[1] == "seed,gamma,task,converged,final_loss"
+    assert lines[2] == f"{c.seed},{c.gamma!r},{c.task.value},{int(report.converged)},{report.loss_curve[-1]!r}"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,workers,pool_size", [(2, 64, 2), (4, 3, 3), (1, 8, None), (None, 8, None)])
+def test_run_trials_clamps_workers_to_cpu_count(monkeypatch, cpus, workers, pool_size):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness, "train_trial", lambda cfg: cfg.seed)
+    _RecordingPool.sizes = []
+    assert run_trials([replace(TINY, seed=s) for s in range(5)], workers) == [0, 1, 2, 3, 4]
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+def test_run_trials_rejects_bad_worker_counts(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_trials([TINY], workers)

@@ -10,23 +10,9 @@ from frameattn.layout import (
     TokenRole,
     adjusted_positions,
     build_layout,
-    relative_text_visual_distance,
     temporal_ids,
 )
-
-
-def temporal_id_literal(layout, n):
-    """Independent per-token evaluation of the three-branch temporal map."""
-    if not layout.has_visual:
-        return n
-    v_s = layout.visual_start
-    v_e = layout.visual_end
-    m = layout.tokens_per_frame
-    if n < v_s:
-        return n
-    if v_s <= n <= v_e:
-        return v_s + (n - v_s) // m
-    return n - (v_e - v_s + 1 - (v_e - v_s) // m)
+from frameattn.selftest import temporal_id_literal
 
 
 layouts = (
@@ -164,29 +150,26 @@ def test_adjusted_rejects_non_finite_gamma():
             adjusted_positions(lay, bad)
 
 
+# Text-to-visual distance in adjusted positions: adjusted[text] - adjusted[visual].
+
+
 def test_relative_distance_gamma_zero():
     lay = build_layout(4, 2, 4, 3)
     table = adjusted_positions(lay, 0.0)
-    assert relative_text_visual_distance(table, 12, 5) == 7.0
+    assert table.adjusted[12] - table.adjusted[5] == 7.0
 
 
 def test_relative_distance_worked_example():
     lay = build_layout(4, 2, 4, 2)
     table = adjusted_positions(lay, 1.0)
     # text at 12 has temporal id 5, visual at 8 has temporal id 5
-    assert relative_text_visual_distance(table, 12, 8) == 4.0
+    assert table.adjusted[12] - table.adjusted[8] == 4.0
 
 
 def test_relative_distance_self_is_zero():
     lay = build_layout(1, 1, 2, 1)
     table = adjusted_positions(lay, 0.7)
-    assert relative_text_visual_distance(table, 2, 2) == 0.0
-
-
-def test_relative_distance_rejects_out_of_range():
-    table = adjusted_positions(build_layout(1, 1, 1, 1), 1.0)
-    with pytest.raises(ValueError):
-        relative_text_visual_distance(table, 3, 0)
+    assert table.adjusted[2] - table.adjusted[2] == 0.0
 
 
 def test_layout_json_round_trip():
@@ -202,5 +185,25 @@ def test_layout_json_round_trip():
 
 
 def test_layout_json_rejects_unknown_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'x'"):
         SequenceLayout.from_json('{"prefix_len":1,"num_frames":0,"tokens_per_frame":0,"suffix_len":1,"x":2}')
+
+
+@given(layouts)
+@settings(max_examples=100, deadline=None)
+def test_layout_json_round_trip_property(lay):
+    assert SequenceLayout.from_json(lay.to_json()) == lay
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "3", True, None, -1])
+def test_layout_from_dict_rejects_non_integers(bad):
+    obj = {"prefix_len": bad, "num_frames": 1, "tokens_per_frame": 1, "suffix_len": 1}
+    with pytest.raises(ValueError, match="prefix_len"):
+        SequenceLayout.from_dict(obj)
+
+
+def test_layout_from_dict_names_missing_fields():
+    with pytest.raises(ValueError, match="suffix_len"):
+        SequenceLayout.from_dict({"prefix_len": 1, "num_frames": 1, "tokens_per_frame": 1})
+    with pytest.raises(ValueError, match="JSON object"):
+        SequenceLayout.from_json("[1, 1, 1, 1]")
