@@ -42,7 +42,7 @@ from .masks import (
     mask_to_pgm,
 )
 from .model import ModelConfig, TinyModel
-from .numerics import make_rng, masked_row_softmax
+from .numerics import NonFiniteError, make_rng, masked_row_softmax
 from .rope import (
     FrequencyTable,
     RopeConfig,
@@ -65,6 +65,7 @@ __all__ = [
     "FrequencyTable",
     "MaskKind",
     "ModelConfig",
+    "NonFiniteError",
     "PAPER_GAMMA_GRID",
     "PeMode",
     "PositionTable",

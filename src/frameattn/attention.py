@@ -1,10 +1,12 @@
 """Full attention forward/backward with temporal position encoding modes.
 
-Tensors are (heads, T, d_head) float64 arrays. Per head the forward pass is:
-rotate Q and K rows at their mode-dependent positions, scores = scale * Q'K'^T
-plus the additive mask (and, for time_rpe, a temporal-distance bias), masked
-row softmax, then weights @ V. Rotation touches Q and K only, never V. One
-mask and one position table are shared by all heads.
+Q, K and V are one (heads, T, d_head) float64 stack of independent heads,
+all three of the same shape: the head count comes from the tensors and the
+head width must equal rope.d_head. The forward pass runs on the whole stack
+at once: rotate Q and K rows at their mode-dependent positions, scores =
+scale * Q'K'^T plus the additive mask (and, for time_rpe, a temporal-distance
+bias), masked row softmax, then weights @ V. Rotation touches Q and K only,
+never V. One mask and one position table are shared by all heads.
 
 Position-encoding modes:
 
@@ -36,9 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_flag, check_int
+from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_flag, check_float
 from .masks import AttentionMask, MaskKind, allowed, build_mask
-from .numerics import masked_row_softmax, softmax_backward
+from .numerics import NonFiniteError, masked_row_softmax, softmax_backward
 from .rope import FrequencyTable, RopeConfig, frequencies, pair_score, rotate_rows
 
 __all__ = [
@@ -65,8 +67,8 @@ class PeMode(NamedEnum):
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    num_heads: int
-    d_head: int
+    """Per-layer attention settings; `scale` defaults to 1/sqrt(rope.d_head)."""
+
     rope: RopeConfig
     mask_kind: MaskKind
     pe_mode: PeMode = PeMode.DUAL_ROPE
@@ -75,14 +77,11 @@ class AttentionConfig:
     fw_block_causal_within_frame: bool = False
 
     def __post_init__(self):
-        check_int("num_heads", self.num_heads, 1)
-        check_int("d_head", self.d_head, 2)
         check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
         check_flag("fw_block_causal_within_frame", self.fw_block_causal_within_frame)
-        if self.d_head != self.rope.d_head:
-            raise ValueError(f"d_head {self.d_head} does not match rope.d_head {self.rope.d_head}")
         if self.scale is None:
-            object.__setattr__(self, "scale", 1.0 / math.sqrt(self.d_head))
+            object.__setattr__(self, "scale", 1.0 / math.sqrt(self.rope.d_head))
+        check_float("scale", self.scale)
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
@@ -159,14 +158,24 @@ def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarr
     return b[radius + delta]
 
 
-def _check_tensor(name: str, x: np.ndarray, config: AttentionConfig, t: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    expected = (config.num_heads, t, config.d_head)
-    if arr.shape != expected:
-        raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
+    """Q, K, V as float64 (heads, T, d_head) stacks of one shape, T from the layout."""
+    arrays = [np.asarray(x, dtype=np.float64) for x in (Q, K, V)]
+    shape = arrays[0].shape
+    if len(shape) != 3 or shape[1:] != (layout.total_len, config.rope.d_head):
+        raise ValueError(f"Q must have shape (heads, {layout.total_len}, {config.rope.d_head}), got {shape}")
+    for name, arr in zip("QKV", arrays):
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, Q has {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"{name} contains non-finite values")
+    return arrays
+
+
+def _rotate_stack(x: np.ndarray, positions: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
+    """Rotate every head of an (N, T, D) stack as one (N*T, D) matrix, row t at positions[t]."""
+    n, t, d = x.shape
+    return rotate_rows(x.reshape(n * t, d), np.tile(positions, n), freqs).reshape(n, t, d)
 
 
 def attention_forward(
@@ -178,19 +187,17 @@ def attention_forward(
     rpe_bias: np.ndarray | None = None,
     positions: np.ndarray | None = None,
 ) -> AttentionResult:
-    """Per-head rotate-score-softmax-mix; returns output and the weights.
+    """Rotate-score-softmax-mix over the whole head stack; returns output and the weights.
 
     `positions` overrides the mode-derived rotation positions (used for
     shift-invariance experiments). `rpe_bias` is only accepted in time_rpe
     mode; omitting it there means a zero bias.
     """
-    t = layout.total_len
-    Q = _check_tensor("Q", Q, config, t)
-    K = _check_tensor("K", K, config, t)
-    V = _check_tensor("V", V, config, t)
+    Q, K, V = _check_tensors(layout, config, Q, K, V)
     if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
         raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
 
+    t = layout.total_len
     freqs = frequencies(config.rope)
     pos, temporal = _positions(layout, config, positions)
     if pos.shape != (t,):
@@ -202,25 +209,16 @@ def attention_forward(
         ape = time_ape_embedding(temporal, freqs)
         q_in = Q + ape[None, :, :]
         k_in = K + ape[None, :, :]
-    bias = None
-    if config.pe_mode is PeMode.TIME_RPE and rpe_bias is not None:
-        bias = temporal_bias_matrix(temporal, rpe_bias)
 
-    h = config.num_heads
-    q_rot = np.empty_like(q_in)
-    k_rot = np.empty_like(k_in)
-    weights = np.empty((h, t, t), dtype=np.float64)
-    output = np.empty_like(V)
-    for i in range(h):
-        q_rot[i] = rotate_rows(q_in[i], pos, freqs)
-        k_rot[i] = rotate_rows(k_in[i], pos, freqs)
-        scores = config.scale * (q_rot[i] @ k_rot[i].T)
-        if bias is not None:
-            scores = scores + bias
-        weights[i] = masked_row_softmax(scores, mask.values)
-        output[i] = weights[i] @ V[i]
+    q_rot = _rotate_stack(q_in, pos, freqs)
+    k_rot = _rotate_stack(k_in, pos, freqs)
+    scores = q_rot @ k_rot.transpose(0, 2, 1)
+    scores *= config.scale
+    if config.pe_mode is PeMode.TIME_RPE and rpe_bias is not None:
+        scores += temporal_bias_matrix(temporal, rpe_bias)
+    weights = masked_row_softmax(scores, mask.values)
     return AttentionResult(
-        output=output,
+        output=weights @ V,
         weights=weights,
         config=config,
         positions=pos,
@@ -241,20 +239,18 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
-    cfg = state.config
-    grad_q = np.empty_like(state.q_rot)
-    grad_k = np.empty_like(state.k_rot)
-    grad_v = np.empty_like(state.v)
-    for i in range(cfg.num_heads):
-        w = state.weights[i]
-        grad_v[i] = w.T @ g[i]
-        grad_w = g[i] @ state.v[i].T
-        grad_scores = softmax_backward(w, grad_w)
-        grad_qr = cfg.scale * (grad_scores @ state.k_rot[i])
-        grad_kr = cfg.scale * (grad_scores.T @ state.q_rot[i])
-        grad_q[i] = rotate_rows(grad_qr, -state.positions, state.freqs)
-        grad_k[i] = rotate_rows(grad_kr, -state.positions, state.freqs)
-    return AttentionGrads(grad_q=grad_q, grad_k=grad_k, grad_v=grad_v)
+    scale = state.config.scale
+    w = state.weights
+    grad_scores = softmax_backward(w, g @ state.v.transpose(0, 2, 1))
+    grad_qr = grad_scores @ state.k_rot
+    grad_qr *= scale
+    grad_kr = grad_scores.transpose(0, 2, 1) @ state.q_rot
+    grad_kr *= scale
+    return AttentionGrads(
+        grad_q=_rotate_stack(grad_qr, -state.positions, state.freqs),
+        grad_k=_rotate_stack(grad_kr, -state.positions, state.freqs),
+        grad_v=w.transpose(0, 2, 1) @ g,
+    )
 
 
 def attention_brute_oracle(
@@ -273,10 +269,8 @@ def attention_brute_oracle(
     hand. Kept deliberately independent of attention_forward so the two can
     check each other.
     """
+    Q, K, V = _check_tensors(layout, config, Q, K, V)
     t = layout.total_len
-    Q = _check_tensor("Q", Q, config, t)
-    K = _check_tensor("K", K, config, t)
-    V = _check_tensor("V", V, config, t)
     freqs = frequencies(config.rope)
     pos, temporal = _positions(layout, config, positions)
 
@@ -292,7 +286,7 @@ def attention_brute_oracle(
         radius = len(bias_table) // 2
 
     out = np.zeros_like(V)
-    for h in range(config.num_heads):
+    for h in range(len(Q)):
         for i in range(t):
             cols = [
                 j
@@ -312,7 +306,7 @@ def attention_brute_oracle(
             top = max(logits)
             exps = [math.exp(s - top) for s in logits]
             z = sum(exps)
-            row = np.zeros(config.d_head)
+            row = np.zeros(config.rope.d_head)
             for e, j in zip(exps, cols):
                 row += (e / z) * V[h, j]
             out[h, i] = row

@@ -31,7 +31,7 @@ from .harness import (
     grid_summary,
     trials_csv,
 )
-from .layout import SequenceLayout, adjusted_positions, check_fields
+from .layout import SequenceLayout, adjusted_positions, check_fields, check_int
 from .masks import MaskKind, build_mask, mask_stats, mask_to_csv, mask_to_pgm
 from .numerics import make_rng
 from .pgmio import csv_text, pgm_text, write_text_atomic
@@ -49,10 +49,6 @@ EXIT_IO_ERROR = 3
 OUT_DIR_ENV = "FRAMEATTN_OUT"
 
 
-class InputError(ValueError):
-    pass
-
-
 def _load_json_arg(value: str) -> dict:
     """Inline JSON object or a path to a file containing one."""
     text = value
@@ -61,11 +57,11 @@ def _load_json_arg(value: str) -> dict:
             with open(value) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InputError(f"cannot read {value!r}: {exc}") from exc
+            raise ValueError(f"cannot read {value!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
 
 
 def _resolve_out(path: str | None, default_name: str) -> str:
@@ -74,7 +70,7 @@ def _resolve_out(path: str | None, default_name: str) -> str:
     env = os.environ.get(OUT_DIR_ENV)
     if env:
         return os.path.join(env, default_name)
-    raise InputError(f"--out not given and {OUT_DIR_ENV} is not set")
+    raise ValueError(f"--out not given and {OUT_DIR_ENV} is not set")
 
 
 ATTENTION_FIELDS = (
@@ -91,29 +87,28 @@ ATTENTION_FIELDS = (
 )
 
 
-def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig]:
-    """Attention config JSON: layout plus head/mask/pe fields, checked by the config types."""
+def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig, tuple[int, int, int]]:
+    """Attention config JSON: layout, config and the (num_heads, T, d_head) shape of Q, K, V.
+
+    Every field is checked by the config types, num_heads here.
+    """
     check_fields("config", obj, ATTENTION_FIELDS, ("layout",))
     layout = SequenceLayout.from_dict(obj["layout"])
-    d_head = obj.get("d_head", 8)
-    try:
-        config = AttentionConfig(
-            num_heads=obj.get("num_heads", 2),
-            d_head=d_head,
-            rope=RopeConfig(
-                d_head=d_head,
-                base=float(obj.get("base", 10000.0)),
-                gamma=float(obj.get("gamma", 1.0)),
-            ),
-            mask_kind=MaskKind.from_string(obj.get("mask_kind", "fw_block_causal")),
-            pe_mode=PeMode.from_string(obj.get("pe_mode", "dual_rope")),
-            scale=obj.get("scale"),
-            strict_monotonic_suffix=obj.get("strict_monotonic_suffix", False),
-            fw_block_causal_within_frame=obj.get("fw_block_causal_within_frame", False),
-        )
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
-    return layout, config
+    num_heads = obj.get("num_heads", 2)
+    check_int("num_heads", num_heads, 1)
+    config = AttentionConfig(
+        rope=RopeConfig(
+            d_head=obj.get("d_head", 8),
+            base=obj.get("base", 10000.0),
+            gamma=obj.get("gamma", 1.0),
+        ),
+        mask_kind=MaskKind.from_string(obj.get("mask_kind", "fw_block_causal")),
+        pe_mode=PeMode.from_string(obj.get("pe_mode", "dual_rope")),
+        scale=obj.get("scale"),
+        strict_monotonic_suffix=obj.get("strict_monotonic_suffix", False),
+        fw_block_causal_within_frame=obj.get("fw_block_causal_within_frame", False),
+    )
+    return layout, config, (num_heads, layout.total_len, config.rope.d_head)
 
 
 def cmd_render_mask(args) -> int:
@@ -126,7 +121,7 @@ def cmd_render_mask(args) -> int:
     elif out.endswith(".csv"):
         text = mask_to_csv(mask)
     else:
-        raise InputError(f"output path must end in .pgm or .csv, got {out!r}")
+        raise ValueError(f"output path must end in .pgm or .csv, got {out!r}")
     write_text_atomic(out, text)
     print(f"allowed_count={mask_stats(mask)['allowed_count']}")
     print(f"wrote {out}")
@@ -167,30 +162,31 @@ def _heatmap_pixels(weights: np.ndarray) -> np.ndarray:
 
 
 def cmd_heatmap(args) -> int:
-    layout, config = _attention_setup(_load_json_arg(args.config))
-    t = layout.total_len
-    shape = (config.num_heads, t, config.d_head)
+    layout, config, shape = _attention_setup(_load_json_arg(args.config))
     if args.qkv:
         try:
             with np.load(args.qkv) as data:
                 q, k, v = data["Q"], data["K"], data["V"]
         except OSError as exc:
-            raise InputError(f"cannot read tensors from {args.qkv!r}: {exc}") from exc
+            raise ValueError(f"cannot read tensors from {args.qkv!r}: {exc}") from exc
         except KeyError as exc:
-            raise InputError(f"{args.qkv!r} must contain arrays Q, K, V") from exc
+            raise ValueError(f"{args.qkv!r} must contain arrays Q, K, V") from exc
+        for name, arr in zip("QKV", (q, k, v)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} in {args.qkv!r} has shape {arr.shape}, the config gives {shape}")
     else:
         rng = make_rng(args.seed, 200)
         q, k, v = (rng.standard_normal(shape) for _ in range(3))
     result = attention_forward(q, k, v, layout, config)
     out_dir = _resolve_out(args.out, "heatmap")
     os.makedirs(out_dir, exist_ok=True)
-    for h in range(config.num_heads):
+    for h, weights in enumerate(result.weights):
         if args.format == "csv":
             path = os.path.join(out_dir, f"head_{h}.csv")
-            write_text_atomic(path, csv_text(result.weights[h], fmt=lambda v: repr(float(v))))
+            write_text_atomic(path, csv_text(weights))
         else:
             path = os.path.join(out_dir, f"head_{h}.pgm")
-            write_text_atomic(path, pgm_text(_heatmap_pixels(result.weights[h])))
+            write_text_atomic(path, pgm_text(_heatmap_pixels(weights)))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -212,25 +208,18 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _trial_config_from_arg(value: str) -> TrialConfig:
-    try:
-        return TrialConfig.from_dict(_load_json_arg(value))
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"{flag} expects a comma-separated list of numbers: {exc}") from exc
+        raise ValueError(f"{flag} expects a comma-separated list of numbers: {exc}") from exc
     if not values:
-        raise InputError(f"{flag} must name at least one value")
+        raise ValueError(f"{flag} must name at least one value")
     return values
 
 
 def cmd_sweep(args) -> int:
-    base = _trial_config_from_arg(args.config)
+    base = TrialConfig.from_dict(_load_json_arg(args.config))
     gammas = _parse_float_list(args.gammas, "--gammas") if args.gammas else list(PAPER_GAMMA_GRID)
     out_dir = _resolve_out(args.out, "sweep")
     reports = gamma_sweep(base, gammas, workers=args.workers)
@@ -249,7 +238,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    base = _trial_config_from_arg(args.config)
+    base = TrialConfig.from_dict(_load_json_arg(args.config))
     tasks = [Task.from_string(t) for t in args.tasks.split(",") if t]
     masks = [MaskKind.from_string(m) for m in args.masks.split(",") if m]
     pe_modes = [PeMode.from_string(p) for p in args.pe_modes.split(",") if p]

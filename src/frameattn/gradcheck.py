@@ -50,6 +50,21 @@ def default_micro_cases() -> list[tuple[PeMode, MaskKind]]:
     return [(pe, mk) for pe in PeMode for mk in MaskKind]
 
 
+def _central_differences(param: np.ndarray, loss, h: float) -> np.ndarray:
+    """Numeric d loss() / d param, perturbing each entry of the contiguous `param` in place."""
+    flat = param.reshape(-1)
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss()
+        flat[i] = orig - h
+        down = loss()
+        flat[i] = orig
+        numeric[i] = (up - down) / (2.0 * h)
+    return numeric.reshape(param.shape)
+
+
 def attention_fd_error(
     pe_mode: PeMode,
     mask_kind: MaskKind,
@@ -68,8 +83,6 @@ def attention_fd_error(
     if layout is None:
         layout = build_layout(1, 2, 2, 2)
     config = AttentionConfig(
-        num_heads=num_heads,
-        d_head=d_head,
         rope=RopeConfig(d_head=d_head, gamma=gamma),
         mask_kind=mask_kind,
         pe_mode=pe_mode,
@@ -81,26 +94,15 @@ def attention_fd_error(
     rpe_bias = 0.3 * rng.standard_normal(2 * 3 + 1) if pe_mode is PeMode.TIME_RPE else None
     probe = rng.standard_normal(shape)
 
-    def loss(q_, k_, v_) -> float:
-        out = attention_forward(q_, k_, v_, layout, config, rpe_bias=rpe_bias).output
+    def loss() -> float:
+        out = attention_forward(q, k, v, layout, config, rpe_bias=rpe_bias).output
         return float(np.sum(out * probe))
 
     state = attention_forward(q, k, v, layout, config, rpe_bias=rpe_bias)
     grads = attention_backward(state, probe)
     worst = 0.0
-    for arr, analytic, slot in ((q, grads.grad_q, 0), (k, grads.grad_k, 1), (v, grads.grad_v, 2)):
-        numeric = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss(q, k, v)
-            flat[i] = orig - h
-            down = loss(q, k, v)
-            flat[i] = orig
-            num_flat[i] = (up - down) / (2.0 * h)
-        worst = max(worst, relative_error(analytic, numeric))
+    for arr, analytic in ((q, grads.grad_q), (k, grads.grad_k), (v, grads.grad_v)):
+        worst = max(worst, relative_error(analytic, _central_differences(arr, loss, h)))
     return worst
 
 
@@ -131,8 +133,6 @@ def model_fd_error(
         num_classes=num_classes(task, layout, num_symbols),
     )
     attn_cfg = AttentionConfig(
-        num_heads=num_heads,
-        d_head=d_head,
         rope=RopeConfig(d_head=d_head, gamma=1.0),
         mask_kind=mask_kind,
         pe_mode=pe_mode,
@@ -147,15 +147,5 @@ def model_fd_error(
     _, grads = model.loss_and_grads(data.tokens, data.labels, layout, attn_cfg)
     worst = 0.0
     for name, param in model.params.items():
-        flat = param.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_only()
-            flat[i] = orig - h
-            down = loss_only()
-            flat[i] = orig
-            numeric[i] = (up - down) / (2.0 * h)
-        worst = max(worst, relative_error(grads[name].reshape(-1), numeric))
+        worst = max(worst, relative_error(grads[name], _central_differences(param, loss_only, h)))
     return worst

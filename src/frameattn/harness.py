@@ -24,10 +24,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .attention import AttentionConfig, PeMode
-from .layout import SequenceLayout, check_fields, check_flag, check_int
+from .layout import SequenceLayout, check_fields, check_flag, check_float, check_int
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
-from .numerics import make_rng
+from .numerics import NonFiniteError, make_rng
 from .rope import RopeConfig
 from .tasks import Task, gen_task, num_classes, vocab_size
 
@@ -68,6 +68,7 @@ _INT_MINIMUMS = {
     "batch_size": 1,
     "rpe_radius": 1,
 }
+_FLOAT_FIELDS = ("gamma", "lr", "momentum", "rope_base", "converge_threshold", "rpe_scale")
 
 
 @dataclass(frozen=True)
@@ -99,15 +100,13 @@ class TrialConfig:
     def __post_init__(self):
         for name, minimum in _INT_MINIMUMS.items():
             check_int(name, getattr(self, name), minimum)
+        for name in _FLOAT_FIELDS:
+            check_float(name, getattr(self, name))
         check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
         check_flag("fw_block_causal_within_frame", self.fw_block_causal_within_frame)
-        if not (math.isfinite(self.gamma) and math.isfinite(self.lr)):
-            raise ValueError("gamma and lr must be finite")
 
     def attention_config(self) -> AttentionConfig:
         return AttentionConfig(
-            num_heads=self.num_heads,
-            d_head=self.d_head,
             rope=RopeConfig(d_head=self.d_head, base=self.rope_base, gamma=self.gamma),
             mask_kind=self.mask_kind,
             pe_mode=self.pe_mode,
@@ -181,9 +180,10 @@ def _make_rpe_bias(config: TrialConfig) -> np.ndarray | None:
 def train_trial(config: TrialConfig) -> TrialReport:
     """Run one deterministic SGD trial and report its curve and accuracy.
 
-    A non-finite loss stops the parameter updates; the remaining curve is
-    filled with NaN and the report comes back with converged=False rather
-    than raising.
+    A non-finite loss, or a kernel's NonFiniteError, stops the parameter
+    updates; the remaining curve is filled with NaN and the report comes back
+    with converged=False rather than raising. Any other error propagates, so
+    a programming error is never reported as divergence.
     """
     start = time.perf_counter()
     train = gen_task(config.task, config.layout, config.seed, config.train_size, config.num_symbols)
@@ -205,7 +205,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
                 loss, grads = model.loss_and_grads(
                     train.tokens[idx], train.labels[idx], config.layout, attn_cfg, rpe_bias
                 )
-            except (ValueError, FloatingPointError, OverflowError):
+            except (NonFiniteError, FloatingPointError, OverflowError):
                 # Parameters blew up badly enough that a kernel rejected them.
                 loss, grads = float("nan"), None
             curve.append(float(loss))
@@ -223,7 +223,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
     def predict_safe(tokens) -> int:
         try:
             return model.predict(tokens, config.layout, attn_cfg, rpe_bias)
-        except (ValueError, FloatingPointError, OverflowError):
+        except (NonFiniteError, FloatingPointError, OverflowError):
             return -1
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,8 +14,9 @@ which makes the first suffix token share the last frame's temporal id. Pass
 that collision.
 
 This module also holds the strict field checks that every config parser in
-the package shares (layout, attention and trial configs): integers must be
-non-bool ints, flags must be bools, and nothing is coerced.
+the package shares (layout, rotary, attention and trial configs): integers
+must be non-bool ints, real numbers finite non-bool ints or floats, flags
+bools, and nothing is coerced.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "NamedEnum",
     "check_fields",
     "check_int",
+    "check_float",
     "check_flag",
     "TokenRole",
     "SequenceLayout",
@@ -69,6 +71,17 @@ def check_int(name: str, value, minimum: int = 0) -> None:
     """Reject anything but an int >= minimum, bools and integral floats such as 2.0 included."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_float(name: str, value) -> None:
+    """Reject anything but a finite int or float: bools, numeric strings such as "1.5", NaN, inf, 10**400."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def check_flag(name: str, value) -> None:

@@ -1,7 +1,7 @@
 """Dense float64 kernel shared by every other module.
 
-Matrices are plain 2-D numpy arrays (row-major, float64 by default; float32
-works where noted). The only non-finite value ever allowed is -inf, and only
+Score matrices are float64 arrays whose last two axes are (T, T); any
+leading axes stack independent matrices. The only non-finite value ever allowed is -inf, and only
 inside additive attention masks. Everything here is a pure function, so
 concurrent callers are safe.
 """
@@ -12,7 +12,7 @@ import numpy as np
 
 __all__ = [
     "make_rng",
-    "as_matrix",
+    "NonFiniteError",
     "masked_row_softmax",
     "softmax_backward",
 ]
@@ -28,59 +28,54 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
 
 
-def as_matrix(a, allow_neg_inf: bool = False) -> np.ndarray:
-    """Validate and return `a` as a 2-D float array.
-
-    Rejects anything that is not 2-D or contains NaN/+inf; -inf is accepted
-    only when `allow_neg_inf` is set (mask matrices).
-    """
-    m = np.asarray(a)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.issubdtype(m.dtype, np.floating):
-        m = m.astype(np.float64)
-    if np.isnan(m).any() or np.isposinf(m).any():
-        raise ValueError("matrix contains NaN or +inf")
-    if not allow_neg_inf and np.isneginf(m).any():
-        raise ValueError("-inf is only allowed in mask matrices")
-    return m
+class NonFiniteError(ValueError):
+    """A NaN or infinity where only finite values are allowed: the mark of a diverged run."""
 
 
 def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax over entries whose mask value is 0.
 
-    `mask` entries must be exactly 0 or -inf. Masked entries come out exactly
-    0; each row with at least one allowed entry sums to 1. A fully masked row
-    returns all zeros instead of NaN so degenerate layouts stay harmless.
-    Stabilised by subtracting the per-row max of the allowed entries.
+    `scores` is (..., T, T) and must be finite; every (T, T) slice shares the
+    one (T, T) `mask`, whose entries must be exactly 0 or -inf. Masked
+    entries come out exactly 0; each row with at least one allowed entry
+    sums to 1. A fully masked row returns all zeros instead of NaN so
+    degenerate layouts stay harmless. Stabilised by subtracting the per-row
+    max of the allowed entries.
     """
-    scores = as_matrix(scores)
-    mask = as_matrix(mask, allow_neg_inf=True)
-    if scores.shape != mask.shape:
+    scores = np.asarray(scores)
+    mask = np.asarray(mask)
+    if mask.ndim != 2 or scores.ndim < 2 or scores.shape[-2:] != mask.shape:
         raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
-    finite = np.isfinite(mask)
-    if not np.all(mask[finite] == 0.0):
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteError("scores contain NaN or inf")
+    if not np.all((mask == 0.0) | np.isneginf(mask)):
         raise ValueError("mask entries must be exactly 0 or -inf")
 
-    combined = scores + mask
-    row_max = np.max(combined, axis=1, keepdims=True, initial=-np.inf)
+    out = scores + mask  # the one scratch buffer; masked entries are -inf
+    if not np.issubdtype(out.dtype, np.floating):
+        out = out.astype(np.float64)
+    row_max = np.max(out, axis=-1, keepdims=True, initial=-np.inf)
     # Fully masked rows have row_max == -inf; shift by 0 there to avoid inf-inf.
-    shift = np.where(np.isfinite(row_max), row_max, 0.0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(combined - shift)
-    e[~finite] = 0.0
-    denom = e.sum(axis=1, keepdims=True)
-    return e / np.where(denom > 0.0, denom, 1.0)
+    row_max[np.isneginf(row_max)] = 0.0
+    out -= row_max
+    np.exp(out, out=out)  # exp(-inf) is exactly 0
+    denom = out.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    out /= denom
+    return out
 
 
 def softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:
     """Gradient of masked_row_softmax w.r.t. its score input.
 
-    `weights` is the forward output. Masked entries (weight exactly 0) and
-    fully masked rows propagate zero gradient, matching the forward
-    convention.
+    `weights` is the forward output, (..., T, T) like `grad_weights`. Masked
+    entries (weight exactly 0) and fully masked rows propagate zero gradient,
+    matching the forward convention.
     """
     if weights.shape != grad_weights.shape:
         raise ValueError(f"shape mismatch: {weights.shape} vs {grad_weights.shape}")
-    inner = np.sum(weights * grad_weights, axis=1, keepdims=True)
-    return weights * (grad_weights - inner)
+    out = weights * grad_weights  # scratch buffer, reused for the result
+    inner = np.sum(out, axis=-1, keepdims=True)
+    np.subtract(grad_weights, inner, out=out)
+    out *= weights
+    return out

@@ -23,16 +23,16 @@ def pgm_text(pixels: np.ndarray) -> str:
         raise ValueError("pixel values must lie in 0..255")
     h, w = px.shape
     lines = ["P2", f"{w} {h}", "255"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in px)
+    lines.extend(" ".join(map(repr, row.tolist())) for row in px.astype(np.int64, copy=False))
     return "\n".join(lines) + "\n"
 
 
-def csv_text(values: np.ndarray, fmt=str) -> str:
-    """Comma-separated rows, one matrix row per line."""
+def csv_text(values: np.ndarray) -> str:
+    """Comma-separated rows, one matrix row per line; each cell is the repr of its Python value."""
     vals = np.asarray(values)
     if vals.ndim != 2:
         raise ValueError(f"expected 2-D array, got shape {vals.shape}")
-    return "\n".join(",".join(fmt(v) for v in row) for row in vals) + "\n"
+    return "\n".join(",".join(map(repr, row.tolist())) for row in vals) + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layout import check_float, check_int
+
 __all__ = [
     "RopeConfig",
     "FrequencyTable",
@@ -33,12 +35,13 @@ class RopeConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.d_head < 2 or self.d_head % 2 != 0:
+        check_int("d_head", self.d_head, 2)
+        check_float("base", self.base)
+        check_float("gamma", self.gamma)
+        if self.d_head % 2 != 0:
             raise ValueError(f"d_head must be even and >= 2, got {self.d_head}")
         if not self.base > 1.0:
             raise ValueError(f"base must be > 1, got {self.base}")
-        if not np.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -136,8 +136,6 @@ def _check_degeneracy():
     lay = build_layout(1, 2, 3, 2)
     t = lay.total_len
     base = AttentionConfig(
-        num_heads=2,
-        d_head=4,
         rope=RopeConfig(d_head=4, gamma=0.0),
         mask_kind=MaskKind.CAUSAL,
         pe_mode=PeMode.DUAL_ROPE,
@@ -164,8 +162,6 @@ def _check_attention_oracle():
         pe = list(PeMode)[case % len(PeMode)]
         mk = list(MaskKind)[case % len(MaskKind)]
         cfg = AttentionConfig(
-            num_heads=2,
-            d_head=4,
             rope=RopeConfig(d_head=4, gamma=float(rng.uniform(0, 2))),
             mask_kind=mk,
             pe_mode=pe,

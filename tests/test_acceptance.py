@@ -93,8 +93,6 @@ def test_criterion_03_relative_position_property():
         lay = random_layout(rng, max_total=10, max_prefix=3, max_frames=3, max_per_frame=3, max_suffix=3)
         gamma = float(rng.uniform(0, 2))
         cfg = AttentionConfig(
-            num_heads=2,
-            d_head=d_head,
             rope=RopeConfig(d_head=d_head, gamma=gamma),
             mask_kind=MaskKind(rng.choice([m.value for m in MaskKind])),
             pe_mode=PeMode.DUAL_ROPE,
@@ -140,8 +138,6 @@ def test_criterion_05_degeneracies():
         shape = (2, t, 4)
         q, k, v = rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
         dual = AttentionConfig(
-            num_heads=2,
-            d_head=4,
             rope=RopeConfig(d_head=4, gamma=0.0),
             mask_kind=MaskKind.FW_BLOCK_CAUSAL,
             pe_mode=PeMode.DUAL_ROPE,
@@ -189,8 +185,6 @@ def test_criterion_07_brute_force_attention_oracle():
         t = lay.total_len
         pe = pe_modes[case % len(pe_modes)]
         cfg = AttentionConfig(
-            num_heads=2,
-            d_head=4,
             rope=RopeConfig(d_head=4, gamma=float(rng.uniform(0, 2))),
             mask_kind=kinds[case % len(kinds)],
             pe_mode=pe,

@@ -14,14 +14,12 @@ from frameattn.attention import (
 from frameattn.gradcheck import attention_fd_error
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
-from frameattn.numerics import make_rng
+from frameattn.numerics import NonFiniteError, make_rng
 from frameattn.rope import RopeConfig
 
 
-def config(d_head=4, heads=2, gamma=1.0, mask=MaskKind.CAUSAL, pe=PeMode.DUAL_ROPE, **kw):
+def config(d_head=4, gamma=1.0, mask=MaskKind.CAUSAL, pe=PeMode.DUAL_ROPE, **kw):
     return AttentionConfig(
-        num_heads=heads,
-        d_head=d_head,
         rope=RopeConfig(d_head=d_head, gamma=gamma),
         mask_kind=mask,
         pe_mode=pe,
@@ -48,10 +46,10 @@ def random_layout(rng, max_total=16):
 def test_config_validation():
     with pytest.raises(ValueError):
         config(scale=0.0)
-    with pytest.raises(ValueError):
-        config(heads=0)
-    with pytest.raises(ValueError):
-        AttentionConfig(num_heads=1, d_head=8, rope=RopeConfig(d_head=4), mask_kind=MaskKind.CAUSAL)
+    with pytest.raises(ValueError, match="scale"):
+        config(scale="0.5")
+    with pytest.raises(ValueError, match="d_head"):
+        config(d_head=4.0)
     assert config(d_head=16).scale == 0.25
 
 
@@ -101,7 +99,7 @@ def test_dual_rope_gamma_zero_equals_rope_only():
 def test_zero_frames_mask_kinds_agree():
     lay = build_layout(3, 0, 0, 3)
     q, k, v = random_qkv(make_rng(4), 1, 6, 4)
-    outs = [attention_forward(q, k, v, lay, config(heads=1, mask=mk)).output for mk in MaskKind]
+    outs = [attention_forward(q, k, v, lay, config(mask=mk)).output for mk in MaskKind]
     for other in outs[1:]:
         assert np.array_equal(outs[0], other)
 
@@ -128,6 +126,20 @@ def test_weights_row_stochastic_and_masked_zero():
             assert np.abs(res.weights[h].sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def assert_stack_equals_head_slices(q, k, v, lay, cfg, bias, grad):
+    # The stacked kernel must give each head exactly what that head alone gives.
+    res = attention_forward(q, k, v, lay, cfg, rpe_bias=bias)
+    grads = attention_backward(res, grad)
+    for h in range(len(q)):
+        one = slice(h, h + 1)
+        alone = attention_forward(q[one], k[one], v[one], lay, cfg, rpe_bias=bias)
+        alone_grads = attention_backward(alone, grad[one])
+        assert np.array_equal(res.output[one], alone.output)
+        assert np.array_equal(res.weights[one], alone.weights)
+        for name in ("grad_q", "grad_k", "grad_v"):
+            assert np.array_equal(getattr(grads, name)[one], getattr(alone_grads, name))
+
+
 def brute_force_case(rng, pe, mask):
     lay = random_layout(rng)
     t = lay.total_len
@@ -136,6 +148,8 @@ def brute_force_case(rng, pe, mask):
     bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
     fast = attention_forward(q, k, v, lay, cfg, rpe_bias=bias).output
     slow = attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias)
+    grad = make_rng(t, 1).standard_normal(q.shape)  # own stream: `rng` draws the next case
+    assert_stack_equals_head_slices(q, k, v, lay, cfg, bias, grad)
     return np.abs(fast - slow).max()
 
 
@@ -154,7 +168,7 @@ def test_textbook_causal_reference():
     d = 4
     rng = make_rng(8)
     q, k, v = random_qkv(rng, 1, t, d)
-    cfg = config(heads=1, d_head=d, gamma=0.0, pe=PeMode.ROPE_ONLY)
+    cfg = config(d_head=d, gamma=0.0, pe=PeMode.ROPE_ONLY)
 
     thetas = 10000.0 ** (-np.arange(d // 2) / (d // 2))
     angles = np.arange(t)[:, None] * thetas[None, :]
@@ -224,7 +238,7 @@ def test_time_rpe_bias_shifts_scores():
     lay = build_layout(1, 2, 2, 1)
     q, k, v = random_qkv(make_rng(12), 1, lay.total_len, 4)
     bias = np.linspace(-0.5, 0.5, 5)
-    cfg = config(heads=1, pe=PeMode.TIME_RPE)
+    cfg = config(pe=PeMode.TIME_RPE)
     with_bias = attention_forward(q, k, v, lay, cfg, rpe_bias=bias).output
     without = attention_forward(q, k, v, lay, cfg).output
     assert not np.array_equal(with_bias, without)
@@ -242,7 +256,7 @@ def test_empty_visual_span_time_modes_are_permitted():
     lay = build_layout(3, 0, 0, 2)
     q, k, v = random_qkv(make_rng(14), 1, 5, 4)
     for pe in PeMode:
-        out = attention_forward(q, k, v, lay, config(heads=1, pe=pe)).output
+        out = attention_forward(q, k, v, lay, config(pe=pe)).output
         assert np.all(np.isfinite(out))
 
 
@@ -258,6 +272,14 @@ def test_forward_shape_validation():
         attention_forward(good, good, good, lay, cfg, positions=np.zeros(3))
     with pytest.raises(ValueError):
         attention_forward(good, good, good, lay, cfg, rpe_bias=np.zeros(3))
+    with pytest.raises(ValueError, match="Q must have shape"):
+        attention_forward(np.zeros((2, 2, 6)), np.zeros((2, 2, 6)), np.zeros((2, 2, 6)), lay, cfg)
+    with pytest.raises(ValueError, match="V has shape"):
+        attention_forward(good, good, np.zeros((1, 2, 4)), lay, cfg)
+    bad = good.copy()
+    bad[1, 0, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="K"):
+        attention_forward(good, bad, good, lay, cfg)
 
 
 def test_backward_zero_gradient():

@@ -181,6 +181,12 @@ def test_heatmap_from_npz_tensors(tmp_path, capsys):
     code, _, _ = run(capsys, "heatmap", "--config", HEATMAP_CONFIG, "--out", str(tmp_path / "hm"), "--qkv", str(path))
     assert code == 0
     assert (tmp_path / "hm" / "head_1.pgm").exists()
+    # Every tensor must have the config's (num_heads, T, d_head) shape.
+    np.savez(path, Q=np.zeros((2, 6, 4)), K=np.zeros((2, 6, 6)), V=np.zeros((2, 6, 4)))
+    code, _, err = run(capsys, "heatmap", "--config", HEATMAP_CONFIG, "--out", str(tmp_path / "bad"), "--qkv", str(path))
+    assert code == 2
+    assert "K" in err and "(2, 6, 6)" in err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
@@ -196,8 +202,6 @@ def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
     assert code == 0
     layout = SequenceLayout.from_json(LAYOUT_1_2x2_1)
     cfg = AttentionConfig(
-        num_heads=2,
-        d_head=4,
         rope=RopeConfig(d_head=4, gamma=1.0),
         mask_kind=MaskKind.CAUSAL,
         pe_mode=PeMode.DUAL_ROPE,
@@ -213,7 +217,16 @@ def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("strict_monotonic_suffix", "false"), ("fw_block_causal_within_frame", 1), ("num_heads", 2.9), ("d_head", 4.0)],
+    [
+        ("strict_monotonic_suffix", "false"),
+        ("fw_block_causal_within_frame", 1),
+        ("num_heads", 2.9),
+        ("d_head", 4.0),
+        ("gamma", "1.5"),
+        ("base", True),
+        ("base", 10**400),
+        ("scale", "0.5"),
+    ],
 )
 def test_heatmap_mistyped_config_exits_2(tmp_path, capsys, field, value):
     config = json.dumps({**json.loads(HEATMAP_CONFIG), field: value})
@@ -271,6 +284,15 @@ def test_sweep_float_seed_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", config, "--gammas", "1", "--out", str(tmp_path))
     assert code == 2
     assert "seed" in err and "1.5" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [("lr", True), ("gamma", "1.5"), ("momentum", None)])
+def test_sweep_non_number_float_field_exits_2(tmp_path, capsys, field, value):
+    config = json.dumps({**json.loads(TRIAL_CONFIG), field: value})
+    code, _, err = run(capsys, "sweep", "--config", config, "--gammas", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert field in err and repr(value) in err
     assert not (tmp_path / "sweep.csv").exists()
 
 

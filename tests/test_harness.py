@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameattn.harness as harness
+import frameattn.model as model
 from frameattn.attention import PeMode
 from frameattn.harness import (
     GRID_COLUMNS,
@@ -23,6 +24,7 @@ from frameattn.harness import (
 )
 from frameattn.layout import SequenceLayout, build_layout
 from frameattn.masks import MaskKind
+from frameattn.numerics import NonFiniteError
 from frameattn.tasks import Task
 
 TINY = TrialConfig(
@@ -95,6 +97,14 @@ def test_config_json_round_trip_property(cfg):
 @pytest.mark.parametrize("field", ["seed", "steps", "batch_size"])
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", True])
 def test_config_rejects_non_integer_fields(field, bad):
+    obj = {**json.loads(TINY.to_json()), field: bad}
+    with pytest.raises(ValueError, match=field):
+        TrialConfig.from_dict(obj)
+
+
+@pytest.mark.parametrize("field", ["gamma", "lr", "momentum", "rope_base", "converge_threshold", "rpe_scale"])
+@pytest.mark.parametrize("bad", ["1.5", True, None, math.nan, math.inf])
+def test_config_rejects_non_number_float_fields(field, bad):
     obj = {**json.loads(TINY.to_json()), field: bad}
     with pytest.raises(ValueError, match=field):
         TrialConfig.from_dict(obj)
@@ -182,6 +192,23 @@ def test_divergent_trial_reports_without_crashing():
     assert len(report.loss_curve) == 8
     assert any(not math.isfinite(x) for x in report.loss_curve)
     assert 0.0 <= report.accuracy <= 1.0
+
+
+def test_kernel_errors_are_not_divergence(monkeypatch):
+    # Only non-finite values mean divergence; any other kernel error is a bug and propagates.
+    def kernel(error):
+        def attention_forward(*args, **kwargs):
+            raise error("kernel failure")
+
+        return attention_forward
+
+    monkeypatch.setattr(model, "attention_forward", kernel(ValueError))
+    with pytest.raises(ValueError, match="kernel failure"):
+        train_trial(replace(TINY, steps=2))
+    monkeypatch.setattr(model, "attention_forward", kernel(NonFiniteError))
+    report = train_trial(replace(TINY, steps=2))
+    assert not report.converged
+    assert all(math.isnan(x) for x in report.loss_curve)
 
 
 def test_gamma_sweep_seven_values():

@@ -14,8 +14,6 @@ from frameattn.tasks import Task, gen_task
 LAYOUT = build_layout(1, 2, 2, 3)  # T=8
 MODEL_CFG = ModelConfig(layers=1, num_heads=1, d_head=4, vocab_size=7, num_classes=4)
 ATTN_CFG = AttentionConfig(
-    num_heads=1,
-    d_head=4,
     rope=RopeConfig(d_head=4, gamma=1.0),
     mask_kind=MaskKind.FW_BLOCK_CAUSAL,
     pe_mode=PeMode.DUAL_ROPE,

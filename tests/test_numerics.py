@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameattn.numerics import make_rng, masked_row_softmax, softmax_backward
+from frameattn.numerics import NonFiniteError, make_rng, masked_row_softmax, softmax_backward
 
 
 @given(st.integers(0, 2**63 - 1))
@@ -43,11 +43,45 @@ def test_softmax_fully_masked_row_is_zero():
 def test_softmax_shape_mismatch():
     with pytest.raises(ValueError):
         masked_row_softmax(np.zeros((2, 2)), np.zeros((2, 3)))
+    # A stack of scores shares one (T, T) mask.
+    with pytest.raises(ValueError):
+        masked_row_softmax(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError):
+        masked_row_softmax(np.zeros((3, 2, 2)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        masked_row_softmax(np.zeros(2), np.zeros(2))
 
 
 def test_softmax_rejects_bad_mask_values():
     with pytest.raises(ValueError):
         masked_row_softmax(np.zeros((1, 2)), np.array([[0.0, -1.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mask"):
+            masked_row_softmax(np.zeros((1, 2)), np.array([[0.0, bad]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_rejects_non_finite_scores(bad):
+    scores = np.zeros((2, 2, 2))
+    scores[1, 0, 1] = bad
+    with pytest.raises(NonFiniteError):
+        masked_row_softmax(scores, np.zeros((2, 2)))
+
+
+@given(st.integers(0, 2**32), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_softmax_stack_equals_slices(seed, t):
+    # A (..., T, T) stack under one mask gives each slice exactly its own result.
+    rng = make_rng(seed)
+    scores = rng.standard_normal((2, 3, t, t)) * 5
+    mask = np.where(rng.random((t, t)) < 0.4, -np.inf, 0.0)
+    g = rng.standard_normal(scores.shape)
+    w = masked_row_softmax(scores, mask)
+    grad = softmax_backward(w, g)
+    assert w.shape == grad.shape == scores.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(w[idx], masked_row_softmax(scores[idx], mask))
+        assert np.array_equal(grad[idx], softmax_backward(w[idx], g[idx]))
 
 
 @given(st.integers(0, 2**32), st.integers(1, 8), st.integers(1, 8))
