@@ -182,8 +182,11 @@ def train_trial(config: TrialConfig) -> TrialReport:
 
     A non-finite loss, or a kernel's NonFiniteError, stops the parameter
     updates; the remaining curve is filled with NaN and the report comes back
-    with converged=False rather than raising. Any other error propagates, so
-    a programming error is never reported as divergence.
+    with converged=False rather than raising. The whole eval set is predicted
+    in one call; if that call raises NonFiniteError, FloatingPointError or
+    OverflowError, every eval sample scores as wrong (accuracy 0.0) and the
+    loss curve is kept as trained. Any other error propagates, so a
+    programming error is never reported as divergence.
     """
     start = time.perf_counter()
     train = gen_task(config.task, config.layout, config.seed, config.train_size, config.num_symbols)
@@ -217,22 +220,12 @@ def train_trial(config: TrialConfig) -> TrialReport:
             for k, g in grads.items():
                 velocity[k] = config.momentum * velocity[k] + g
                 model.params[k] -= config.lr * velocity[k]
-    while len(curve) < config.steps:
-        curve.append(float("nan"))
-
-    def predict_safe(tokens) -> int:
         try:
-            return model.predict(tokens, config.layout, attn_cfg, rpe_bias)
+            predictions = model.predict(eval_set.tokens, config.layout, attn_cfg, rpe_bias)
         except (NonFiniteError, FloatingPointError, OverflowError):
-            return -1
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        correct = sum(
-            1
-            for b in range(len(eval_set))
-            if predict_safe(eval_set.tokens[b]) == int(eval_set.labels[b])
-        )
-    accuracy = correct / len(eval_set)
+            predictions = -1  # no class: every eval sample scores as wrong
+    accuracy = int(np.count_nonzero(predictions == eval_set.labels)) / len(eval_set)
+    curve += [float("nan")] * (config.steps - len(curve))
     final = curve[-1]
     converged = (not diverged) and math.isfinite(final) and final < config.converge_threshold
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -210,18 +210,15 @@ class PositionTable:
     global_ids: np.ndarray
     temporal_ids: np.ndarray
     adjusted: np.ndarray
-    gamma: float
 
 
 def adjusted_positions(
     layout: SequenceLayout, gamma: float, strict_monotonic_suffix: bool = False
 ) -> PositionTable:
     """Full position table with adjusted[n] = n + gamma * temporal_id(n), exactly."""
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
+    check_float("gamma", gamma)
     g = np.arange(layout.total_len, dtype=np.int64)
     t = temporal_ids(layout, strict_monotonic_suffix=strict_monotonic_suffix)
     adjusted = g.astype(np.float64) + gamma * t.astype(np.float64)
-    return PositionTable(global_ids=g, temporal_ids=t, adjusted=adjusted, gamma=gamma)
+    return PositionTable(global_ids=g, temporal_ids=t, adjusted=adjusted)
 

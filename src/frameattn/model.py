@@ -5,6 +5,11 @@ over a token embedding, classified from the final position. No layer norm,
 no dropout, no biases: small enough that every gradient is written out by
 hand and checkable against finite differences.
 
+A (B, T) batch runs in chunks of whole sequences whose (chunk * heads, T, T)
+scores fit in _SCORE_BUDGET entries (at least one sequence); a chunk's heads
+form one (chunk * heads, T, d_head) attention stack. Activations stay (B, T, d)
+stacks, so every product rounds exactly as in a one-sequence pass.
+
 Parameter matrices of shape (fan_in, fan_out) initialise uniform in
 +-1/sqrt(fan_in); the embedding table uses fan_in = embed_dim. All
 initialisation draws come from one seeded stream in a fixed parameter
@@ -19,9 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import attention_backward, attention_forward
+from .layout import check_int
 from .numerics import make_rng
 
 __all__ = ["ModelConfig", "TinyModel"]
+
+# Most entries one chunk's (chunk * heads, T, T) score stack may hold: 4 MiB of float64.
+_SCORE_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -34,11 +43,10 @@ class ModelConfig:
     ff_hidden: int = 0  # 0 means 2 * embed_dim
 
     def __post_init__(self):
-        if not 1 <= self.layers <= 4:
+        for name in self.__dataclass_fields__:
+            check_int(name, getattr(self, name), 0 if name == "ff_hidden" else 1)
+        if self.layers > 4:
             raise ValueError(f"layers must be in 1..4, got {self.layers}")
-        for name in ("num_heads", "d_head", "vocab_size", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.ff_hidden == 0:
             object.__setattr__(self, "ff_hidden", 2 * self.embed_dim)
 
@@ -50,6 +58,11 @@ class ModelConfig:
 def _init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def _add_weight_grad(grad: np.ndarray, inputs: np.ndarray, grad_out: np.ndarray) -> None:
+    """grad += inputs[s]^T grad_out[s] for each sequence s of two (B, T, .) stacks, in order."""
+    grad += np.sum(inputs.transpose(0, 2, 1) @ grad_out, axis=0)
 
 
 class TinyModel:
@@ -65,90 +78,87 @@ class TinyModel:
             self.params[f"layer{layer}.w_ff2"] = _init(rng, config.ff_hidden, (config.ff_hidden, d))
         self.params["w_out"] = _init(rng, d, (d, config.num_classes))
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        t = x.shape[0]
+        """(B, T, embed_dim) -> (B * heads, T, d_head), sequence-major."""
+        b, t, _ = x.shape
         cfg = self.config
-        return np.ascontiguousarray(x.reshape(t, cfg.num_heads, cfg.d_head).transpose(1, 0, 2))
+        x = x.reshape(b, t, cfg.num_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(x).reshape(b * cfg.num_heads, t, cfg.d_head)
 
     def _merge_heads(self, x: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, cfg.embed_dim)
+        _, t, d_head = x.shape
+        x = x.reshape(-1, self.config.num_heads, t, d_head).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(x).reshape(-1, t, self.config.embed_dim)
 
-    def _forward_seq(self, tokens, layout, attn_cfg, rpe_bias):
+    def _chunks(self, tokens: np.ndarray) -> list[slice]:
+        if tokens.ndim != 2:
+            raise ValueError(f"tokens must be a (batch, T) array, got shape {tokens.shape}")
+        n, t = tokens.shape
+        size = max(1, _SCORE_BUDGET // (self.config.num_heads * t * t))
+        return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+    def _forward(self, tokens, layout, attn_cfg, rpe_bias):
+        """(B, C) logits of a (B, T) chunk, its final activations and per-layer caches."""
         p = self.params
         x = p["embed"][tokens]
         caches = []
         for layer in range(self.config.layers):
-            w_q, w_k = p[f"layer{layer}.w_q"], p[f"layer{layer}.w_k"]
-            w_v, w_o = p[f"layer{layer}.w_v"], p[f"layer{layer}.w_o"]
-            w1, w2 = p[f"layer{layer}.w_ff1"], p[f"layer{layer}.w_ff2"]
-            q = self._split_heads(x @ w_q)
-            k = self._split_heads(x @ w_k)
-            v = self._split_heads(x @ w_v)
+            w = {name: p[f"layer{layer}.{name}"] for name in ("w_q", "w_k", "w_v", "w_o", "w_ff1", "w_ff2")}
+            q, k, v = (self._split_heads(x @ w[name]) for name in ("w_q", "w_k", "w_v"))
             attn = attention_forward(q, k, v, layout, attn_cfg, rpe_bias=rpe_bias)
             attn_cat = self._merge_heads(attn.output)
-            x_mid = x + attn_cat @ w_o
-            hidden = np.tanh(x_mid @ w1)
-            x_out = x_mid + hidden @ w2
-            caches.append((x, attn, attn_cat, x_mid, hidden))
-            x = x_out
-        logits = x[-1] @ p["w_out"]
-        return logits, x, caches
+            x_mid = x + attn_cat @ w["w_o"]
+            hidden = np.tanh(x_mid @ w["w_ff1"])
+            caches.append((w, x, attn, attn_cat, x_mid, hidden))
+            x = x_mid + hidden @ w["w_ff2"]
+        # x[:, -1:] keeps one (1, d) product per sequence, which rounds as a one-sequence pass.
+        return (x[:, -1:] @ p["w_out"])[:, 0], x, caches
 
-    def logits(self, tokens, layout, attn_cfg, rpe_bias=None) -> np.ndarray:
-        out, _, _ = self._forward_seq(np.asarray(tokens), layout, attn_cfg, rpe_bias)
-        return out
-
-    def predict(self, tokens, layout, attn_cfg, rpe_bias=None) -> int:
-        return int(np.argmax(self.logits(tokens, layout, attn_cfg, rpe_bias)))
+    def predict(self, tokens, layout, attn_cfg, rpe_bias=None) -> np.ndarray:
+        """Class index of each sequence of a (B, T) token batch."""
+        tokens = np.asarray(tokens)
+        logits = [self._forward(tokens[c], layout, attn_cfg, rpe_bias)[0] for c in self._chunks(tokens)]
+        return np.argmax(np.concatenate(logits), axis=-1)
 
     def loss_and_grads(self, tokens_batch, labels, layout, attn_cfg, rpe_bias=None):
         """Mean cross-entropy over the batch plus gradients for every parameter."""
-        tokens_batch = np.asarray(tokens_batch)
-        labels = np.asarray(labels)
-        n = tokens_batch.shape[0]
-        p = self.params
-        grads = self.zero_grads()
-        total_loss = 0.0
-        for b in range(n):
-            tokens = tokens_batch[b]
-            label = int(labels[b])
-            logits, x_final, caches = self._forward_seq(tokens, layout, attn_cfg, rpe_bias)
-            shifted = logits - logits.max()
-            exps = np.exp(shifted)
-            probs = exps / exps.sum()
-            total_loss += -math.log(max(probs[label], 1e-300))
-
-            dlogits = probs.copy()
-            dlogits[label] -= 1.0
-            grads["w_out"] += np.outer(x_final[-1], dlogits)
-            dx = np.zeros_like(x_final)
-            dx[-1] = p["w_out"] @ dlogits
-            for layer in reversed(range(self.config.layers)):
-                x_in, attn, attn_cat, x_mid, hidden = caches[layer]
-                w_o = p[f"layer{layer}.w_o"]
-                w1, w2 = p[f"layer{layer}.w_ff1"], p[f"layer{layer}.w_ff2"]
-                # x_out = x_mid + tanh(x_mid w1) w2
-                grads[f"layer{layer}.w_ff2"] += hidden.T @ dx
-                dhidden = dx @ w2.T
-                dpre = dhidden * (1.0 - hidden**2)
-                grads[f"layer{layer}.w_ff1"] += x_mid.T @ dpre
-                dx_mid = dx + dpre @ w1.T
-                # x_mid = x_in + attn_cat w_o
-                grads[f"layer{layer}.w_o"] += attn_cat.T @ dx_mid
-                dattn_cat = dx_mid @ w_o.T
-                attn_grads = attention_backward(attn, self._split_heads(dattn_cat))
-                dq = self._merge_heads(attn_grads.grad_q)
-                dk = self._merge_heads(attn_grads.grad_k)
-                dv = self._merge_heads(attn_grads.grad_v)
-                grads[f"layer{layer}.w_q"] += x_in.T @ dq
-                grads[f"layer{layer}.w_k"] += x_in.T @ dk
-                grads[f"layer{layer}.w_v"] += x_in.T @ dv
-                dx = dx_mid + dq @ p[f"layer{layer}.w_q"].T + dk @ p[f"layer{layer}.w_k"].T + dv @ p[f"layer{layer}.w_v"].T
-            np.add.at(grads["embed"], tokens, dx)
+        tokens_batch, labels = np.asarray(tokens_batch), np.asarray(labels)
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        total_loss = sum(
+            self._chunk_loss(tokens_batch[c], labels[c], layout, attn_cfg, rpe_bias, grads)
+            for c in self._chunks(tokens_batch)
+        )
         for g in grads.values():
-            g /= n
-        return total_loss / n, grads
+            g /= len(tokens_batch)
+        return total_loss / len(tokens_batch), grads
+
+    def _chunk_loss(self, tokens, labels, layout, attn_cfg, rpe_bias, grads) -> float:
+        """Summed cross-entropy of one chunk; adds its unaveraged gradients into `grads`."""
+        p = self.params
+        logits, x_final, caches = self._forward(tokens, layout, attn_cfg, rpe_bias)
+        rows = np.arange(len(labels))
+        exps = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = exps / exps.sum(axis=-1, keepdims=True)
+        loss = float(-np.sum(np.log(np.maximum(probs[rows, labels], 1e-300))))
+        dlogits = probs
+        dlogits[rows, labels] -= 1.0
+        _add_weight_grad(grads["w_out"], x_final[:, -1:], dlogits[:, None])
+        dx = np.zeros_like(x_final)
+        dx[:, -1] = (p["w_out"] @ dlogits[:, :, None])[:, :, 0]
+        for layer in reversed(range(self.config.layers)):
+            w, x_in, attn, attn_cat, x_mid, hidden = caches.pop()
+            # x_out = x_mid + tanh(x_mid w_ff1) w_ff2
+            _add_weight_grad(grads[f"layer{layer}.w_ff2"], hidden, dx)
+            dpre = (dx @ w["w_ff2"].T) * (1.0 - hidden**2)
+            _add_weight_grad(grads[f"layer{layer}.w_ff1"], x_mid, dpre)
+            dx_mid = dx + dpre @ w["w_ff1"].T
+            # x_mid = x_in + attn_cat w_o
+            _add_weight_grad(grads[f"layer{layer}.w_o"], attn_cat, dx_mid)
+            attn_grads = attention_backward(attn, self._split_heads(dx_mid @ w["w_o"].T))
+            dx = dx_mid
+            for name, grad in zip(("w_q", "w_k", "w_v"), (attn_grads.grad_q, attn_grads.grad_k, attn_grads.grad_v)):
+                d_proj = self._merge_heads(grad)
+                _add_weight_grad(grads[f"layer{layer}.{name}"], x_in, d_proj)
+                dx = dx + d_proj @ w[name].T
+        np.add.at(grads["embed"], tokens, dx)
+        return loss

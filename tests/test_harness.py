@@ -196,19 +196,30 @@ def test_divergent_trial_reports_without_crashing():
 
 def test_kernel_errors_are_not_divergence(monkeypatch):
     # Only non-finite values mean divergence; any other kernel error is a bug and propagates.
-    def kernel(error):
-        def attention_forward(*args, **kwargs):
+    def failing(error):
+        def fail(*args, **kwargs):
             raise error("kernel failure")
 
-        return attention_forward
+        return fail
 
-    monkeypatch.setattr(model, "attention_forward", kernel(ValueError))
+    monkeypatch.setattr(model, "attention_forward", failing(ValueError))
     with pytest.raises(ValueError, match="kernel failure"):
         train_trial(replace(TINY, steps=2))
-    monkeypatch.setattr(model, "attention_forward", kernel(NonFiniteError))
+    monkeypatch.setattr(model, "attention_forward", failing(NonFiniteError))
     report = train_trial(replace(TINY, steps=2))
     assert not report.converged
     assert all(math.isnan(x) for x in report.loss_curve)
+    # A non-finite eval scores every sample as wrong and keeps the trained curve.
+    monkeypatch.undo()
+    trained = train_trial(replace(TINY, steps=3))
+    monkeypatch.setattr(model.TinyModel, "predict", failing(ValueError))
+    with pytest.raises(ValueError, match="kernel failure"):
+        train_trial(replace(TINY, steps=3))
+    monkeypatch.setattr(model.TinyModel, "predict", failing(NonFiniteError))
+    report = train_trial(replace(TINY, steps=3))
+    assert report.accuracy == 0.0 < trained.accuracy
+    assert report.loss_curve == trained.loss_curve
+    assert all(math.isfinite(x) for x in report.loss_curve)
 
 
 def test_gamma_sweep_seven_values():

@@ -145,7 +145,7 @@ def test_adjusted_gamma_difference_is_temporal_id(lay):
 
 def test_adjusted_rejects_non_finite_gamma():
     lay = build_layout(1, 1, 1, 1)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), "1.5", True):
         with pytest.raises(ValueError):
             adjusted_positions(lay, bad)
 

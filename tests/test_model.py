@@ -25,6 +25,11 @@ def test_config_validation():
         ModelConfig(layers=0, num_heads=1, d_head=4, vocab_size=4, num_classes=2)
     with pytest.raises(ValueError):
         ModelConfig(layers=5, num_heads=1, d_head=4, vocab_size=4, num_classes=2)
+    fields = dict(layers=1, num_heads=1, d_head=4, vocab_size=4, num_classes=2, ff_hidden=0)
+    for name in fields:
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ValueError, match=name):
+                ModelConfig(**dict(fields, **{name: bad}))
     cfg = ModelConfig(layers=2, num_heads=3, d_head=4, vocab_size=4, num_classes=2)
     assert cfg.embed_dim == 12
     assert cfg.ff_hidden == 24
@@ -71,8 +76,35 @@ def test_gradients_average_over_batch():
 def test_predict_returns_class_index():
     model = TinyModel(MODEL_CFG, seed=4)
     data = gen_task(Task.FRAME_ORDER, LAYOUT, 5, 3, num_symbols=4)
-    for row in data.tokens:
-        assert 0 <= model.predict(row, LAYOUT, ATTN_CFG) < MODEL_CFG.num_classes
+    predictions = model.predict(data.tokens, LAYOUT, ATTN_CFG)
+    assert predictions.shape == (3,)
+    assert np.all((0 <= predictions) & (predictions < MODEL_CFG.num_classes))
+
+
+def test_chunks_do_not_change_results(monkeypatch):
+    # Splitting the batch into one-sequence chunks must give the whole-batch
+    # loss, gradients and predictions.
+    layout = build_layout(1, 2, 2, 1)
+    cfg = ModelConfig(layers=2, num_heads=2, d_head=4, vocab_size=7, num_classes=4)
+    attn_cfg = AttentionConfig(
+        rope=RopeConfig(d_head=4, gamma=1.0), mask_kind=MaskKind.FW_BLOCK_CAUSAL, pe_mode=PeMode.TIME_RPE
+    )
+    bias = np.linspace(-0.1, 0.1, 5)
+    tiny = TinyModel(cfg, seed=8)
+    rng = np.random.default_rng(0)  # random final tokens, so the predicted classes differ
+    tokens = rng.integers(0, cfg.vocab_size, size=(6, layout.total_len))
+    labels = rng.integers(0, cfg.num_classes, size=6)
+    assert len(tiny._chunks(tokens)) == 1
+    loss, grads = tiny.loss_and_grads(tokens, labels, layout, attn_cfg, bias)
+    predictions = tiny.predict(tokens, layout, attn_cfg, bias)
+    assert len(set(predictions.tolist())) > 1
+    monkeypatch.setattr("frameattn.model._SCORE_BUDGET", 1)
+    assert len(tiny._chunks(tokens)) == 6
+    loss_c, grads_c = tiny.loss_and_grads(tokens, labels, layout, attn_cfg, bias)
+    assert loss_c == pytest.approx(loss, rel=1e-12, abs=0)
+    for name in grads:
+        assert relative_error(grads_c[name], grads[name]) < 1e-12
+    assert np.array_equal(tiny.predict(tokens, layout, attn_cfg, bias), predictions)
 
 
 def test_model_gradient_check_micro_config():
