@@ -9,11 +9,13 @@ and a deterministic desk-scale experiment harness.
 from .attention import (
     AttentionConfig,
     AttentionGrads,
+    AttentionPlan,
     AttentionResult,
     PeMode,
     attention_backward,
     attention_brute_oracle,
     attention_forward,
+    plan_attention,
 )
 from .harness import (
     PAPER_GAMMA_GRID,
@@ -60,6 +62,7 @@ __all__ = [
     "AttentionConfig",
     "AttentionGrads",
     "AttentionMask",
+    "AttentionPlan",
     "AttentionResult",
     "Dataset",
     "FrequencyTable",
@@ -94,6 +97,7 @@ __all__ = [
     "mask_to_pgm",
     "masked_row_softmax",
     "pair_score",
+    "plan_attention",
     "rotary_oracle",
     "rotate_rows",
     "run_trials",

@@ -8,6 +8,22 @@ scale * Q'K'^T plus the additive mask (and, for time_rpe, a temporal-distance
 bias), masked row softmax, then weights @ V. Rotation touches Q and K only,
 never V. One mask and one position table are shared by all heads.
 
+Everything that depends only on (layout, config, rpe bias, position
+override) lives in an AttentionPlan: rotation positions, temporal ids, the
+frequency table, the mask, the APE table, the RPE bias matrix and the query
+tiles. `plan_attention` builds it; a caller that runs many stacks over one
+layout (the model: every layer and chunk of a step) builds it once and
+passes it to every `attention_forward` call.
+
+Query rows are processed in tiles of _TILE_ROWS rows. Tile [lo, hi) scores,
+normalises and mixes only key columns [0, end), where end is one past the
+last column any row of the tile may attend to. Every column past end is
+masked for every row of the tile, so its weight is exactly 0 and skipping it
+is exact for every mask kind; under the frame-block masks about half of a
+long sequence's columns are skipped. A sequence of at most _TILE_ROWS tokens
+is one tile over all T columns. The returned weights stay one dense
+(heads, T, T) array with exact zeros at masked entries.
+
 Position-encoding modes:
 
   * rope_only       -- rotate at the global id n.
@@ -26,9 +42,10 @@ the temporal ids equal the global ids, so the time modes are permitted but
 collapse to functions of n alone (dual_rope, for instance, rotates at
 (1 + gamma) * n).
 
-The backward pass is the exact analytic gradient of this map; positions,
-masks, the APE table, and the RPE bias are treated as constants. Rotations
-are orthonormal, so their backward is the rotation at the negated position.
+The backward pass is the exact analytic gradient of this map, over the
+same tiles; positions, masks, the APE table, and the RPE bias are treated
+as constants. Rotations are orthonormal, so their backward is the rotation
+at the negated position.
 """
 
 from __future__ import annotations
@@ -46,8 +63,10 @@ from .rope import FrequencyTable, RopeConfig, frequencies, pair_score, rotate_ro
 __all__ = [
     "PeMode",
     "AttentionConfig",
+    "AttentionPlan",
     "AttentionResult",
     "AttentionGrads",
+    "plan_attention",
     "mode_positions",
     "time_ape_embedding",
     "temporal_bias_matrix",
@@ -55,6 +74,10 @@ __all__ = [
     "attention_backward",
     "attention_brute_oracle",
 ]
+
+# Query rows per tile. A T=528 trial runs as fast with 32 rows as with 64 and
+# ~10% slower with 16 or 128; 64 keeps every sequence of up to 64 tokens one tile.
+_TILE_ROWS = 64
 
 
 class PeMode(NamedEnum):
@@ -86,19 +109,36 @@ class AttentionConfig:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
+@dataclass(frozen=True, eq=False)
+class AttentionPlan:
+    """Everything attention needs that depends only on plan_attention's inputs.
+
+    `tiles` holds one (lo, hi, end) per tile of query rows [lo, hi): every
+    key column at or past `end` is masked for every row of the tile. `ape`
+    is set only under time_ape, `bias` only under time_rpe with a bias table.
+    """
+
+    layout: SequenceLayout
+    config: AttentionConfig
+    positions: np.ndarray = field(repr=False)
+    temporal: np.ndarray = field(repr=False)
+    freqs: FrequencyTable = field(repr=False)
+    mask: AttentionMask = field(repr=False)
+    tiles: tuple[tuple[int, int, int], ...]
+    ape: np.ndarray | None = field(default=None, repr=False)
+    bias: np.ndarray | None = field(default=None, repr=False)
+
+
 @dataclass
 class AttentionResult:
     """Forward output plus everything the backward pass needs."""
 
     output: np.ndarray
     weights: np.ndarray
-    config: AttentionConfig
-    positions: np.ndarray
-    mask: AttentionMask
+    plan: AttentionPlan = field(repr=False)
     q_rot: np.ndarray = field(repr=False)
     k_rot: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
-    freqs: FrequencyTable = field(repr=False)
 
 
 @dataclass
@@ -106,32 +146,6 @@ class AttentionGrads:
     grad_q: np.ndarray
     grad_k: np.ndarray
     grad_v: np.ndarray
-
-
-def _positions(
-    layout: SequenceLayout, config: AttentionConfig, override: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation position, temporal id) per token, both from one position table.
-
-    `override`, when given, replaces the mode-derived rotation positions.
-    """
-    table = adjusted_positions(
-        layout, config.rope.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix
-    )
-    if override is not None:
-        pos = np.asarray(override, dtype=np.float64)
-    elif config.pe_mode is PeMode.TIME_ROPE_ONLY:
-        pos = config.rope.gamma * table.temporal_ids.astype(np.float64)
-    elif config.pe_mode is PeMode.DUAL_ROPE:
-        pos = table.adjusted
-    else:
-        pos = table.global_ids.astype(np.float64)
-    return pos, table.temporal_ids
-
-
-def mode_positions(layout: SequenceLayout, config: AttentionConfig) -> np.ndarray:
-    """Rotation position per token under the configured pe mode."""
-    return _positions(layout, config)[0]
 
 
 def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
@@ -156,6 +170,58 @@ def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarr
     t = np.asarray(temporal, dtype=np.int64)
     delta = np.clip(t[:, None] - t[None, :], -radius, radius)
     return b[radius + delta]
+
+
+def plan_attention(
+    layout: SequenceLayout,
+    config: AttentionConfig,
+    rpe_bias: np.ndarray | None = None,
+    positions: np.ndarray | None = None,
+) -> AttentionPlan:
+    """The AttentionPlan of `layout` under `config`.
+
+    `positions` overrides the mode-derived rotation positions (used for
+    shift-invariance experiments). `rpe_bias` is only accepted in time_rpe
+    mode; omitting it there means a zero bias.
+    """
+    if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
+        raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
+    t = layout.total_len
+    table = adjusted_positions(
+        layout, config.rope.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix
+    )
+    if positions is not None:
+        pos = np.asarray(positions, dtype=np.float64)
+        if pos.shape != (t,):
+            raise ValueError(f"positions must have shape ({t},), got {pos.shape}")
+    elif config.pe_mode is PeMode.TIME_ROPE_ONLY:
+        pos = config.rope.gamma * table.temporal_ids.astype(np.float64)
+    elif config.pe_mode is PeMode.DUAL_ROPE:
+        pos = table.adjusted
+    else:
+        pos = table.global_ids.astype(np.float64)
+    freqs = frequencies(config.rope)
+    mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
+    # One past each row's last allowed column (the diagonal is always allowed).
+    row_ends = t - (mask.values == 0.0)[:, ::-1].argmax(axis=1)
+    lows = range(0, t, _TILE_ROWS)
+    tiles = tuple(zip(lows, [*lows[1:], t], np.maximum.reduceat(row_ends, lows).tolist()))
+    return AttentionPlan(
+        layout=layout,
+        config=config,
+        positions=pos,
+        temporal=table.temporal_ids,
+        freqs=freqs,
+        mask=mask,
+        tiles=tiles,
+        ape=time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None,
+        bias=None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, rpe_bias),
+    )
+
+
+def mode_positions(layout: SequenceLayout, config: AttentionConfig) -> np.ndarray:
+    """Rotation position per token under the configured pe mode."""
+    return plan_attention(layout, config).positions
 
 
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
@@ -186,71 +252,69 @@ def attention_forward(
     config: AttentionConfig,
     rpe_bias: np.ndarray | None = None,
     positions: np.ndarray | None = None,
+    plan: AttentionPlan | None = None,
 ) -> AttentionResult:
     """Rotate-score-softmax-mix over the whole head stack; returns output and the weights.
 
-    `positions` overrides the mode-derived rotation positions (used for
-    shift-invariance experiments). `rpe_bias` is only accepted in time_rpe
-    mode; omitting it there means a zero bias.
+    Without `plan`, builds plan_attention(layout, config, rpe_bias,
+    positions). A given `plan` must have been built for this layout and
+    config, and then carries the rpe bias and positions itself.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
-    if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
-        raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
+    if plan is None:
+        plan = plan_attention(layout, config, rpe_bias, positions)
+    elif (plan.layout, plan.config) != (layout, config):
+        raise ValueError("plan was built for another layout or config")
+    elif rpe_bias is not None or positions is not None:
+        raise ValueError("with a plan, rpe_bias and positions go to plan_attention")
 
-    t = layout.total_len
-    freqs = frequencies(config.rope)
-    pos, temporal = _positions(layout, config, positions)
-    if pos.shape != (t,):
-        raise ValueError(f"positions must have shape ({t},), got {pos.shape}")
-    mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
+    n, t = len(Q), layout.total_len
+    qk = np.concatenate((Q, K))
+    if plan.ape is not None:
+        qk += plan.ape
+    # Q and K rows share their positions, so one rotation covers both.
+    qk = _rotate_stack(qk, plan.positions, plan.freqs)
+    q_rot, k_rot = qk[:n], qk[n:]
 
-    q_in, k_in = Q, K
-    if config.pe_mode is PeMode.TIME_APE:
-        ape = time_ape_embedding(temporal, freqs)
-        q_in = Q + ape[None, :, :]
-        k_in = K + ape[None, :, :]
-
-    q_rot = _rotate_stack(q_in, pos, freqs)
-    k_rot = _rotate_stack(k_in, pos, freqs)
-    scores = q_rot @ k_rot.transpose(0, 2, 1)
-    scores *= config.scale
-    if config.pe_mode is PeMode.TIME_RPE and rpe_bias is not None:
-        scores += temporal_bias_matrix(temporal, rpe_bias)
-    weights = masked_row_softmax(scores, mask.values)
-    return AttentionResult(
-        output=weights @ V,
-        weights=weights,
-        config=config,
-        positions=pos,
-        mask=mask,
-        q_rot=q_rot,
-        k_rot=k_rot,
-        v=V,
-        freqs=freqs,
-    )
+    weights = np.zeros((n, t, t))
+    output = np.empty_like(V)
+    for lo, hi, end in plan.tiles:
+        scores = q_rot[:, lo:hi] @ k_rot[:, :end].transpose(0, 2, 1)
+        scores *= config.scale
+        if plan.bias is not None:
+            scores += plan.bias[lo:hi, :end]
+        w = masked_row_softmax(scores, plan.mask.values[lo:hi, :end])
+        weights[:, lo:hi, :end] = w
+        np.matmul(w, V[:, :end], out=output[:, lo:hi])
+    return AttentionResult(output=output, weights=weights, plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
 
 
 def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> AttentionGrads:
     """Exact gradients of attention_forward w.r.t. Q, K, V.
 
     Positions, mask, APE rows, and RPE bias are constants of the forward
-    map, so additive encodings pass gradients straight through.
+    map, so additive encodings pass gradients straight through. Each tile
+    writes its grad_q rows and adds into the first `end` rows of grad_k and
+    grad_v.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
-    scale = state.config.scale
-    w = state.weights
-    grad_scores = softmax_backward(w, g @ state.v.transpose(0, 2, 1))
-    grad_qr = grad_scores @ state.k_rot
-    grad_qr *= scale
-    grad_kr = grad_scores.transpose(0, 2, 1) @ state.q_rot
-    grad_kr *= scale
-    return AttentionGrads(
-        grad_q=_rotate_stack(grad_qr, -state.positions, state.freqs),
-        grad_k=_rotate_stack(grad_kr, -state.positions, state.freqs),
-        grad_v=w.transpose(0, 2, 1) @ g,
-    )
+    plan = state.plan
+    n = len(g)
+    grad_qk = np.zeros((2 * n, *g.shape[1:]))  # grad of the rotated Q rows, then of K
+    grad_qr, grad_kr = grad_qk[:n], grad_qk[n:]
+    grad_v = np.zeros(g.shape)
+    for lo, hi, end in plan.tiles:
+        w = state.weights[:, lo:hi, :end]
+        g_tile = g[:, lo:hi]
+        grad_scores = softmax_backward(w, g_tile @ state.v[:, :end].transpose(0, 2, 1))
+        np.matmul(grad_scores, state.k_rot[:, :end], out=grad_qr[:, lo:hi])
+        grad_kr[:, :end] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, lo:hi]
+        grad_v[:, :end] += w.transpose(0, 2, 1) @ g_tile
+    grad_qk *= plan.config.scale
+    grad_qk = _rotate_stack(grad_qk, -plan.positions, plan.freqs)
+    return AttentionGrads(grad_q=grad_qk[:n], grad_k=grad_qk[n:], grad_v=grad_v)
 
 
 def attention_brute_oracle(
@@ -272,7 +336,8 @@ def attention_brute_oracle(
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     t = layout.total_len
     freqs = frequencies(config.rope)
-    pos, temporal = _positions(layout, config, positions)
+    plan = plan_attention(layout, config, positions=positions)
+    pos, temporal = plan.positions, plan.temporal
 
     q_in, k_in = Q, K
     if config.pe_mode is PeMode.TIME_APE:

@@ -8,7 +8,9 @@ hand and checkable against finite differences.
 A (B, T) batch runs in chunks of whole sequences whose (chunk * heads, T, T)
 scores fit in _SCORE_BUDGET entries (at least one sequence); a chunk's heads
 form one (chunk * heads, T, d_head) attention stack. Activations stay (B, T, d)
-stacks, so every product rounds exactly as in a one-sequence pass.
+stacks, so every product rounds exactly as in a one-sequence pass. Each
+predict or loss_and_grads call builds one AttentionPlan (mask, positions,
+tiles) that every layer and chunk shares.
 
 Parameter matrices of shape (fan_in, fan_out) initialise uniform in
 +-1/sqrt(fan_in); the embedding table uses fan_in = embed_dim. All
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attention_backward, attention_forward
+from .attention import attention_backward, attention_forward, plan_attention
 from .layout import check_int
 from .numerics import make_rng
 
@@ -97,7 +99,7 @@ class TinyModel:
         size = max(1, _SCORE_BUDGET // (self.config.num_heads * t * t))
         return [slice(lo, lo + size) for lo in range(0, n, size)]
 
-    def _forward(self, tokens, layout, attn_cfg, rpe_bias):
+    def _forward(self, tokens, plan):
         """(B, C) logits of a (B, T) chunk, its final activations and per-layer caches."""
         p = self.params
         x = p["embed"][tokens]
@@ -105,7 +107,7 @@ class TinyModel:
         for layer in range(self.config.layers):
             w = {name: p[f"layer{layer}.{name}"] for name in ("w_q", "w_k", "w_v", "w_o", "w_ff1", "w_ff2")}
             q, k, v = (self._split_heads(x @ w[name]) for name in ("w_q", "w_k", "w_v"))
-            attn = attention_forward(q, k, v, layout, attn_cfg, rpe_bias=rpe_bias)
+            attn = attention_forward(q, k, v, plan.layout, plan.config, plan=plan)
             attn_cat = self._merge_heads(attn.output)
             x_mid = x + attn_cat @ w["w_o"]
             hidden = np.tanh(x_mid @ w["w_ff1"])
@@ -117,25 +119,26 @@ class TinyModel:
     def predict(self, tokens, layout, attn_cfg, rpe_bias=None) -> np.ndarray:
         """Class index of each sequence of a (B, T) token batch."""
         tokens = np.asarray(tokens)
-        logits = [self._forward(tokens[c], layout, attn_cfg, rpe_bias)[0] for c in self._chunks(tokens)]
+        chunks = self._chunks(tokens)
+        plan = plan_attention(layout, attn_cfg, rpe_bias)
+        logits = [self._forward(tokens[c], plan)[0] for c in chunks]
         return np.argmax(np.concatenate(logits), axis=-1)
 
     def loss_and_grads(self, tokens_batch, labels, layout, attn_cfg, rpe_bias=None):
         """Mean cross-entropy over the batch plus gradients for every parameter."""
         tokens_batch, labels = np.asarray(tokens_batch), np.asarray(labels)
+        chunks = self._chunks(tokens_batch)
+        plan = plan_attention(layout, attn_cfg, rpe_bias)
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        total_loss = sum(
-            self._chunk_loss(tokens_batch[c], labels[c], layout, attn_cfg, rpe_bias, grads)
-            for c in self._chunks(tokens_batch)
-        )
+        total_loss = sum(self._chunk_loss(tokens_batch[c], labels[c], plan, grads) for c in chunks)
         for g in grads.values():
             g /= len(tokens_batch)
         return total_loss / len(tokens_batch), grads
 
-    def _chunk_loss(self, tokens, labels, layout, attn_cfg, rpe_bias, grads) -> float:
+    def _chunk_loss(self, tokens, labels, plan, grads) -> float:
         """Summed cross-entropy of one chunk; adds its unaveraged gradients into `grads`."""
         p = self.params
-        logits, x_final, caches = self._forward(tokens, layout, attn_cfg, rpe_bias)
+        logits, x_final, caches = self._forward(tokens, plan)
         rows = np.arange(len(labels))
         exps = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs = exps / exps.sum(axis=-1, keepdims=True)

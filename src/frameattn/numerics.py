@@ -1,8 +1,10 @@
 """Dense float64 kernel shared by every other module.
 
-Score matrices are float64 arrays whose last two axes are (T, T); any
-leading axes stack independent matrices. The only non-finite value ever allowed is -inf, and only
-inside additive attention masks. Everything here is a pure function, so
+Score matrices are float64 arrays whose last two axes are (R, C): R query
+rows by C key columns, square (T, T) or one tile of query rows over a
+leading block of key columns. Any leading axes stack independent matrices.
+The only non-finite value ever allowed is -inf, and only inside additive
+attention masks. Everything here is a pure function, so
 concurrent callers are safe.
 """
 
@@ -35,8 +37,8 @@ class NonFiniteError(ValueError):
 def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax over entries whose mask value is 0.
 
-    `scores` is (..., T, T) and must be finite; every (T, T) slice shares the
-    one (T, T) `mask`, whose entries must be exactly 0 or -inf. Masked
+    `scores` is (..., R, C) and must be finite; every (R, C) slice shares the
+    one (R, C) `mask`, whose entries must be exactly 0 or -inf. Masked
     entries come out exactly 0; each row with at least one allowed entry
     sums to 1. A fully masked row returns all zeros instead of NaN so
     degenerate layouts stay harmless. Stabilised by subtracting the per-row
@@ -68,7 +70,7 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:
     """Gradient of masked_row_softmax w.r.t. its score input.
 
-    `weights` is the forward output, (..., T, T) like `grad_weights`. Masked
+    `weights` is the forward output, (..., R, C) like `grad_weights`. Masked
     entries (weight exactly 0) and fully masked rows propagate zero gradient,
     matching the forward convention.
     """

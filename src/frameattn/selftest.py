@@ -28,19 +28,26 @@ from .numerics import make_rng, masked_row_softmax
 from .rope import RopeConfig, apply_rotary, frequencies, pair_score, rotary_oracle
 from .tasks import Task, gen_task
 
-__all__ = ["run_selftest", "temporal_id_literal"]
+__all__ = ["random_layout", "run_selftest", "temporal_id_literal"]
 
 
-def _random_layout(rng, max_total=24) -> SequenceLayout:
+def random_layout(
+    rng, max_total: int, max_prefix: int, max_frames: int, max_per_frame: int, max_suffix: int
+) -> SequenceLayout:
+    """A random layout of 1..max_total tokens, by rejection.
+
+    Draws prefix, frames, per_frame (only when frames > 0) and suffix, in
+    that order, uniform from 0 (per_frame from 1) to their bounds, and redraws
+    all four until the total fits. The draw order is part of the contract:
+    a seeded stream gives the same layouts everywhere.
+    """
     while True:
-        prefix = int(rng.integers(0, 5))
-        frames = int(rng.integers(0, 5))
-        per_frame = int(rng.integers(1, 5)) if frames else 0
-        suffix = int(rng.integers(0, 5))
-        if prefix + frames * per_frame + suffix >= 1:
-            lay = build_layout(prefix, frames, per_frame, suffix)
-            if lay.total_len <= max_total:
-                return lay
+        prefix = int(rng.integers(0, max_prefix + 1))
+        frames = int(rng.integers(0, max_frames + 1))
+        per_frame = int(rng.integers(1, max_per_frame + 1)) if frames else 0
+        suffix = int(rng.integers(0, max_suffix + 1))
+        if 1 <= prefix + frames * per_frame + suffix <= max_total:
+            return build_layout(prefix, frames, per_frame, suffix)
 
 
 def temporal_id_literal(lay: SequenceLayout, n: int) -> int:
@@ -61,7 +68,7 @@ def temporal_id_literal(lay: SequenceLayout, n: int) -> int:
 def _check_temporal_ids():
     rng = make_rng(7001)
     for _ in range(60):
-        lay = _random_layout(rng)
+        lay = random_layout(rng, 24, 4, 4, 4, 4)
         ids = temporal_ids(lay)
         for n in range(lay.total_len):
             assert ids[n] == temporal_id_literal(lay, n), f"temporal id mismatch at {n} in {lay}"
@@ -94,7 +101,7 @@ def _check_rope_shift():
 def _check_masks():
     rng = make_rng(7004)
     for _ in range(20):
-        lay = _random_layout(rng)
+        lay = random_layout(rng, 24, 4, 4, 4, 4)
         built = {kind: build_mask(kind, lay) for kind in MaskKind}
         for kind, mask in built.items():
             for i in range(lay.total_len):
@@ -157,7 +164,7 @@ def _check_degeneracy():
 def _check_attention_oracle():
     rng = make_rng(7007)
     for case in range(12):
-        lay = _random_layout(rng, max_total=10)
+        lay = random_layout(rng, 10, 4, 4, 4, 4)
         t = lay.total_len
         pe = list(PeMode)[case % len(PeMode)]
         mk = list(MaskKind)[case % len(MaskKind)]
@@ -171,6 +178,13 @@ def _check_attention_oracle():
         fast = attention_forward(q, k, v, lay, cfg, rpe_bias=bias).output
         slow = attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias)
         assert np.max(np.abs(fast - slow)) < 1e-10, "attention oracle disagreement"
+    # T=70 runs two query tiles, with frame 4 straddling the tile boundary.
+    lay = build_layout(2, 5, 13, 3)
+    cfg = AttentionConfig(rope=RopeConfig(d_head=4, gamma=0.7), mask_kind=MaskKind.FW_BLOCK_CAUSAL)
+    q, k, v = (rng.standard_normal((1, lay.total_len, 4)) for _ in range(3))
+    fast = attention_forward(q, k, v, lay, cfg).output
+    slow = attention_brute_oracle(q, k, v, lay, cfg)
+    assert np.max(np.abs(fast - slow)) < 1e-10, "tiled attention oracle disagreement"
 
 
 def _check_gradients():

@@ -25,7 +25,7 @@ from frameattn.layout import build_layout, temporal_ids
 from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.numerics import make_rng
 from frameattn.rope import RopeConfig, apply_rotary, frequencies, pair_score, rotary_oracle
-from frameattn.selftest import temporal_id_literal
+from frameattn.selftest import random_layout, temporal_id_literal
 from frameattn.tasks import Task
 
 PAPER_GAMMAS = [0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0]
@@ -35,22 +35,11 @@ def announce(n: int, text: str) -> None:
     print(f"PASS criterion {n}: {text}")
 
 
-def random_layout(rng, max_total, max_prefix=40, max_frames=20, max_per_frame=10, max_suffix=40):
-    while True:
-        prefix = int(rng.integers(0, max_prefix + 1))
-        frames = int(rng.integers(0, max_frames + 1))
-        per_frame = int(rng.integers(1, max_per_frame + 1)) if frames else 0
-        suffix = int(rng.integers(0, max_suffix + 1))
-        total = prefix + frames * per_frame + suffix
-        if 1 <= total <= max_total:
-            return build_layout(prefix, frames, per_frame, suffix)
-
-
 def test_criterion_01_temporal_id_oracle():
     start = time.perf_counter()
     rng = make_rng(101)
     for _ in range(1000):
-        lay = random_layout(rng, max_total=256)
+        lay = random_layout(rng, 256, 40, 20, 10, 40)
         ids = temporal_ids(lay)
         for n in range(lay.total_len):
             assert int(ids[n]) == temporal_id_literal(lay, n)

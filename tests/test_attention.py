@@ -11,11 +11,12 @@ from frameattn.attention import (
     attention_forward,
     mode_positions,
 )
-from frameattn.gradcheck import attention_fd_error
+from frameattn.gradcheck import attention_fd_error, relative_error
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
 from frameattn.numerics import NonFiniteError, make_rng
 from frameattn.rope import RopeConfig
+from frameattn.selftest import random_layout
 
 
 def config(d_head=4, gamma=1.0, mask=MaskKind.CAUSAL, pe=PeMode.DUAL_ROPE, **kw):
@@ -32,15 +33,10 @@ def random_qkv(rng, heads, t, d_head):
     return rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
 
 
-def random_layout(rng, max_total=16):
-    while True:
-        prefix = int(rng.integers(0, 4))
-        frames = int(rng.integers(0, 4))
-        per_frame = int(rng.integers(1, 4)) if frames else 0
-        suffix = int(rng.integers(0, 4))
-        total = prefix + frames * per_frame + suffix
-        if 1 <= total <= max_total:
-            return build_layout(prefix, frames, per_frame, suffix)
+# Layouts past one query tile (_TILE_ROWS = 64 rows). In TILED, frame 4
+# (rows 54..66) straddles the tile boundary, so tile 0 reaches past its rows.
+TILED = build_layout(2, 5, 13, 3)  # T=70
+TILE_INVARIANCE = build_layout(4, 6, 14, 4)  # T=92
 
 
 def test_config_validation():
@@ -115,12 +111,12 @@ def test_single_frame_fwbc_equals_full_visual():
 def test_weights_row_stochastic_and_masked_zero():
     rng = make_rng(6)
     for _ in range(10):
-        lay = random_layout(rng)
+        lay = random_layout(rng, 16, 3, 3, 3, 3)
         t = lay.total_len
         cfg = config(mask=MaskKind.FW_BLOCK_CAUSAL, gamma=float(rng.uniform(0, 2)))
         q, k, v = random_qkv(rng, 2, t, 4)
         res = attention_forward(q, k, v, lay, cfg)
-        masked = np.isneginf(res.mask.values)
+        masked = np.isneginf(res.plan.mask.values)
         for h in range(2):
             assert np.all(res.weights[h][masked] == 0.0)
             assert np.abs(res.weights[h].sum(axis=1) - 1.0).max() <= 1e-12
@@ -140,8 +136,9 @@ def assert_stack_equals_head_slices(q, k, v, lay, cfg, bias, grad):
             assert np.array_equal(getattr(grads, name)[one], getattr(alone_grads, name))
 
 
-def brute_force_case(rng, pe, mask):
-    lay = random_layout(rng)
+def brute_force_case(rng, pe, mask, lay=None):
+    if lay is None:
+        lay = random_layout(rng, 16, 3, 3, 3, 3)
     t = lay.total_len
     cfg = config(pe=pe, mask=mask, gamma=float(rng.uniform(0, 2)))
     q, k, v = random_qkv(rng, 2, t, 4)
@@ -159,6 +156,8 @@ def test_brute_oracle_agreement(pe):
     for i in range(6):
         err = brute_force_case(rng, pe, list(MaskKind)[i % 4])
         assert err < 1e-10
+    # Past one query tile; the five modes between them cover every mask kind.
+    assert brute_force_case(rng, pe, list(MaskKind)[list(PeMode).index(pe) % 4], TILED) < 1e-10
 
 
 def test_textbook_causal_reference():
@@ -316,4 +315,37 @@ def test_gradients_match_finite_differences(pe):
     # One mask per mode here; the acceptance suite covers the full cross.
     mask = list(MaskKind)[list(PeMode).index(pe) % 4]
     err = attention_fd_error(pe, mask, seed=900 + list(PeMode).index(pe))
+    assert err < 1e-4
+
+
+def forward_backward(lay, cfg, bias, seed):
+    rng = make_rng(seed)
+    q, k, v = random_qkv(rng, 2, lay.total_len, 4)
+    res = attention_forward(q, k, v, lay, cfg, rpe_bias=bias)
+    grads = attention_backward(res, rng.standard_normal(q.shape))
+    return res, (res.output, res.weights, grads.grad_q, grads.grad_k, grads.grad_v)
+
+
+@pytest.mark.parametrize("mask", list(MaskKind))
+def test_tile_size_does_not_change_results(monkeypatch, mask):
+    for pe in PeMode:
+        cfg = config(pe=pe, mask=mask, gamma=0.7)
+        bias = np.linspace(-0.4, 0.3, 7) if pe is PeMode.TIME_RPE else None
+        monkeypatch.setattr("frameattn.attention._TILE_ROWS", 128)
+        one, whole = forward_backward(TILE_INVARIANCE, cfg, bias, 20)
+        monkeypatch.setattr("frameattn.attention._TILE_ROWS", 4)
+        tiled, small = forward_backward(TILE_INVARIANCE, cfg, bias, 20)
+        assert len(one.plan.tiles) == 1 and len(tiled.plan.tiles) == 23
+        # Some tile must skip key columns, or the comparison proves nothing.
+        assert any(end < TILE_INVARIANCE.total_len for _, _, end in tiled.plan.tiles)
+        # Tiles change the length of each sum, so entries round apart by an ulp of
+        # the array's scale; relative to that scale (not entry by entry, where a
+        # cancelling 1e-4 entry reads 2e-12) the results must agree.
+        for a, b in zip(whole, small):
+            assert relative_error(b, a, floor=np.abs(a).max()) < 1e-12
+
+
+@pytest.mark.parametrize("mask", list(MaskKind))
+def test_gradients_match_finite_differences_across_tiles(mask):
+    err = attention_fd_error(PeMode.DUAL_ROPE, mask, seed=22, layout=TILED, num_heads=1)
     assert err < 1e-4

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frameattn.attention import AttentionConfig, PeMode
+import frameattn.attention
+from frameattn.attention import AttentionConfig, PeMode, attention_forward, plan_attention
 from frameattn.gradcheck import model_fd_error, relative_error
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
@@ -117,3 +119,36 @@ def test_model_gradient_check_micro_config():
 def test_model_gradient_check_two_layers_multi_head():
     err = model_fd_error(seed=7, layers=2, num_heads=2, mask_kind=MaskKind.CAUSAL, pe_mode=PeMode.ROPE_ONLY)
     assert err < 1e-3
+
+
+def test_one_plan_per_call(monkeypatch):
+    # Every layer and chunk of one loss_and_grads call shares one plan, so the
+    # mask is built once, however many chunks the batch runs in.
+    calls = []
+    real_build_mask = frameattn.attention.build_mask
+    monkeypatch.setattr(frameattn.attention, "build_mask", lambda *a, **kw: calls.append(a) or real_build_mask(*a, **kw))
+    monkeypatch.setattr("frameattn.model._SCORE_BUDGET", 1)
+    cfg = ModelConfig(layers=2, num_heads=2, d_head=4, vocab_size=7, num_classes=4)
+    tiny = TinyModel(cfg, seed=9)
+    data = gen_task(Task.FRAME_ORDER, LAYOUT, 6, 3, num_symbols=4)
+    assert len(tiny._chunks(data.tokens)) == 3
+    tiny.loss_and_grads(data.tokens, data.labels, LAYOUT, ATTN_CFG)
+    assert len(calls) == 1
+    tiny.predict(data.tokens, LAYOUT, ATTN_CFG)
+    assert len(calls) == 2
+
+
+def test_plan_must_match_layout_and_config():
+    rng = np.random.default_rng(10)
+    q = rng.standard_normal((1, LAYOUT.total_len, 4))
+    plan = plan_attention(LAYOUT, ATTN_CFG)
+    assert np.array_equal(
+        attention_forward(q, q, q, LAYOUT, ATTN_CFG, plan=plan).output,
+        attention_forward(q, q, q, LAYOUT, ATTN_CFG).output,
+    )
+    with pytest.raises(ValueError, match="plan"):
+        attention_forward(q, q, q, LAYOUT, ATTN_CFG, plan=plan_attention(build_layout(2, 2, 1, 2), ATTN_CFG))
+    with pytest.raises(ValueError, match="plan"):
+        attention_forward(q, q, q, LAYOUT, replace(ATTN_CFG, mask_kind=MaskKind.CAUSAL), plan=plan)
+    with pytest.raises(ValueError, match="plan"):
+        attention_forward(q, q, q, LAYOUT, ATTN_CFG, positions=np.zeros(LAYOUT.total_len), plan=plan)
