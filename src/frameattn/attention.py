@@ -11,9 +11,11 @@ never V. One mask and one position table are shared by all heads.
 Everything that depends only on (layout, config, rpe bias, position
 override) lives in an AttentionPlan: rotation positions, temporal ids, the
 frequency table, the mask, the APE table, the RPE bias matrix and the query
-tiles. `plan_attention` builds it; a caller that runs many stacks over one
-layout (the model: every layer and chunk of a step) builds it once and
-passes it to every `attention_forward` call.
+tiles. `plan_attention` builds it, and is the only way to pass an rpe bias
+or a position override into attention. A plan's arrays are read-only, so a
+caller that runs many stacks over one layout builds it once and passes it to
+every `attention_forward` call: a trial builds one plan, shared by every
+step, layer and chunk.
 
 Query rows are processed in tiles of _TILE_ROWS rows. Tile [lo, hi) scores,
 normalises and mixes only key columns [0, end), where end is one past the
@@ -67,7 +69,6 @@ __all__ = [
     "AttentionResult",
     "AttentionGrads",
     "plan_attention",
-    "mode_positions",
     "time_ape_embedding",
     "temporal_bias_matrix",
     "attention_forward",
@@ -178,11 +179,12 @@ def plan_attention(
     rpe_bias: np.ndarray | None = None,
     positions: np.ndarray | None = None,
 ) -> AttentionPlan:
-    """The AttentionPlan of `layout` under `config`.
+    """The AttentionPlan of `layout` under `config`, its arrays read-only.
 
     `positions` overrides the mode-derived rotation positions (used for
     shift-invariance experiments). `rpe_bias` is only accepted in time_rpe
-    mode; omitting it there means a zero bias.
+    mode; omitting it there means a zero bias. Both must be finite numbers,
+    not bools.
     """
     if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
         raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
@@ -191,7 +193,7 @@ def plan_attention(
         layout, config.rope.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix
     )
     if positions is not None:
-        pos = np.asarray(positions, dtype=np.float64)
+        pos = _finite_table("positions", positions)
         if pos.shape != (t,):
             raise ValueError(f"positions must have shape ({t},), got {pos.shape}")
     elif config.pe_mode is PeMode.TIME_ROPE_ONLY:
@@ -206,6 +208,11 @@ def plan_attention(
     row_ends = t - (mask.values == 0.0)[:, ::-1].argmax(axis=1)
     lows = range(0, t, _TILE_ROWS)
     tiles = tuple(zip(lows, [*lows[1:], t], np.maximum.reduceat(row_ends, lows).tolist()))
+    ape = time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None
+    bias = None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, _finite_table("rpe_bias", rpe_bias))
+    for arr in (pos, table.temporal_ids, freqs.thetas, mask.values, ape, bias):
+        if arr is not None:
+            arr.flags.writeable = False
     return AttentionPlan(
         layout=layout,
         config=config,
@@ -214,14 +221,20 @@ def plan_attention(
         freqs=freqs,
         mask=mask,
         tiles=tiles,
-        ape=time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None,
-        bias=None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, rpe_bias),
+        ape=ape,
+        bias=bias,
     )
 
 
-def mode_positions(layout: SequenceLayout, config: AttentionConfig) -> np.ndarray:
-    """Rotation position per token under the configured pe mode."""
-    return plan_attention(layout, config).positions
+def _finite_table(name: str, values) -> np.ndarray:
+    """A float64 copy of `values`, which must be finite numbers and not bools."""
+    arr = np.asarray(values)
+    if arr.dtype == bool:
+        raise ValueError(f"{name} must hold numbers, not bools")
+    arr = arr.astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
@@ -250,23 +263,19 @@ def attention_forward(
     V: np.ndarray,
     layout: SequenceLayout,
     config: AttentionConfig,
-    rpe_bias: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
     plan: AttentionPlan | None = None,
 ) -> AttentionResult:
     """Rotate-score-softmax-mix over the whole head stack; returns output and the weights.
 
-    Without `plan`, builds plan_attention(layout, config, rpe_bias,
-    positions). A given `plan` must have been built for this layout and
-    config, and then carries the rpe bias and positions itself.
+    Without `plan`, builds plan_attention(layout, config): no rpe bias and
+    the mode's own positions. A given `plan` must have been built for this
+    layout and config, and carries any rpe bias or position override.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     if plan is None:
-        plan = plan_attention(layout, config, rpe_bias, positions)
+        plan = plan_attention(layout, config)
     elif (plan.layout, plan.config) != (layout, config):
         raise ValueError("plan was built for another layout or config")
-    elif rpe_bias is not None or positions is not None:
-        raise ValueError("with a plan, rpe_bias and positions go to plan_attention")
 
     n, t = len(Q), layout.total_len
     qk = np.concatenate((Q, K))
@@ -324,7 +333,6 @@ def attention_brute_oracle(
     layout: SequenceLayout,
     config: AttentionConfig,
     rpe_bias: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scalar-loop re-implementation of the forward output.
 
@@ -336,7 +344,7 @@ def attention_brute_oracle(
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     t = layout.total_len
     freqs = frequencies(config.rope)
-    plan = plan_attention(layout, config, positions=positions)
+    plan = plan_attention(layout, config)
     pos, temporal = plan.positions, plan.temporal
 
     q_in, k_in = Q, K

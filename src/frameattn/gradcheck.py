@@ -18,6 +18,7 @@ from .attention import (
     PeMode,
     attention_backward,
     attention_forward,
+    plan_attention,
 )
 from .layout import SequenceLayout, build_layout
 from .masks import MaskKind
@@ -69,21 +70,18 @@ def attention_fd_error(
     pe_mode: PeMode,
     mask_kind: MaskKind,
     seed: int,
-    layout: SequenceLayout | None = None,
+    layout: SequenceLayout = build_layout(1, 2, 2, 2),
     num_heads: int = 2,
-    d_head: int = 4,
-    gamma: float = 0.7,
-    h: float = 1e-5,
 ) -> float:
     """Max relative error of attention_backward vs central differences.
 
     Uses a scalar probe loss sum(output * G) for a fixed random G, so the
-    backward pass is exercised with a dense upstream gradient.
+    backward pass is exercised with a dense upstream gradient. Heads are
+    d_head=4 wide, gamma is 0.7, the step 1e-5; the default layout is T=7.
     """
-    if layout is None:
-        layout = build_layout(1, 2, 2, 2)
+    d_head = 4
     config = AttentionConfig(
-        rope=RopeConfig(d_head=d_head, gamma=gamma),
+        rope=RopeConfig(d_head=d_head, gamma=0.7),
         mask_kind=mask_kind,
         pe_mode=pe_mode,
     )
@@ -93,59 +91,54 @@ def attention_fd_error(
     q, k, v = rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
     rpe_bias = 0.3 * rng.standard_normal(2 * 3 + 1) if pe_mode is PeMode.TIME_RPE else None
     probe = rng.standard_normal(shape)
+    plan = plan_attention(layout, config, rpe_bias)
 
     def loss() -> float:
-        out = attention_forward(q, k, v, layout, config, rpe_bias=rpe_bias).output
+        out = attention_forward(q, k, v, layout, config, plan=plan).output
         return float(np.sum(out * probe))
 
-    state = attention_forward(q, k, v, layout, config, rpe_bias=rpe_bias)
-    grads = attention_backward(state, probe)
+    grads = attention_backward(attention_forward(q, k, v, layout, config, plan=plan), probe)
     worst = 0.0
     for arr, analytic in ((q, grads.grad_q), (k, grads.grad_k), (v, grads.grad_v)):
-        worst = max(worst, relative_error(analytic, _central_differences(arr, loss, h)))
+        worst = max(worst, relative_error(analytic, _central_differences(arr, loss, 1e-5)))
     return worst
 
 
 def model_fd_error(
     seed: int,
-    layout: SequenceLayout | None = None,
-    task: Task = Task.FRAME_ORDER,
     pe_mode: PeMode = PeMode.DUAL_ROPE,
     mask_kind: MaskKind = MaskKind.FW_BLOCK_CAUSAL,
     layers: int = 1,
     num_heads: int = 1,
-    d_head: int = 4,
-    num_symbols: int = 4,
-    batch: int = 2,
-    h: float = 1e-5,
 ) -> float:
     """Max relative error of the full-model analytic gradient vs central differences.
 
-    Default micro configuration: T=8 layout, one layer, d_head=4.
+    Micro configuration: frame_order on a T=8 layout, a batch of two
+    sequences over four symbols, d_head=4, step 1e-5.
     """
-    if layout is None:
-        layout = build_layout(1, 2, 2, 3)
+    layout = build_layout(1, 2, 2, 3)
     model_cfg = ModelConfig(
         layers=layers,
         num_heads=num_heads,
-        d_head=d_head,
-        vocab_size=vocab_size(num_symbols),
-        num_classes=num_classes(task, layout, num_symbols),
+        d_head=4,
+        vocab_size=vocab_size(4),
+        num_classes=num_classes(Task.FRAME_ORDER, layout, 4),
     )
     attn_cfg = AttentionConfig(
-        rope=RopeConfig(d_head=d_head, gamma=1.0),
+        rope=RopeConfig(d_head=4, gamma=1.0),
         mask_kind=mask_kind,
         pe_mode=pe_mode,
     )
+    plan = plan_attention(layout, attn_cfg)
     model = TinyModel(model_cfg, seed=seed)
-    data = gen_task(task, layout, seed, batch, num_symbols)
+    data = gen_task(Task.FRAME_ORDER, layout, seed, 2, 4)
 
     def loss_only() -> float:
-        loss, _ = model.loss_and_grads(data.tokens, data.labels, layout, attn_cfg)
+        loss, _ = model.loss_and_grads(data.tokens, data.labels, plan)
         return loss
 
-    _, grads = model.loss_and_grads(data.tokens, data.labels, layout, attn_cfg)
+    _, grads = model.loss_and_grads(data.tokens, data.labels, plan)
     worst = 0.0
     for name, param in model.params.items():
-        worst = max(worst, relative_error(grads[name], _central_differences(param, loss_only, h)))
+        worst = max(worst, relative_error(grads[name], _central_differences(param, loss_only, 1e-5)))
     return worst

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionConfig, PeMode
-from .layout import SequenceLayout, check_fields, check_flag, check_float, check_int
+from .attention import AttentionConfig, PeMode, plan_attention
+from .layout import SequenceLayout, check_fields, check_float, check_int
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import NonFiniteError, make_rng
@@ -54,21 +54,17 @@ REPORT_HEADER = (
 # The gamma grid the sweep defaults to.
 PAPER_GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0)
 
-# Smallest accepted value of each integer TrialConfig field.
+# Smallest accepted value of each integer field the attention and model configs leave unchecked.
 _INT_MINIMUMS = {
     "seed": 0,
     "steps": 1,
-    "layers": 1,
-    "num_heads": 1,
-    "d_head": 2,
-    "ff_hidden": 0,
     "num_symbols": 1,
     "train_size": 1,
     "eval_size": 1,
     "batch_size": 1,
     "rpe_radius": 1,
 }
-_FLOAT_FIELDS = ("gamma", "lr", "momentum", "rope_base", "converge_threshold", "rpe_scale")
+_FLOAT_FIELDS = ("lr", "momentum", "rope_base", "converge_threshold", "rpe_scale")
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,10 @@ class TrialConfig:
             check_int(name, getattr(self, name), minimum)
         for name in _FLOAT_FIELDS:
             check_float(name, getattr(self, name))
-        check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
-        check_flag("fw_block_causal_within_frame", self.fw_block_causal_within_frame)
+        # The attention and model configs check every other field, and reject what
+        # could never run (layers=5, odd d_head, rope_base <= 1) before any trial.
+        self.attention_config()
+        self.model_config()
 
     def attention_config(self) -> AttentionConfig:
         return AttentionConfig(
@@ -180,6 +178,10 @@ def _make_rpe_bias(config: TrialConfig) -> np.ndarray | None:
 def train_trial(config: TrialConfig) -> TrialReport:
     """Run one deterministic SGD trial and report its curve and accuracy.
 
+    The trial builds one AttentionPlan (positions, mask, tiles, the rpe bias)
+    and passes it to every training step and to the eval, so nothing that
+    depends only on the layout and config is rebuilt per step.
+
     A non-finite loss, or a kernel's NonFiniteError, stops the parameter
     updates; the remaining curve is filled with NaN and the report comes back
     with converged=False rather than raising. The whole eval set is predicted
@@ -194,8 +196,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
         config.task, config.layout, config.seed + 1_000_003, config.eval_size, config.num_symbols
     )
     model = TinyModel(config.model_config(), seed=config.seed)
-    attn_cfg = config.attention_config()
-    rpe_bias = _make_rpe_bias(config)
+    plan = plan_attention(config.layout, config.attention_config(), _make_rpe_bias(config))
     batch_rng = make_rng(config.seed, 3)
 
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -205,9 +206,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
         for _ in range(config.steps):
             idx = batch_rng.integers(0, len(train), size=config.batch_size)
             try:
-                loss, grads = model.loss_and_grads(
-                    train.tokens[idx], train.labels[idx], config.layout, attn_cfg, rpe_bias
-                )
+                loss, grads = model.loss_and_grads(train.tokens[idx], train.labels[idx], plan)
             except (NonFiniteError, FloatingPointError, OverflowError):
                 # Parameters blew up badly enough that a kernel rejected them.
                 loss, grads = float("nan"), None
@@ -221,7 +220,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
                 velocity[k] = config.momentum * velocity[k] + g
                 model.params[k] -= config.lr * velocity[k]
         try:
-            predictions = model.predict(eval_set.tokens, config.layout, attn_cfg, rpe_bias)
+            predictions = model.predict(eval_set.tokens, plan)
         except (NonFiniteError, FloatingPointError, OverflowError):
             predictions = -1  # no class: every eval sample scores as wrong
     accuracy = int(np.count_nonzero(predictions == eval_set.labels)) / len(eval_set)

@@ -8,9 +8,10 @@ hand and checkable against finite differences.
 A (B, T) batch runs in chunks of whole sequences whose (chunk * heads, T, T)
 scores fit in _SCORE_BUDGET entries (at least one sequence); a chunk's heads
 form one (chunk * heads, T, d_head) attention stack. Activations stay (B, T, d)
-stacks, so every product rounds exactly as in a one-sequence pass. Each
-predict or loss_and_grads call builds one AttentionPlan (mask, positions,
-tiles) that every layer and chunk shares.
+stacks, so every product rounds exactly as in a one-sequence pass.
+predict and loss_and_grads take the AttentionPlan (mask, positions, tiles,
+any rpe bias) from the caller, who builds it once with plan_attention; a
+trial shares one plan across every step, layer and chunk.
 
 Parameter matrices of shape (fan_in, fan_out) initialise uniform in
 +-1/sqrt(fan_in); the embedding table uses fan_in = embed_dim. All
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attention_backward, attention_forward, plan_attention
+from .attention import attention_backward, attention_forward
 from .layout import check_int
 from .numerics import make_rng
 
@@ -116,19 +117,16 @@ class TinyModel:
         # x[:, -1:] keeps one (1, d) product per sequence, which rounds as a one-sequence pass.
         return (x[:, -1:] @ p["w_out"])[:, 0], x, caches
 
-    def predict(self, tokens, layout, attn_cfg, rpe_bias=None) -> np.ndarray:
-        """Class index of each sequence of a (B, T) token batch."""
+    def predict(self, tokens, plan) -> np.ndarray:
+        """Class index of each sequence of a (B, T) token batch under `plan`."""
         tokens = np.asarray(tokens)
-        chunks = self._chunks(tokens)
-        plan = plan_attention(layout, attn_cfg, rpe_bias)
-        logits = [self._forward(tokens[c], plan)[0] for c in chunks]
+        logits = [self._forward(tokens[c], plan)[0] for c in self._chunks(tokens)]
         return np.argmax(np.concatenate(logits), axis=-1)
 
-    def loss_and_grads(self, tokens_batch, labels, layout, attn_cfg, rpe_bias=None):
-        """Mean cross-entropy over the batch plus gradients for every parameter."""
+    def loss_and_grads(self, tokens_batch, labels, plan):
+        """Mean cross-entropy over the batch under `plan`, plus gradients for every parameter."""
         tokens_batch, labels = np.asarray(tokens_batch), np.asarray(labels)
         chunks = self._chunks(tokens_batch)
-        plan = plan_attention(layout, attn_cfg, rpe_bias)
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         total_loss = sum(self._chunk_loss(tokens_batch[c], labels[c], plan, grads) for c in chunks)
         for g in grads.values():

@@ -19,6 +19,7 @@ from .attention import (
     PeMode,
     attention_brute_oracle,
     attention_forward,
+    plan_attention,
 )
 from .gradcheck import attention_fd_error, model_fd_error
 from .harness import TrialConfig, train_trial
@@ -175,7 +176,7 @@ def _check_attention_oracle():
         )
         q, k, v = (rng.standard_normal((2, t, 4)) for _ in range(3))
         bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
-        fast = attention_forward(q, k, v, lay, cfg, rpe_bias=bias).output
+        fast = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
         slow = attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias)
         assert np.max(np.abs(fast - slow)) < 1e-10, "attention oracle disagreement"
     # T=70 runs two query tiles, with frame 4 straddling the tile boundary.

@@ -16,7 +16,7 @@ from frameattn.attention import (
     PeMode,
     attention_brute_oracle,
     attention_forward,
-    mode_positions,
+    plan_attention,
 )
 from frameattn.cli import main
 from frameattn.gradcheck import attention_fd_error, default_micro_cases, model_fd_error
@@ -92,8 +92,8 @@ def test_criterion_03_relative_position_property():
         out = attention_forward(qt, kt, vt, lay, cfg).output
         shift_s = float(rng.uniform(-100, 100))
         shift_c = float(rng.uniform(-10, 10))
-        pos = mode_positions(lay, cfg) + (shift_s + gamma * shift_c)
-        out_shifted = attention_forward(qt, kt, vt, lay, cfg, positions=pos).output
+        pos = plan_attention(lay, cfg).positions + (shift_s + gamma * shift_c)
+        out_shifted = attention_forward(qt, kt, vt, lay, cfg, plan=plan_attention(lay, cfg, positions=pos)).output
         worst_attn = max(worst_attn, float(np.abs(out - out_shifted).max()))
     assert worst_pair < 1e-9
     assert worst_attn < 1e-9
@@ -181,7 +181,7 @@ def test_criterion_07_brute_force_attention_oracle():
         shape = (2, t, 4)
         q, k, v = rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
         bias = 0.3 * rng.standard_normal(7) if pe is PeMode.TIME_RPE else None
-        fast = attention_forward(q, k, v, lay, cfg, rpe_bias=bias).output
+        fast = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
         slow = attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias)
         worst = max(worst, float(np.abs(fast - slow).max()))
     assert worst < 1e-10

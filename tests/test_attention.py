@@ -9,7 +9,7 @@ from frameattn.attention import (
     attention_backward,
     attention_brute_oracle,
     attention_forward,
-    mode_positions,
+    plan_attention,
 )
 from frameattn.gradcheck import attention_fd_error, relative_error
 from frameattn.layout import build_layout
@@ -124,11 +124,12 @@ def test_weights_row_stochastic_and_masked_zero():
 
 def assert_stack_equals_head_slices(q, k, v, lay, cfg, bias, grad):
     # The stacked kernel must give each head exactly what that head alone gives.
-    res = attention_forward(q, k, v, lay, cfg, rpe_bias=bias)
+    plan = plan_attention(lay, cfg, bias)
+    res = attention_forward(q, k, v, lay, cfg, plan=plan)
     grads = attention_backward(res, grad)
     for h in range(len(q)):
         one = slice(h, h + 1)
-        alone = attention_forward(q[one], k[one], v[one], lay, cfg, rpe_bias=bias)
+        alone = attention_forward(q[one], k[one], v[one], lay, cfg, plan=plan)
         alone_grads = attention_backward(alone, grad[one])
         assert np.array_equal(res.output[one], alone.output)
         assert np.array_equal(res.weights[one], alone.weights)
@@ -143,7 +144,7 @@ def brute_force_case(rng, pe, mask, lay=None):
     cfg = config(pe=pe, mask=mask, gamma=float(rng.uniform(0, 2)))
     q, k, v = random_qkv(rng, 2, t, 4)
     bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
-    fast = attention_forward(q, k, v, lay, cfg, rpe_bias=bias).output
+    fast = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
     slow = attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias)
     grad = make_rng(t, 1).standard_normal(q.shape)  # own stream: `rng` draws the next case
     assert_stack_equals_head_slices(q, k, v, lay, cfg, bias, grad)
@@ -199,11 +200,12 @@ def test_joint_shift_invariance_of_output():
     cfg = config(gamma=0.7, pe=PeMode.DUAL_ROPE, mask=MaskKind.FW_BLOCK_CAUSAL)
     q, k, v = random_qkv(rng, 2, t, 4)
     base = attention_forward(q, k, v, lay, cfg)
-    pos = mode_positions(lay, cfg)
+    pos = plan_attention(lay, cfg).positions
     for _ in range(10):
         s = float(rng.uniform(-100, 100))
         c = float(rng.uniform(-10, 10))
-        shifted = attention_forward(q, k, v, lay, cfg, positions=pos + (s + cfg.rope.gamma * c))
+        plan = plan_attention(lay, cfg, positions=pos + (s + cfg.rope.gamma * c))
+        shifted = attention_forward(q, k, v, lay, cfg, plan=plan)
         assert np.abs(shifted.output - base.output).max() < 1e-9
 
 
@@ -238,7 +240,7 @@ def test_time_rpe_bias_shifts_scores():
     q, k, v = random_qkv(make_rng(12), 1, lay.total_len, 4)
     bias = np.linspace(-0.5, 0.5, 5)
     cfg = config(pe=PeMode.TIME_RPE)
-    with_bias = attention_forward(q, k, v, lay, cfg, rpe_bias=bias).output
+    with_bias = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
     without = attention_forward(q, k, v, lay, cfg).output
     assert not np.array_equal(with_bias, without)
 
@@ -267,10 +269,6 @@ def test_forward_shape_validation():
         attention_forward(np.zeros((1, 2, 4)), good, good, lay, cfg)
     with pytest.raises(ValueError):
         attention_forward(good, np.zeros((2, 3, 4)), good, lay, cfg)
-    with pytest.raises(ValueError):
-        attention_forward(good, good, good, lay, cfg, positions=np.zeros(3))
-    with pytest.raises(ValueError):
-        attention_forward(good, good, good, lay, cfg, rpe_bias=np.zeros(3))
     with pytest.raises(ValueError, match="Q must have shape"):
         attention_forward(np.zeros((2, 2, 6)), np.zeros((2, 2, 6)), np.zeros((2, 2, 6)), lay, cfg)
     with pytest.raises(ValueError, match="V has shape"):
@@ -279,6 +277,45 @@ def test_forward_shape_validation():
     bad[1, 0, 2] = np.nan
     with pytest.raises(NonFiniteError, match="K"):
         attention_forward(good, bad, good, lay, cfg)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"positions": np.zeros(3)}, "positions must have shape"),
+        ({"positions": np.array([0.0, np.nan])}, "positions must be finite"),
+        ({"positions": np.array([np.inf, 1.0])}, "positions must be finite"),
+        ({"positions": np.array([True, False])}, "positions must hold numbers"),
+        ({"rpe_bias": np.zeros(3)}, "only meaningful"),
+        ({"rpe_bias": np.zeros(2), "pe": PeMode.TIME_RPE}, "odd-length"),
+        ({"rpe_bias": [np.nan, 0.0, 0.0], "pe": PeMode.TIME_RPE}, "rpe_bias must be finite"),
+        ({"rpe_bias": [np.inf, 0.0, 0.0], "pe": PeMode.TIME_RPE}, "rpe_bias must be finite"),
+        ({"rpe_bias": [True, False, True], "pe": PeMode.TIME_RPE}, "rpe_bias must hold numbers"),
+    ],
+)
+def test_plan_rejects_bad_bias_and_positions(kwargs, match):
+    # A bad override is a caller's error at plan time, never a NonFiniteError
+    # (which a trial reads as divergence) from a later forward.
+    kwargs = dict(kwargs)
+    cfg = config(pe=kwargs.pop("pe", PeMode.DUAL_ROPE))
+    with pytest.raises(ValueError, match=match) as info:
+        plan_attention(build_layout(2, 0, 0, 0), cfg, **kwargs)
+    assert not isinstance(info.value, NonFiniteError)
+
+
+def test_plan_arrays_are_read_only():
+    bias = np.linspace(-0.2, 0.2, 5)
+    positions = np.arange(7, dtype=np.float64)
+    plan = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_RPE), bias, positions)
+    for arr in (plan.positions, plan.temporal, plan.freqs.thetas, plan.mask.values, plan.bias):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # The caller's arrays are copied, not frozen.
+    positions[0] = 1.0
+    assert plan.positions[0] == 0.0
+    ape = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_APE)).ape
+    with pytest.raises(ValueError, match="read-only"):
+        ape[0] = 1.0
 
 
 def test_backward_zero_gradient():
@@ -321,7 +358,7 @@ def test_gradients_match_finite_differences(pe):
 def forward_backward(lay, cfg, bias, seed):
     rng = make_rng(seed)
     q, k, v = random_qkv(rng, 2, lay.total_len, 4)
-    res = attention_forward(q, k, v, lay, cfg, rpe_bias=bias)
+    res = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias))
     grads = attention_backward(res, rng.standard_normal(q.shape))
     return res, (res.output, res.weights, grads.grad_q, grads.grad_k, grads.grad_v)
 

@@ -332,6 +332,16 @@ def test_grid_bad_axis_exits_2(tmp_path, capsys):
     assert run(capsys, "grid", "--config", TRIAL_CONFIG, "--tasks", "bogus", "--out", str(tmp_path))[0] == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "grid"])
+def test_config_that_cannot_run_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("frameattn.harness.train_trial", lambda cfg: pytest.fail("a trial ran"))
+    config = json.dumps({**json.loads(TRIAL_CONFIG), "d_head": 3})
+    code, _, stderr = run(capsys, command, "--config", config, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "d_head" in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -117,6 +117,16 @@ def test_config_rejects_non_bool_flags(bad):
         TrialConfig.from_dict(obj)
 
 
+@pytest.mark.parametrize("field, bad, match", [("layers", 5, "layers"), ("d_head", 3, "d_head"), ("rope_base", 1.0, "base")])
+def test_config_rejects_configs_that_cannot_run(field, bad, match):
+    # The attention and model configs' own checks run at parse time, not in the first trial.
+    obj = {**json.loads(TINY.to_json()), field: bad}
+    with pytest.raises(ValueError, match=match):
+        TrialConfig.from_dict(obj)
+    with pytest.raises(ValueError, match=match):
+        replace(TINY, **{field: bad})
+
+
 def test_unknown_layout_field_named_on_both_paths():
     layout = {**json.loads(TINY.layout.to_json()), "fps": 30}
     with pytest.raises(ValueError, match="fps"):

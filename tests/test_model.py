@@ -7,6 +7,7 @@ import pytest
 import frameattn.attention
 from frameattn.attention import AttentionConfig, PeMode, attention_forward, plan_attention
 from frameattn.gradcheck import model_fd_error, relative_error
+from frameattn.harness import TrialConfig, train_trial
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
 from frameattn.model import ModelConfig, TinyModel
@@ -20,6 +21,7 @@ ATTN_CFG = AttentionConfig(
     mask_kind=MaskKind.FW_BLOCK_CAUSAL,
     pe_mode=PeMode.DUAL_ROPE,
 )
+PLAN = plan_attention(LAYOUT, ATTN_CFG)
 
 
 def test_config_validation():
@@ -58,7 +60,7 @@ def test_init_bounds_follow_fan_in():
 def test_forward_loss_is_finite():
     model = TinyModel(MODEL_CFG, seed=2)
     data = gen_task(Task.FRAME_ORDER, LAYOUT, 3, 4, num_symbols=4)
-    loss, grads = model.loss_and_grads(data.tokens, data.labels, LAYOUT, ATTN_CFG)
+    loss, grads = model.loss_and_grads(data.tokens, data.labels, PLAN)
     assert math.isfinite(loss)
     assert loss > 0
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -67,9 +69,9 @@ def test_forward_loss_is_finite():
 def test_gradients_average_over_batch():
     model = TinyModel(MODEL_CFG, seed=3)
     data = gen_task(Task.FRAME_ORDER, LAYOUT, 4, 2, num_symbols=4)
-    loss_a, grads_a = model.loss_and_grads(data.tokens[:1], data.labels[:1], LAYOUT, ATTN_CFG)
-    loss_b, grads_b = model.loss_and_grads(data.tokens[1:], data.labels[1:], LAYOUT, ATTN_CFG)
-    loss_ab, grads_ab = model.loss_and_grads(data.tokens, data.labels, LAYOUT, ATTN_CFG)
+    loss_a, grads_a = model.loss_and_grads(data.tokens[:1], data.labels[:1], PLAN)
+    loss_b, grads_b = model.loss_and_grads(data.tokens[1:], data.labels[1:], PLAN)
+    loss_ab, grads_ab = model.loss_and_grads(data.tokens, data.labels, PLAN)
     assert abs(loss_ab - (loss_a + loss_b) / 2) < 1e-12
     for name in grads_ab:
         assert relative_error(grads_ab[name], (grads_a[name] + grads_b[name]) / 2) < 1e-12
@@ -78,7 +80,7 @@ def test_gradients_average_over_batch():
 def test_predict_returns_class_index():
     model = TinyModel(MODEL_CFG, seed=4)
     data = gen_task(Task.FRAME_ORDER, LAYOUT, 5, 3, num_symbols=4)
-    predictions = model.predict(data.tokens, LAYOUT, ATTN_CFG)
+    predictions = model.predict(data.tokens, PLAN)
     assert predictions.shape == (3,)
     assert np.all((0 <= predictions) & (predictions < MODEL_CFG.num_classes))
 
@@ -91,22 +93,22 @@ def test_chunks_do_not_change_results(monkeypatch):
     attn_cfg = AttentionConfig(
         rope=RopeConfig(d_head=4, gamma=1.0), mask_kind=MaskKind.FW_BLOCK_CAUSAL, pe_mode=PeMode.TIME_RPE
     )
-    bias = np.linspace(-0.1, 0.1, 5)
+    plan = plan_attention(layout, attn_cfg, np.linspace(-0.1, 0.1, 5))
     tiny = TinyModel(cfg, seed=8)
     rng = np.random.default_rng(0)  # random final tokens, so the predicted classes differ
     tokens = rng.integers(0, cfg.vocab_size, size=(6, layout.total_len))
     labels = rng.integers(0, cfg.num_classes, size=6)
     assert len(tiny._chunks(tokens)) == 1
-    loss, grads = tiny.loss_and_grads(tokens, labels, layout, attn_cfg, bias)
-    predictions = tiny.predict(tokens, layout, attn_cfg, bias)
+    loss, grads = tiny.loss_and_grads(tokens, labels, plan)
+    predictions = tiny.predict(tokens, plan)
     assert len(set(predictions.tolist())) > 1
     monkeypatch.setattr("frameattn.model._SCORE_BUDGET", 1)
     assert len(tiny._chunks(tokens)) == 6
-    loss_c, grads_c = tiny.loss_and_grads(tokens, labels, layout, attn_cfg, bias)
+    loss_c, grads_c = tiny.loss_and_grads(tokens, labels, plan)
     assert loss_c == pytest.approx(loss, rel=1e-12, abs=0)
     for name in grads:
         assert relative_error(grads_c[name], grads[name]) < 1e-12
-    assert np.array_equal(tiny.predict(tokens, layout, attn_cfg, bias), predictions)
+    assert np.array_equal(tiny.predict(tokens, plan), predictions)
 
 
 def test_model_gradient_check_micro_config():
@@ -121,34 +123,40 @@ def test_model_gradient_check_two_layers_multi_head():
     assert err < 1e-3
 
 
-def test_one_plan_per_call(monkeypatch):
-    # Every layer and chunk of one loss_and_grads call shares one plan, so the
-    # mask is built once, however many chunks the batch runs in.
-    calls = []
-    real_build_mask = frameattn.attention.build_mask
-    monkeypatch.setattr(frameattn.attention, "build_mask", lambda *a, **kw: calls.append(a) or real_build_mask(*a, **kw))
+def test_one_plan_per_trial(monkeypatch):
+    # A trial builds one plan, which every step, layer, chunk and the eval
+    # share, so the mask and the positions are built once per trial.
+    calls = {"build_mask": 0, "adjusted_positions": 0}
+
+    def counted(name):
+        real = getattr(frameattn.attention, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(frameattn.attention, name, wrapper)
+
+    counted("build_mask")
+    counted("adjusted_positions")
     monkeypatch.setattr("frameattn.model._SCORE_BUDGET", 1)
-    cfg = ModelConfig(layers=2, num_heads=2, d_head=4, vocab_size=7, num_classes=4)
-    tiny = TinyModel(cfg, seed=9)
-    data = gen_task(Task.FRAME_ORDER, LAYOUT, 6, 3, num_symbols=4)
-    assert len(tiny._chunks(data.tokens)) == 3
-    tiny.loss_and_grads(data.tokens, data.labels, LAYOUT, ATTN_CFG)
-    assert len(calls) == 1
-    tiny.predict(data.tokens, LAYOUT, ATTN_CFG)
-    assert len(calls) == 2
+    cfg = TrialConfig(
+        task=Task.FRAME_ORDER, layout=LAYOUT, steps=3, train_size=6, eval_size=4, batch_size=3, num_symbols=4, d_head=4
+    )
+    assert cfg.layers == 2 and cfg.batch_size > 1  # every step runs in several chunks
+    report = train_trial(cfg)
+    assert all(math.isfinite(x) for x in report.loss_curve)
+    assert calls == {"build_mask": 1, "adjusted_positions": 1}
 
 
 def test_plan_must_match_layout_and_config():
     rng = np.random.default_rng(10)
     q = rng.standard_normal((1, LAYOUT.total_len, 4))
-    plan = plan_attention(LAYOUT, ATTN_CFG)
     assert np.array_equal(
-        attention_forward(q, q, q, LAYOUT, ATTN_CFG, plan=plan).output,
+        attention_forward(q, q, q, LAYOUT, ATTN_CFG, plan=PLAN).output,
         attention_forward(q, q, q, LAYOUT, ATTN_CFG).output,
     )
     with pytest.raises(ValueError, match="plan"):
         attention_forward(q, q, q, LAYOUT, ATTN_CFG, plan=plan_attention(build_layout(2, 2, 1, 2), ATTN_CFG))
     with pytest.raises(ValueError, match="plan"):
-        attention_forward(q, q, q, LAYOUT, replace(ATTN_CFG, mask_kind=MaskKind.CAUSAL), plan=plan)
-    with pytest.raises(ValueError, match="plan"):
-        attention_forward(q, q, q, LAYOUT, ATTN_CFG, positions=np.zeros(LAYOUT.total_len), plan=plan)
+        attention_forward(q, q, q, LAYOUT, replace(ATTN_CFG, mask_kind=MaskKind.CAUSAL), plan=PLAN)
