@@ -1,12 +1,16 @@
 """Full attention forward/backward with temporal position encoding modes.
 
-Q, K and V are one (heads, T, d_head) float64 stack of independent heads,
-all three of the same shape: the head count comes from the tensors and the
-head width must equal rope.d_head. The forward pass runs on the whole stack
-at once: rotate Q and K rows at their mode-dependent positions, scores =
-scale * Q'K'^T plus the additive mask (and, for time_rpe, a temporal-distance
-bias), masked row softmax, then weights @ V. Rotation touches Q and K only,
-never V. One mask and one position table are shared by all heads.
+K and V are one (heads, T, d_head) float64 stack of independent heads: the
+head count comes from the tensors and the head width must equal
+rope.d_head. Q holds the same heads' last R query rows, 1 <= R <= T, and
+the output and weights hold those R rows: a caller that reads only the
+final rows (the model's last layer) pays for R rows of scores, not T. R = T
+is the whole sequence, the same path at row offset 0. The forward pass runs
+on the whole stack at once: rotate Q and K rows at their mode-dependent
+positions (one rotation over both), scores = scale * Q'K'^T plus the
+additive mask (and, for time_rpe, a temporal-distance bias), masked row
+softmax, then weights @ V. Rotation touches Q and K only, never V. One mask
+and one position table are shared by all heads.
 
 Everything that depends only on (layout, config, rpe bias, position
 override) lives in an AttentionPlan: rotation positions, temporal ids, the
@@ -23,8 +27,9 @@ last column any row of the tile may attend to. Every column past end is
 masked for every row of the tile, so its weight is exactly 0 and skipping it
 is exact for every mask kind; under the frame-block masks about half of a
 long sequence's columns are skipped. A sequence of at most _TILE_ROWS tokens
-is one tile over all T columns. The returned weights stay one dense
-(heads, T, T) array with exact zeros at masked entries.
+is one tile over all T columns. With R < T the tiles are clipped to the last
+R rows; a clipped tile keeps its end, which stays exact. The returned weights
+stay one dense (heads, R, T) array with exact zeros at masked entries.
 
 Position-encoding modes:
 
@@ -238,23 +243,38 @@ def _finite_table(name: str, values) -> np.ndarray:
 
 
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
-    """Q, K, V as float64 (heads, T, d_head) stacks of one shape, T from the layout."""
+    """Q, K, V as float64 stacks: K and V (heads, T, d_head), Q the last 1..T of those rows."""
     arrays = [np.asarray(x, dtype=np.float64) for x in (Q, K, V)]
-    shape = arrays[0].shape
-    if len(shape) != 3 or shape[1:] != (layout.total_len, config.rope.d_head):
-        raise ValueError(f"Q must have shape (heads, {layout.total_len}, {config.rope.d_head}), got {shape}")
+    t, d = layout.total_len, config.rope.d_head
+    q_shape = arrays[0].shape
+    if len(q_shape) != 3 or not 1 <= q_shape[1] <= t or q_shape[2] != d:
+        raise ValueError(f"Q must have shape (heads, R, {d}) with 1 <= R <= {t}, got {q_shape}")
+    for name, arr in zip("KV", arrays[1:]):
+        if arr.shape != (q_shape[0], t, d):
+            raise ValueError(f"{name} has shape {arr.shape}, expected {(q_shape[0], t, d)} for Q of shape {q_shape}")
     for name, arr in zip("QKV", arrays):
-        if arr.shape != shape:
-            raise ValueError(f"{name} has shape {arr.shape}, Q has {shape}")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError(f"{name} contains non-finite values")
     return arrays
 
 
-def _rotate_stack(x: np.ndarray, positions: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
-    """Rotate every head of an (N, T, D) stack as one (N*T, D) matrix, row t at positions[t]."""
-    n, t, d = x.shape
-    return rotate_rows(x.reshape(n * t, d), np.tile(positions, n), freqs).reshape(n, t, d)
+def _rotate_qk(qk: np.ndarray, positions: np.ndarray, offset: int, freqs: FrequencyTable) -> np.ndarray:
+    """Rotate an (N, R + T, D) stack of R query rows then T key rows per head as one matrix.
+
+    Query row i turns by positions[offset + i], key row j by positions[j].
+    """
+    n, rows, d = qk.shape
+    pos = np.tile(np.concatenate((positions[offset:], positions)), n)
+    return rotate_rows(qk.reshape(n * rows, d), pos, freqs).reshape(qk.shape)
+
+
+def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple[int, int, int]]:
+    """The plan's (lo, hi, end) tiles clipped to query rows >= offset.
+
+    A clipped tile keeps its `end`: a maximum over a superset of its rows,
+    so every column past it is still masked for every remaining row.
+    """
+    return [(max(lo, offset), hi, end) for lo, hi, end in plan.tiles if hi > offset]
 
 
 def attention_forward(
@@ -267,9 +287,11 @@ def attention_forward(
 ) -> AttentionResult:
     """Rotate-score-softmax-mix over the whole head stack; returns output and the weights.
 
-    Without `plan`, builds plan_attention(layout, config): no rpe bias and
-    the mode's own positions. A given `plan` must have been built for this
-    layout and config, and carries any rpe bias or position override.
+    Q holds the last R of the T query rows (R = T for all of them); output
+    and weights hold the same R rows. Without `plan`, builds
+    plan_attention(layout, config): no rpe bias and the mode's own
+    positions. A given `plan` must have been built for this layout and
+    config, and carries any rpe bias or position override.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     if plan is None:
@@ -277,24 +299,25 @@ def attention_forward(
     elif (plan.layout, plan.config) != (layout, config):
         raise ValueError("plan was built for another layout or config")
 
-    n, t = len(Q), layout.total_len
-    qk = np.concatenate((Q, K))
+    n, r, _ = Q.shape
+    offset = layout.total_len - r
+    qk = np.concatenate((Q, K), axis=1)  # each head's R query rows, then its T key rows
     if plan.ape is not None:
-        qk += plan.ape
-    # Q and K rows share their positions, so one rotation covers both.
-    qk = _rotate_stack(qk, plan.positions, plan.freqs)
-    q_rot, k_rot = qk[:n], qk[n:]
+        qk += np.concatenate((plan.ape[offset:], plan.ape))
+    qk = _rotate_qk(qk, plan.positions, offset, plan.freqs)
+    q_rot, k_rot = qk[:, :r], qk[:, r:]
 
-    weights = np.zeros((n, t, t))
-    output = np.empty_like(V)
-    for lo, hi, end in plan.tiles:
-        scores = q_rot[:, lo:hi] @ k_rot[:, :end].transpose(0, 2, 1)
+    weights = np.zeros((n, r, layout.total_len))
+    output = np.empty(Q.shape)
+    for lo, hi, end in _query_tiles(plan, offset):
+        rows = slice(lo - offset, hi - offset)
+        scores = q_rot[:, rows] @ k_rot[:, :end].transpose(0, 2, 1)
         scores *= config.scale
         if plan.bias is not None:
             scores += plan.bias[lo:hi, :end]
         w = masked_row_softmax(scores, plan.mask.values[lo:hi, :end])
-        weights[:, lo:hi, :end] = w
-        np.matmul(w, V[:, :end], out=output[:, lo:hi])
+        weights[:, rows, :end] = w
+        np.matmul(w, V[:, :end], out=output[:, rows])
     return AttentionResult(output=output, weights=weights, plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
 
 
@@ -302,28 +325,30 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     """Exact gradients of attention_forward w.r.t. Q, K, V.
 
     Positions, mask, APE rows, and RPE bias are constants of the forward
-    map, so additive encodings pass gradients straight through. Each tile
-    writes its grad_q rows and adds into the first `end` rows of grad_k and
-    grad_v.
+    map, so additive encodings pass gradients straight through. grad_q has
+    the R rows of Q, grad_k and grad_v all T rows. Each tile writes its
+    grad_q rows and adds into the first `end` rows of grad_k and grad_v.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
     plan = state.plan
-    n = len(g)
-    grad_qk = np.zeros((2 * n, *g.shape[1:]))  # grad of the rotated Q rows, then of K
-    grad_qr, grad_kr = grad_qk[:n], grad_qk[n:]
-    grad_v = np.zeros(g.shape)
-    for lo, hi, end in plan.tiles:
-        w = state.weights[:, lo:hi, :end]
-        g_tile = g[:, lo:hi]
+    n, r, _ = g.shape
+    offset = plan.layout.total_len - r
+    grad_qk = np.zeros((n, r + plan.layout.total_len, g.shape[2]))  # grad of the rotated Q rows, then of K
+    grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
+    grad_v = np.zeros(state.v.shape)
+    for lo, hi, end in _query_tiles(plan, offset):
+        rows = slice(lo - offset, hi - offset)
+        w = state.weights[:, rows, :end]
+        g_tile = g[:, rows]
         grad_scores = softmax_backward(w, g_tile @ state.v[:, :end].transpose(0, 2, 1))
-        np.matmul(grad_scores, state.k_rot[:, :end], out=grad_qr[:, lo:hi])
-        grad_kr[:, :end] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, lo:hi]
+        np.matmul(grad_scores, state.k_rot[:, :end], out=grad_qr[:, rows])
+        grad_kr[:, :end] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, rows]
         grad_v[:, :end] += w.transpose(0, 2, 1) @ g_tile
     grad_qk *= plan.config.scale
-    grad_qk = _rotate_stack(grad_qk, -plan.positions, plan.freqs)
-    return AttentionGrads(grad_q=grad_qk[:n], grad_k=grad_qk[n:], grad_v=grad_v)
+    grad_qk = _rotate_qk(grad_qk, -plan.positions, offset, plan.freqs)
+    return AttentionGrads(grad_q=grad_qk[:, :r], grad_k=grad_qk[:, r:], grad_v=grad_v)
 
 
 def attention_brute_oracle(
@@ -343,6 +368,8 @@ def attention_brute_oracle(
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     t = layout.total_len
+    if Q.shape != K.shape:
+        raise ValueError(f"the oracle takes all {t} query rows, got Q of shape {Q.shape}")
     freqs = frequencies(config.rope)
     plan = plan_attention(layout, config)
     pos, temporal = plan.positions, plan.temporal

@@ -72,12 +72,14 @@ def attention_fd_error(
     seed: int,
     layout: SequenceLayout = build_layout(1, 2, 2, 2),
     num_heads: int = 2,
+    query_rows: int | None = None,
 ) -> float:
     """Max relative error of attention_backward vs central differences.
 
     Uses a scalar probe loss sum(output * G) for a fixed random G, so the
     backward pass is exercised with a dense upstream gradient. Heads are
     d_head=4 wide, gamma is 0.7, the step 1e-5; the default layout is T=7.
+    Q holds the last `query_rows` query rows, all T by default.
     """
     d_head = 4
     config = AttentionConfig(
@@ -88,9 +90,10 @@ def attention_fd_error(
     rng = make_rng(seed, 300)
     t = layout.total_len
     shape = (num_heads, t, d_head)
-    q, k, v = rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
+    q = rng.standard_normal((num_heads, t if query_rows is None else query_rows, d_head))
+    k, v = rng.standard_normal(shape), rng.standard_normal(shape)
     rpe_bias = 0.3 * rng.standard_normal(2 * 3 + 1) if pe_mode is PeMode.TIME_RPE else None
-    probe = rng.standard_normal(shape)
+    probe = rng.standard_normal(q.shape)
     plan = plan_attention(layout, config, rpe_bias)
 
     def loss() -> float:

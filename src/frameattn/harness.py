@@ -101,6 +101,13 @@ class TrialConfig:
         # The attention and model configs check every other field, and reject what
         # could never run (layers=5, odd d_head, rope_base <= 1) before any trial.
         self.attention_config()
+        # Positions reach (1 + |gamma|) * T; the rpe bias is drawn from [-rpe_scale, rpe_scale].
+        if not math.isfinite(2.0 * abs(self.gamma) * self.layout.total_len):
+            raise ValueError(f"gamma {self.gamma!r} overflows the positions of a {self.layout.total_len}-token layout")
+        if not (self.rpe_scale >= 0 and math.isfinite(2.0 * self.rpe_scale)):
+            raise ValueError(f"rpe_scale must be >= 0 with 2 * rpe_scale finite, got {self.rpe_scale!r}")
+        if not self.layout.has_visual:
+            raise ValueError(f"{self.task.value} needs at least one frame, got a layout with none")
         self.model_config()
 
     def attention_config(self) -> AttentionConfig:

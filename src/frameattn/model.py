@@ -13,6 +13,15 @@ predict and loss_and_grads take the AttentionPlan (mask, positions, tiles,
 any rpe bias) from the caller, who builds it once with plan_attention; a
 trial shares one plan across every step, layer and chunk.
 
+The classifier reads only the final position of the last layer, so that
+layer runs its Q projection, attention, w_o residual and feed-forward (and
+their backward) on the final _QUERY_ROWS rows; its K and V still cover every
+row. Two rows rather than one on purpose: a one-row product goes through gemv
+and rounds differently from the same row of a gemm, while the last two rows
+round as in a full-length pass. Every other row of the last layer only ever
+received a zero gradient, so the loss and gradients are those of the full
+computation.
+
 Parameter matrices of shape (fan_in, fan_out) initialise uniform in
 +-1/sqrt(fan_in); the embedding table uses fan_in = embed_dim. All
 initialisation draws come from one seeded stream in a fixed parameter
@@ -34,6 +43,8 @@ __all__ = ["ModelConfig", "TinyModel"]
 
 # Most entries one chunk's (chunk * heads, T, T) score stack may hold: 4 MiB of float64.
 _SCORE_BUDGET = 1 << 19
+# Query rows the last layer computes: the final one, which the classifier reads, and one more.
+_QUERY_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -101,16 +112,18 @@ class TinyModel:
         return [slice(lo, lo + size) for lo in range(0, n, size)]
 
     def _forward(self, tokens, plan):
-        """(B, C) logits of a (B, T) chunk, its final activations and per-layer caches."""
+        """(B, C) logits of a (B, T) chunk, the last layer's output rows and per-layer caches."""
         p = self.params
         x = p["embed"][tokens]
         caches = []
         for layer in range(self.config.layers):
             w = {name: p[f"layer{layer}.{name}"] for name in ("w_q", "w_k", "w_v", "w_o", "w_ff1", "w_ff2")}
-            q, k, v = (self._split_heads(x @ w[name]) for name in ("w_q", "w_k", "w_v"))
+            x_q = x[:, -_QUERY_ROWS:] if layer == self.config.layers - 1 else x
+            q = self._split_heads(x_q @ w["w_q"])
+            k, v = (self._split_heads(x @ w[name]) for name in ("w_k", "w_v"))
             attn = attention_forward(q, k, v, plan.layout, plan.config, plan=plan)
             attn_cat = self._merge_heads(attn.output)
-            x_mid = x + attn_cat @ w["w_o"]
+            x_mid = x_q + attn_cat @ w["w_o"]
             hidden = np.tanh(x_mid @ w["w_ff1"])
             caches.append((w, x, attn, attn_cat, x_mid, hidden))
             x = x_mid + hidden @ w["w_ff2"]
@@ -156,10 +169,16 @@ class TinyModel:
             # x_mid = x_in + attn_cat w_o
             _add_weight_grad(grads[f"layer{layer}.w_o"], attn_cat, dx_mid)
             attn_grads = attention_backward(attn, self._split_heads(dx_mid @ w["w_o"].T))
-            dx = dx_mid
-            for name, grad in zip(("w_q", "w_k", "w_v"), (attn_grads.grad_q, attn_grads.grad_k, attn_grads.grad_v)):
+            # The query rows' residual and Q terms land in the last rows of a
+            # full-length dx; the K and V terms reach every row.
+            rows = dx_mid.shape[1]
+            d_q = self._merge_heads(attn_grads.grad_q)
+            _add_weight_grad(grads[f"layer{layer}.w_q"], x_in[:, -rows:], d_q)
+            dx = np.zeros_like(x_in)
+            dx[:, -rows:] = dx_mid + d_q @ w["w_q"].T
+            for name, grad in zip(("w_k", "w_v"), (attn_grads.grad_k, attn_grads.grad_v)):
                 d_proj = self._merge_heads(grad)
                 _add_weight_grad(grads[f"layer{layer}.{name}"], x_in, d_proj)
-                dx = dx + d_proj @ w[name].T
+                dx += d_proj @ w[name].T
         np.add.at(grads["embed"], tokens, dx)
         return loss

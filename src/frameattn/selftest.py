@@ -186,6 +186,9 @@ def _check_attention_oracle():
     fast = attention_forward(q, k, v, lay, cfg).output
     slow = attention_brute_oracle(q, k, v, lay, cfg)
     assert np.max(np.abs(fast - slow)) < 1e-10, "tiled attention oracle disagreement"
+    # The last 9 query rows alone: rows 61..69, so tile 0 is clipped to its last 3 rows.
+    fast = attention_forward(q[:, -9:], k, v, lay, cfg).output
+    assert np.max(np.abs(fast - slow[:, -9:])) < 1e-10, "last-rows attention oracle disagreement"
 
 
 def _check_gradients():

@@ -161,6 +161,31 @@ def test_brute_oracle_agreement(pe):
     assert brute_force_case(rng, pe, list(MaskKind)[list(PeMode).index(pe) % 4], TILED) < 1e-10
 
 
+@pytest.mark.parametrize("mask", list(MaskKind))
+def test_last_query_rows_match_brute_oracle(mask):
+    # Q may hold only the last R query rows over full-length K and V; its
+    # output and weights are those rows of the full computation. At T=70 the
+    # rows span two tiles: R=5 skips tile 0, R=70 is every row.
+    rng = make_rng(40 + list(MaskKind).index(mask))
+    for lay, heads, rows in ((build_layout(2, 3, 3, 2), 2, (1, 2, 5, 13)), (TILED, 1, (1, 2, 5, 70))):
+        t = lay.total_len
+        for pe in PeMode:
+            cfg = config(pe=pe, mask=mask, gamma=float(rng.uniform(0, 2)))
+            q, k, v = random_qkv(rng, heads, t, 4)
+            bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
+            plan = plan_attention(lay, cfg, bias)
+            slow = attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias)
+            full = attention_forward(q, k, v, lay, cfg, plan=plan)
+            for r in rows:
+                res = attention_forward(q[:, t - r :], k, v, lay, cfg, plan=plan)
+                assert res.output.shape == (heads, r, 4) and res.weights.shape == (heads, r, t)
+                assert np.abs(res.output - slow[:, t - r :]).max() < 1e-10
+                assert np.abs(res.weights - full.weights[:, t - r :]).max() < 1e-12
+                grads = attention_backward(res, np.ones(res.output.shape))
+                assert grads.grad_q.shape == (heads, r, 4)
+                assert grads.grad_k.shape == grads.grad_v.shape == (heads, t, 4)
+
+
 def test_textbook_causal_reference():
     # Independent straight-line implementation of rotary causal attention.
     lay = build_layout(7, 0, 0, 0)
@@ -271,6 +296,10 @@ def test_forward_shape_validation():
         attention_forward(good, np.zeros((2, 3, 4)), good, lay, cfg)
     with pytest.raises(ValueError, match="Q must have shape"):
         attention_forward(np.zeros((2, 2, 6)), np.zeros((2, 2, 6)), np.zeros((2, 2, 6)), lay, cfg)
+    # Q may hold the last 1..T query rows, with K's head count and width.
+    for q_rows, k_width in ((0, 4), (3, 4), (1, 6)):
+        with pytest.raises(ValueError):
+            attention_forward(np.zeros((2, q_rows, 4)), np.zeros((2, 2, k_width)), np.zeros((2, 2, k_width)), lay, cfg)
     with pytest.raises(ValueError, match="V has shape"):
         attention_forward(good, good, np.zeros((1, 2, 4)), lay, cfg)
     bad = good.copy()
@@ -386,3 +415,12 @@ def test_tile_size_does_not_change_results(monkeypatch, mask):
 def test_gradients_match_finite_differences_across_tiles(mask):
     err = attention_fd_error(PeMode.DUAL_ROPE, mask, seed=22, layout=TILED, num_heads=1)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("mask", list(MaskKind))
+def test_gradients_match_finite_differences_last_rows(mask):
+    # Two of the seven rows, and at T=70 nine rows: tile 0 clipped to its last 3 rows, tile 1 whole.
+    i = list(MaskKind).index(mask)
+    for pe in (list(PeMode)[i], list(PeMode)[(i + 2) % len(PeMode)]):
+        assert attention_fd_error(pe, mask, seed=30 + i, query_rows=2) < 1e-4
+    assert attention_fd_error(PeMode.DUAL_ROPE, mask, seed=34 + i, layout=TILED, num_heads=1, query_rows=9) < 1e-4

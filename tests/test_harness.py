@@ -82,7 +82,7 @@ trial_configs = st.builds(
     batch_size=small,
     converge_threshold=finite,
     rpe_radius=small,
-    rpe_scale=finite,
+    rpe_scale=st.floats(0, 1e6),
     strict_monotonic_suffix=st.booleans(),
     fw_block_causal_within_frame=st.booleans(),
 )
@@ -117,14 +117,30 @@ def test_config_rejects_non_bool_flags(bad):
         TrialConfig.from_dict(obj)
 
 
-@pytest.mark.parametrize("field, bad, match", [("layers", 5, "layers"), ("d_head", 3, "d_head"), ("rope_base", 1.0, "base")])
+@pytest.mark.parametrize(
+    "field, bad, match",
+    [
+        ("layers", 5, "layers"),
+        ("d_head", 3, "d_head"),
+        ("rope_base", 1.0, "base"),
+        ("gamma", 1e308, "gamma"),  # rotation positions overflow
+        ("rpe_scale", 1e308, "rpe_scale"),  # the bias draw's range overflows
+        ("rpe_scale", -1, "rpe_scale"),
+    ],
+)
 def test_config_rejects_configs_that_cannot_run(field, bad, match):
-    # The attention and model configs' own checks run at parse time, not in the first trial.
+    # A config that could never run is rejected at parse time, not in the first trial.
     obj = {**json.loads(TINY.to_json()), field: bad}
     with pytest.raises(ValueError, match=match):
         TrialConfig.from_dict(obj)
     with pytest.raises(ValueError, match=match):
         replace(TINY, **{field: bad})
+
+
+@pytest.mark.parametrize("task", list(Task))
+def test_config_rejects_layout_without_frames(task):
+    with pytest.raises(ValueError, match=f"{task.value} needs at least one frame"):
+        replace(TINY, task=task, layout=build_layout(2, 0, 0, 2))
 
 
 def test_unknown_layout_field_named_on_both_paths():

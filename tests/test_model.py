@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import frameattn.attention
+import frameattn.model
 from frameattn.attention import AttentionConfig, PeMode, attention_forward, plan_attention
 from frameattn.gradcheck import model_fd_error, relative_error
 from frameattn.harness import TrialConfig, train_trial
@@ -109,6 +110,42 @@ def test_chunks_do_not_change_results(monkeypatch):
     for name in grads:
         assert relative_error(grads_c[name], grads[name]) < 1e-12
     assert np.array_equal(tiny.predict(tokens, plan), predictions)
+
+
+def test_last_layer_query_rows_do_not_change_results(monkeypatch):
+    # The last layer computes only its final _QUERY_ROWS rows; computing all T
+    # must give the same loss, gradients and predictions.
+    layout = build_layout(1, 2, 2, 3)
+    cfg = ModelConfig(layers=2, num_heads=2, d_head=4, vocab_size=7, num_classes=4)
+    attn_cfg = AttentionConfig(
+        rope=RopeConfig(d_head=4, gamma=1.0), mask_kind=MaskKind.FW_BLOCK_CAUSAL, pe_mode=PeMode.TIME_APE
+    )
+    plan = plan_attention(layout, attn_cfg)
+    tiny = TinyModel(cfg, seed=9)
+    rng = np.random.default_rng(1)
+    tokens = rng.integers(0, cfg.vocab_size, size=(6, layout.total_len))
+    labels = rng.integers(0, cfg.num_classes, size=6)
+    query_rows = []
+    real_forward = frameattn.model.attention_forward
+
+    def recorded(q, *args, **kwargs):
+        query_rows.append(q.shape[1])
+        return real_forward(q, *args, **kwargs)
+
+    monkeypatch.setattr("frameattn.model.attention_forward", recorded)
+    results = {}
+    for rows in (layout.total_len, 2):
+        monkeypatch.setattr("frameattn.model._QUERY_ROWS", rows)
+        query_rows.clear()
+        loss, grads = tiny.loss_and_grads(tokens, labels, plan)
+        results[rows] = loss, grads, tiny.predict(tokens, plan)
+        assert query_rows == [layout.total_len, rows] * 2
+    (loss, grads, predictions), (loss_r, grads_r, predictions_r) = results.values()
+    assert len(set(predictions.tolist())) > 1
+    assert relative_error(loss_r, loss) < 1e-12
+    for name in grads:
+        assert relative_error(grads_r[name], grads[name]) < 1e-12
+    assert np.array_equal(predictions_r, predictions)
 
 
 def test_model_gradient_check_micro_config():
