@@ -48,7 +48,6 @@ from .numerics import NonFiniteError, make_rng, masked_row_softmax
 from .rope import (
     FrequencyTable,
     RopeConfig,
-    apply_rotary,
     frequencies,
     pair_score,
     rotary_oracle,
@@ -82,7 +81,6 @@ __all__ = [
     "ablation_grid",
     "adjusted_positions",
     "allowed",
-    "apply_rotary",
     "attention_backward",
     "attention_brute_oracle",
     "attention_forward",

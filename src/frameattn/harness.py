@@ -24,12 +24,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .attention import AttentionConfig, PeMode, plan_attention
-from .layout import SequenceLayout, check_fields, check_float, check_int
+from .layout import SequenceLayout, adjusted_positions, check_fields, check_float, check_int
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import NonFiniteError, make_rng
 from .rope import RopeConfig
-from .tasks import Task, gen_task, num_classes, vocab_size
+from .tasks import Task, check_task, gen_task, num_classes, vocab_size
 
 __all__ = [
     "REPORT_HEADER",
@@ -101,13 +101,12 @@ class TrialConfig:
         # The attention and model configs check every other field, and reject what
         # could never run (layers=5, odd d_head, rope_base <= 1) before any trial.
         self.attention_config()
-        # Positions reach (1 + |gamma|) * T; the rpe bias is drawn from [-rpe_scale, rpe_scale].
-        if not math.isfinite(2.0 * abs(self.gamma) * self.layout.total_len):
-            raise ValueError(f"gamma {self.gamma!r} overflows the positions of a {self.layout.total_len}-token layout")
+        # The trial's own rules: finite positions, data its task can generate.
+        adjusted_positions(self.layout, self.gamma, self.strict_monotonic_suffix)
+        check_task(self.task, self.layout, self.num_symbols)
+        # The rpe bias is drawn from [-rpe_scale, rpe_scale].
         if not (self.rpe_scale >= 0 and math.isfinite(2.0 * self.rpe_scale)):
             raise ValueError(f"rpe_scale must be >= 0 with 2 * rpe_scale finite, got {self.rpe_scale!r}")
-        if not self.layout.has_visual:
-            raise ValueError(f"{self.task.value} needs at least one frame, got a layout with none")
         self.model_config()
 
     def attention_config(self) -> AttentionConfig:

@@ -6,7 +6,8 @@ suffix. Every token gets three position values:
   * a global id n (0..T-1),
   * a temporal id that is constant inside a frame, increments across frames,
     and is the identity outside the visual span,
-  * an adjusted real position n + gamma * temporal_id(n).
+  * an adjusted real position n + gamma * temporal_id(n), which must be
+    finite: a gamma that overflows any of them is rejected.
 
 The temporal map is implemented exactly as the piecewise definition reads,
 which makes the first suffix token share the last frame's temporal id. Pass
@@ -215,10 +216,17 @@ class PositionTable:
 def adjusted_positions(
     layout: SequenceLayout, gamma: float, strict_monotonic_suffix: bool = False
 ) -> PositionTable:
-    """Full position table with adjusted[n] = n + gamma * temporal_id(n), exactly."""
+    """Full position table with adjusted[n] = n + gamma * temporal_id(n), exactly.
+
+    Raises ValueError naming gamma if an adjusted position overflows; trial
+    configs apply this same rule at parse time.
+    """
     check_float("gamma", gamma)
     g = np.arange(layout.total_len, dtype=np.int64)
     t = temporal_ids(layout, strict_monotonic_suffix=strict_monotonic_suffix)
-    adjusted = g.astype(np.float64) + gamma * t.astype(np.float64)
+    with np.errstate(over="ignore"):
+        adjusted = g.astype(np.float64) + gamma * t.astype(np.float64)
+    if not np.all(np.isfinite(adjusted)):
+        raise ValueError(f"gamma {gamma!r} overflows the adjusted positions of a {layout.total_len}-token layout")
     return PositionTable(global_ids=g, temporal_ids=t, adjusted=adjusted)
 

@@ -4,7 +4,7 @@ Channel pairing is interleaved: dimensions (2t, 2t+1) form one rotation
 plane driven by theta_t = base ** (-t / (d_head / 2)). Positions are real
 throughout because adjusted positions are fractional whenever gamma is not
 an integer. `rotary_oracle` recomputes the same map through explicit complex
-multiplication and exists purely as an independent check on `apply_rotary`.
+multiplication and exists purely as an independent check on `rotate_rows`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "RopeConfig",
     "FrequencyTable",
     "frequencies",
-    "apply_rotary",
     "rotate_rows",
     "rotary_oracle",
     "pair_score",
@@ -68,30 +67,8 @@ def frequencies(config: RopeConfig) -> FrequencyTable:
     return FrequencyTable(thetas=config.base ** (-t / half))
 
 
-def _check_vec(vec: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
-    v = np.asarray(vec)
-    if v.ndim != 1 or v.shape[0] != freqs.d_head:
-        raise ValueError(f"vector of length {freqs.d_head} expected, got shape {v.shape}")
-    return v
-
-
-def apply_rotary(vec: np.ndarray, position: float, freqs: FrequencyTable) -> np.ndarray:
-    """Rotate each (2t, 2t+1) pair of `vec` by angle position * thetas[t]."""
-    v = _check_vec(vec, freqs)
-    position = float(position)
-    if not np.isfinite(position):
-        raise ValueError(f"position must be finite, got {position}")
-    phi = position * freqs.thetas
-    c, s = np.cos(phi), np.sin(phi)
-    x, y = v[0::2], v[1::2]
-    out = np.empty_like(v, dtype=np.result_type(v.dtype, np.float64))
-    out[0::2] = x * c - y * s
-    out[1::2] = x * s + y * c
-    return out.astype(v.dtype) if np.issubdtype(v.dtype, np.floating) else out
-
-
 def rotate_rows(mat: np.ndarray, positions: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
-    """apply_rotary over the rows of a (T, d_head) matrix, row r at positions[r]."""
+    """Rotate each (2t, 2t+1) pair of row r of a (T, d_head) matrix by angle positions[r] * thetas[t]."""
     m = np.asarray(mat)
     pos = np.asarray(positions, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != freqs.d_head:
@@ -106,12 +83,14 @@ def rotate_rows(mat: np.ndarray, positions: np.ndarray, freqs: FrequencyTable) -
     out = np.empty_like(m, dtype=np.result_type(m.dtype, np.float64))
     out[:, 0::2] = x * c - y * s
     out[:, 1::2] = x * s + y * c
-    return out.astype(m.dtype) if np.issubdtype(m.dtype, np.floating) else out
+    return out.astype(m.dtype, copy=False) if np.issubdtype(m.dtype, np.floating) else out
 
 
 def rotary_oracle(vec: np.ndarray, position: float, freqs: FrequencyTable) -> np.ndarray:
-    """Reference rotation: pack pairs into complex numbers and multiply by e^{i phi}."""
-    v = _check_vec(vec, freqs)
+    """Reference rotation of one vector: pack pairs into complex numbers and multiply by e^{i phi}."""
+    v = np.asarray(vec)
+    if v.ndim != 1 or v.shape[0] != freqs.d_head:
+        raise ValueError(f"vector of length {freqs.d_head} expected, got shape {v.shape}")
     position = float(position)
     if not np.isfinite(position):
         raise ValueError(f"position must be finite, got {position}")
@@ -126,6 +105,7 @@ def rotary_oracle(vec: np.ndarray, position: float, freqs: FrequencyTable) -> np
 def pair_score(q: np.ndarray, k: np.ndarray, pos_q: float, pos_k: float, freqs: FrequencyTable) -> float:
     """Unscaled attention logit between one rotated query and one rotated key.
 
-    Depends on the positions only through pos_q - pos_k.
+    Rotates with `rotary_oracle`, never `rotate_rows`, so the scalar attention
+    oracle stays independent of it. Depends on positions only through pos_q - pos_k.
     """
-    return float(np.dot(apply_rotary(q, pos_q, freqs), apply_rotary(k, pos_k, freqs)))
+    return float(np.dot(rotary_oracle(q, pos_q, freqs), rotary_oracle(k, pos_k, freqs)))

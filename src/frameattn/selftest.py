@@ -26,7 +26,7 @@ from .harness import TrialConfig, train_trial
 from .layout import SequenceLayout, build_layout, temporal_ids
 from .masks import MaskKind, allowed, build_mask
 from .numerics import make_rng, masked_row_softmax
-from .rope import RopeConfig, apply_rotary, frequencies, pair_score, rotary_oracle
+from .rope import RopeConfig, frequencies, pair_score, rotary_oracle, rotate_rows
 from .tasks import Task, gen_task
 
 __all__ = ["random_layout", "run_selftest", "temporal_id_literal"]
@@ -79,13 +79,13 @@ def _check_rope_oracle():
     rng = make_rng(7002)
     for d_head in (2, 8, 64):
         freqs = frequencies(RopeConfig(d_head=d_head))
-        for _ in range(60):
-            v = rng.standard_normal(d_head)
-            pos = float(rng.uniform(-500, 500))
-            fast = apply_rotary(v, pos, freqs)
+        mat = rng.standard_normal((60, d_head))
+        positions = rng.uniform(-500, 500, 60)
+        fast = rotate_rows(mat, positions, freqs)
+        for v, pos, row in zip(mat, positions, fast):
             ref = rotary_oracle(v, pos, freqs)
-            assert np.max(np.abs(fast - ref)) < 1e-12, "rotary oracle disagreement"
-            assert abs(np.linalg.norm(fast) - np.linalg.norm(v)) < 1e-12, "norm not preserved"
+            assert np.max(np.abs(row - ref)) < 1e-12, "rotary oracle disagreement"
+            assert abs(np.linalg.norm(row) - np.linalg.norm(v)) < 1e-12, "norm not preserved"
 
 
 def _check_rope_shift():

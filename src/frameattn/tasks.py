@@ -36,6 +36,7 @@ __all__ = [
     "SYMBOL_BASE",
     "vocab_size",
     "num_classes",
+    "check_task",
     "gen_task",
 ]
 
@@ -78,6 +79,16 @@ def num_classes(task: Task, layout: SequenceLayout, num_symbols: int) -> int:
     return num_symbols
 
 
+def check_task(task: Task, layout: SequenceLayout, num_symbols: int) -> None:
+    """Reject a layout or symbol count that `task`'s data generation cannot fill."""
+    if not layout.has_visual:
+        raise ValueError(f"{task.value} needs at least one frame, got a layout with none")
+    if task is Task.FRAME_ORDER and num_symbols < layout.num_frames:
+        raise ValueError(f"frame_order needs num_symbols >= num_frames ({num_symbols} < {layout.num_frames})")
+    if task is Task.LAST_FRAME_RECALL and num_symbols < 2:
+        raise ValueError(f"last_frame_recall needs num_symbols >= 2, got {num_symbols}")
+
+
 def _base_tokens(layout: SequenceLayout) -> np.ndarray:
     t = np.full(layout.total_len, TOKEN_QUERY, dtype=np.int64)
     t[: layout.prefix_len] = TOKEN_TEXT
@@ -94,14 +105,9 @@ def gen_task(
     """Deterministic dataset of `count` (token sequence, label) pairs."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not layout.has_visual:
-        raise ValueError(f"task {task.value} needs a non-empty visual span")
+    check_task(task, layout, num_symbols)
     f = layout.num_frames
     m = layout.tokens_per_frame
-    if task is Task.FRAME_ORDER and num_symbols < f:
-        raise ValueError(f"frame_order needs num_symbols >= num_frames ({num_symbols} < {f})")
-    if task is Task.LAST_FRAME_RECALL and num_symbols < 2:
-        raise ValueError("last_frame_recall needs at least 2 symbols")
 
     rng = make_rng(seed, 100)
     symbols = SYMBOL_BASE + np.arange(num_symbols, dtype=np.int64)

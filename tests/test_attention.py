@@ -161,6 +161,30 @@ def test_brute_oracle_agreement(pe):
     assert brute_force_case(rng, pe, list(MaskKind)[list(PeMode).index(pe) % 4], TILED) < 1e-10
 
 
+def test_brute_oracle_never_calls_rotate_rows(monkeypatch):
+    # The oracle rotates through rotary_oracle only, so it still agrees with
+    # outputs computed before the fast rotation kernel was made to raise.
+    rng = make_rng(23)
+    cases = []
+    for i, pe in enumerate(PeMode):
+        lay = random_layout(rng, 16, 3, 3, 3, 3)
+        cfg = config(pe=pe, mask=list(MaskKind)[i % 4], gamma=float(rng.uniform(0, 2)))
+        q, k, v = random_qkv(rng, 2, lay.total_len, 4)
+        bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
+        fast = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
+        cases.append((q, k, v, lay, cfg, bias, fast))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rotate_rows called")
+
+    monkeypatch.setattr("frameattn.rope.rotate_rows", fail)
+    monkeypatch.setattr("frameattn.attention.rotate_rows", fail)
+    with pytest.raises(AssertionError, match="rotate_rows called"):
+        attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias))
+    for q, k, v, lay, cfg, bias, fast in cases:
+        assert np.abs(attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias) - fast).max() < 1e-10
+
+
 @pytest.mark.parametrize("mask", list(MaskKind))
 def test_last_query_rows_match_brute_oracle(mask):
     # Q may hold only the last R query rows over full-length K and V; its

@@ -123,6 +123,10 @@ def test_positions_empty_visual_span_identity(capsys):
 def test_positions_bad_gamma_exits_2(capsys):
     assert run(capsys, "positions", "--layout", LAYOUT_T3_TEXT, "--gamma", "abc")[0] == 2
     assert run(capsys, "positions", "--layout", LAYOUT_T3_TEXT, "--gamma", "inf")[0] == 2
+    # Finite, but the adjusted positions overflow: one error line naming gamma, no table.
+    code, stdout, stderr = run(capsys, "positions", "--layout", LAYOUT_T3_TEXT, "--gamma", "1e308")
+    assert code == 2
+    assert stdout == "" and "gamma" in stderr and len(stderr.strip().splitlines()) == 1
 
 
 def test_positions_aligned_table(capsys):
@@ -223,6 +227,7 @@ def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
         ("num_heads", 2.9),
         ("d_head", 4.0),
         ("gamma", "1.5"),
+        ("gamma", 1e308),  # finite, but the adjusted positions overflow
         ("base", True),
         ("base", 10**400),
         ("scale", "0.5"),
@@ -335,11 +340,12 @@ def test_grid_bad_axis_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["sweep", "grid"])
 def test_config_that_cannot_run_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr("frameattn.harness.train_trial", lambda cfg: pytest.fail("a trial ran"))
-    config = json.dumps({**json.loads(TRIAL_CONFIG), "d_head": 3})
-    code, _, stderr = run(capsys, command, "--config", config, "--out", str(tmp_path / "out"))
-    assert code == 2
-    assert "d_head" in stderr
-    assert not (tmp_path / "out").exists()
+    for field, bad in (("d_head", 3), ("num_symbols", 1), ("gamma", 1e308)):
+        config = json.dumps({**json.loads(TRIAL_CONFIG), field: bad})
+        code, _, stderr = run(capsys, command, "--config", config, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert field in stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_exits_2(capsys):

@@ -75,7 +75,7 @@ trial_configs = st.builds(
     num_heads=small,
     d_head=st.integers(1, 64).map(lambda h: 2 * h),
     ff_hidden=st.integers(0, 10_000),
-    num_symbols=small,
+    num_symbols=st.integers(5, 10_000),  # frame_order needs a symbol per frame, up to 5 frames
     rope_base=st.floats(1.5, 1e6),
     train_size=small,
     eval_size=small,
@@ -126,6 +126,7 @@ def test_config_rejects_non_bool_flags(bad):
         ("gamma", 1e308, "gamma"),  # rotation positions overflow
         ("rpe_scale", 1e308, "rpe_scale"),  # the bias draw's range overflows
         ("rpe_scale", -1, "rpe_scale"),
+        ("num_symbols", 1, "num_symbols"),  # last_frame_recall needs a distinct last-frame symbol
     ],
 )
 def test_config_rejects_configs_that_cannot_run(field, bad, match):
@@ -135,6 +136,15 @@ def test_config_rejects_configs_that_cannot_run(field, bad, match):
         TrialConfig.from_dict(obj)
     with pytest.raises(ValueError, match=match):
         replace(TINY, **{field: bad})
+
+
+def test_config_rejects_too_few_symbols_for_frame_order():
+    # One identifying symbol per frame: 2 symbols cannot name 4 frames.
+    cfg = replace(TINY, task=Task.FRAME_ORDER, layout=build_layout(1, 4, 2, 1), num_symbols=4)
+    with pytest.raises(ValueError, match=r"num_symbols >= num_frames \(2 < 4\)"):
+        replace(cfg, num_symbols=2)
+    with pytest.raises(ValueError, match="num_symbols"):
+        TrialConfig.from_dict({**json.loads(cfg.to_json()), "num_symbols": 3})
 
 
 @pytest.mark.parametrize("task", list(Task))

@@ -143,11 +143,14 @@ def test_adjusted_gamma_difference_is_temporal_id(lay):
     assert np.array_equal(one.adjusted - zero.adjusted, one.temporal_ids.astype(float))
 
 
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
 def test_adjusted_rejects_non_finite_gamma():
-    lay = build_layout(1, 1, 1, 1)
-    for bad in (float("nan"), float("inf"), "1.5", True):
-        with pytest.raises(ValueError):
+    lay = build_layout(2, 3, 2, 2)  # temporal ids reach 4
+    # 1e308 is finite, but 1e308 * 4 overflows.
+    for bad in (float("nan"), float("inf"), "1.5", True, 1e308, -1e308):
+        with pytest.raises(ValueError, match="gamma"):
             adjusted_positions(lay, bad)
+    assert np.all(np.isfinite(adjusted_positions(lay, 1e307).adjusted))
 
 
 # Text-to-visual distance in adjusted positions: adjusted[text] - adjusted[visual].

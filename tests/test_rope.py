@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from frameattn.numerics import make_rng
 from frameattn.rope import (
     RopeConfig,
-    apply_rotary,
     frequencies,
     pair_score,
     rotary_oracle,
@@ -44,15 +43,15 @@ def test_base_must_exceed_one():
 
 def test_rotation_at_zero_is_identity():
     freqs = frequencies(RopeConfig(d_head=8))
-    v = make_rng(1).standard_normal(8)
-    assert np.array_equal(apply_rotary(v, 0.0, freqs), v)
-    assert np.array_equal(rotary_oracle(v, 0.0, freqs), v)
+    mat = make_rng(1).standard_normal((3, 8))
+    assert np.array_equal(rotate_rows(mat, np.zeros(3), freqs), mat)
+    assert np.array_equal(rotary_oracle(mat[0], 0.0, freqs), mat[0])
 
 
 def test_single_pair_rotation():
     freqs = frequencies(RopeConfig(d_head=2))
-    out = apply_rotary(np.array([1.0, 0.0]), 1.0, freqs)
-    assert np.abs(out - np.array([math.cos(1.0), math.sin(1.0)])).max() < 1e-15
+    out = rotate_rows(np.array([[1.0, 0.0]]), np.array([1.0]), freqs)
+    assert np.abs(out - np.array([[math.cos(1.0), math.sin(1.0)]])).max() < 1e-15
 
 
 def test_oracle_quarter_turn():
@@ -64,7 +63,7 @@ def test_oracle_quarter_turn():
 def test_length_mismatch_rejected():
     freqs = frequencies(RopeConfig(d_head=4))
     with pytest.raises(ValueError):
-        apply_rotary(np.zeros(6), 1.0, freqs)
+        rotate_rows(np.zeros((1, 6)), np.ones(1), freqs)
     with pytest.raises(ValueError):
         rotary_oracle(np.zeros(2), 1.0, freqs)
     with pytest.raises(ValueError):
@@ -73,8 +72,10 @@ def test_length_mismatch_rejected():
 
 def test_non_finite_position_rejected():
     freqs = frequencies(RopeConfig(d_head=2))
-    with pytest.raises(ValueError):
-        apply_rotary(np.zeros(2), float("nan"), freqs)
+    with pytest.raises(ValueError, match="finite"):
+        rotate_rows(np.zeros((2, 2)), np.array([0.0, float("nan")]), freqs)
+    with pytest.raises(ValueError, match="finite"):
+        rotary_oracle(np.zeros(2), float("nan"), freqs)
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2, 8, 64, 128]), st.floats(-1000, 1000))
@@ -82,7 +83,7 @@ def test_non_finite_position_rejected():
 def test_oracle_equivalence(seed, d_head, position):
     freqs = frequencies(RopeConfig(d_head=d_head))
     v = make_rng(seed).standard_normal(d_head)
-    fast = apply_rotary(v, position, freqs)
+    fast = rotate_rows(v[None, :], np.array([position]), freqs)[0]
     ref = rotary_oracle(v, position, freqs)
     assert np.abs(fast - ref).max() < 1e-12
 
@@ -90,31 +91,31 @@ def test_oracle_equivalence(seed, d_head, position):
 def test_oracle_equivalence_float32():
     rng = make_rng(11)
     freqs = frequencies(RopeConfig(d_head=16))
-    for _ in range(50):
-        v = rng.standard_normal(16).astype(np.float32)
-        pos = float(rng.uniform(-100, 100))
-        fast = apply_rotary(v, pos, freqs)
+    mat = rng.standard_normal((50, 16)).astype(np.float32)
+    positions = rng.uniform(-100, 100, 50)
+    fast = rotate_rows(mat, positions, freqs)
+    assert fast.dtype == np.float32
+    for v, pos, row in zip(mat, positions, fast):
         ref = rotary_oracle(v, pos, freqs)
-        assert fast.dtype == np.float32
-        assert np.abs(fast.astype(np.float64) - ref.astype(np.float64)).max() < 1e-5
+        assert np.abs(row.astype(np.float64) - ref.astype(np.float64)).max() < 1e-5
 
 
 @given(st.integers(0, 2**32), st.floats(-300, 300))
 @settings(max_examples=100, deadline=None)
 def test_norm_preservation(seed, position):
     freqs = frequencies(RopeConfig(d_head=8))
-    v = make_rng(seed).standard_normal(8)
-    out = apply_rotary(v, position, freqs)
-    assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12
+    mat = make_rng(seed).standard_normal((2, 8))
+    out = rotate_rows(mat, np.array([position, -position]), freqs)
+    assert np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(mat, axis=1)).max() < 1e-12
 
 
 @given(st.integers(0, 2**32), st.floats(-100, 100), st.floats(-100, 100))
 @settings(max_examples=100, deadline=None)
 def test_rotation_composition(seed, a, b):
     freqs = frequencies(RopeConfig(d_head=8))
-    v = make_rng(seed).standard_normal(8)
-    twice = apply_rotary(apply_rotary(v, a, freqs), b, freqs)
-    once = apply_rotary(v, a + b, freqs)
+    mat = make_rng(seed).standard_normal((2, 8))
+    twice = rotate_rows(rotate_rows(mat, np.array([a, b]), freqs), np.array([b, a]), freqs)
+    once = rotate_rows(mat, np.full(2, a + b), freqs)
     assert np.abs(twice - once).max() < 1e-12
 
 
@@ -142,14 +143,18 @@ def test_pair_score_single_pair_cosine():
     assert abs(pair_score(v, v, 1.0, 0.0, freqs) - math.cos(1.0)) < 1e-15
 
 
-def test_rotate_rows_matches_apply_rotary():
+def test_rotate_rows_matches_rotary_oracle():
     rng = make_rng(9)
-    freqs = frequencies(RopeConfig(d_head=6))
-    mat = rng.standard_normal((5, 6))
-    positions = rng.uniform(-20, 20, 5)
-    rows = rotate_rows(mat, positions, freqs)
-    for r in range(5):
-        assert np.array_equal(rows[r], apply_rotary(mat[r], positions[r], freqs))
+    for d_head in (2, 8, 64, 128):
+        freqs = frequencies(RopeConfig(d_head=d_head))
+        mat = rng.standard_normal((7, d_head))
+        positions = rng.uniform(-1000, 1000, 7)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            rows = rotate_rows(mat.astype(dtype), positions, freqs)
+            assert rows.dtype == dtype
+            for vec, pos, row in zip(mat.astype(dtype), positions, rows):
+                ref = rotary_oracle(vec, pos, freqs).astype(np.float64)
+                assert np.abs(row.astype(np.float64) - ref).max() < tol
 
 
 def test_rotate_rows_validates_shapes():
