@@ -157,8 +157,11 @@ def cmd_positions(args) -> int:
 def _heatmap_pixels(weights: np.ndarray) -> np.ndarray:
     peak = float(weights.max())
     if peak <= 0.0:
-        return np.zeros(weights.shape, dtype=np.int64)
-    return np.rint(255.0 * weights / peak).astype(np.int64)
+        return np.zeros(weights.shape, dtype=np.uint8)
+    # One float64 scratch, rounded in place; the uint8 pixels are 1/8 of its size.
+    scaled = np.multiply(weights, 255.0)
+    scaled /= peak
+    return np.rint(scaled, out=scaled).astype(np.uint8)
 
 
 def cmd_heatmap(args) -> int:

@@ -193,6 +193,18 @@ def test_heatmap_from_npz_tensors(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_heatmap_pixels_match_direct_quantisation():
+    from frameattn.cli import _heatmap_pixels
+
+    rng = np.random.default_rng(0)
+    for weights in (rng.random((9, 9)), np.tril(rng.random((7, 7))), np.full((3, 3), 1 / 3), np.eye(4) * 1e-300):
+        expected = np.rint(255.0 * weights / weights.max()).astype(np.int64)
+        got = _heatmap_pixels(weights)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+    assert np.array_equal(_heatmap_pixels(np.zeros((2, 3))), np.zeros((2, 3), dtype=np.uint8))
+
+
 def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
     from frameattn.attention import AttentionConfig, PeMode, attention_forward
     from frameattn.layout import SequenceLayout
