@@ -3,15 +3,17 @@
 P2 was chosen over binary formats because the outputs double as golden
 files: human-readable, diffable, no image library needed to inspect them.
 
-Both emitters encode one matrix row at a time and never call ``repr`` for a
-repeated value. A pixel is an index into ``_PIXELS``, the 256 tokens
-``"0"``..``"255"``, so a row is one fancy-index and one join. A CSV row
-starts with every cell set to the one shared token for ``+0`` of the dtype;
-only the cells that are not ``+0`` (``-0.0`` and NaN included) are passed to
-``repr``. Each cell is still exactly ``repr(value.item())``. Attention
-weights under a frame-block mask are mostly zeros, so this skips most of the
-per-cell Python work. Token scratch covers one row, never the whole matrix,
-so memory stays close to that of the output text itself.
+Both emitters encode one matrix row at a time. A pixel is an index into
+``_PIXELS``, the 256 tokens ``"0"``..``"255"``, so a row is one fancy-index
+and one join, with no ``repr`` per pixel. A CSV row in which at most half
+the cells are non-zero starts with every cell set to the one shared token
+for ``+0`` of the dtype; only the cells that are not ``+0`` (``-0.0`` and
+NaN included) are passed to ``repr``. Attention weights under a frame-block
+mask are mostly zeros, so this skips most of the per-cell Python work. A
+row that is mostly non-zero gains nothing from that bookkeeping and costs
+more with it, so it is written cell by cell. Either way each cell
+is exactly ``repr(value.item())``. Token scratch covers one row, never the
+whole matrix, so memory stays close to that of the output text itself.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ def csv_text(values: np.ndarray) -> str:
 
     def line(row: np.ndarray) -> str:
         hit = (row != 0) | np.signbit(row)  # -0.0 == 0 but prints "-0.0"
+        if 2 * np.count_nonzero(hit) > hit.size:
+            return ",".join(map(repr, row.tolist()))
         cells.fill(zero)
         cells[hit] = list(map(repr, row[hit].tolist()))
         return ",".join(cells.tolist())

@@ -56,6 +56,22 @@ def test_csv_float_edge_cases(dtype):
     assert text.splitlines()[0].split(",")[:2] == ["0.0", "-0.0"]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_])
+def test_csv_every_row_density(dtype):
+    # The rows hold 8, 7, ..., 0 non-zero cells out of 8: both sides of the half-full line
+    # and the line itself. The float rows also carry -0.0 and NaN, in dense and sparse rows.
+    n = 8
+    values = (np.tri(n + 1, n, k=-1)[::-1] * np.arange(1, n + 1)).astype(dtype)
+    if values.dtype.kind == "f":
+        values[1, 2] = -0.0
+        values[2, 0] = np.nan
+        values[5, 7] = -0.0
+        values[7, 1] = np.nan
+    text = csv_text(values)
+    assert text == csv_oracle(values)
+    assert len(text.splitlines()) == n + 1
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_, np.uint8, np.complex128])
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (2, 5)])
 def test_csv_shapes_and_dtypes(dtype, shape):
