@@ -48,10 +48,12 @@ from .numerics import NonFiniteError, make_rng, masked_row_softmax
 from .rope import (
     FrequencyTable,
     RopeConfig,
+    RotationTable,
     frequencies,
     pair_score,
     rotary_oracle,
     rotate_rows,
+    rotation_table,
 )
 from .tasks import Dataset, Task, gen_task
 
@@ -72,6 +74,7 @@ __all__ = [
     "PeMode",
     "PositionTable",
     "RopeConfig",
+    "RotationTable",
     "SequenceLayout",
     "Task",
     "TinyModel",
@@ -98,6 +101,7 @@ __all__ = [
     "plan_attention",
     "rotary_oracle",
     "rotate_rows",
+    "rotation_table",
     "run_trials",
     "temporal_ids",
     "train_trial",

@@ -13,10 +13,13 @@ softmax, then weights @ V. Rotation touches Q and K only, never V. One mask
 and one position table are shared by all heads.
 
 Everything that depends only on (layout, config, rpe bias, position
-override) lives in an AttentionPlan: rotation positions, temporal ids, the
-frequency table, the mask, the APE table, the RPE bias matrix and the query
-tiles. `plan_attention` builds it, and is the only way to pass an rpe bias
-or a position override into attention. A plan's arrays are read-only, so a
+override) lives in an AttentionPlan: rotation positions and their cos/sin
+rotation table, temporal ids, the frequency table, the mask, the APE table,
+the RPE bias matrix and the query tiles. A call's own work is arithmetic on
+Q, K and V: it copies its rows of the rotation table and takes views of the
+mask, but computes no trigonometry and builds no mask. `plan_attention`
+builds the plan, and is the only way to pass an rpe bias or a position
+override into attention. A plan's arrays are read-only, so a
 caller that runs many stacks over one layout builds it once and passes it to
 every `attention_forward` call: a trial builds one plan, shared by every
 step, layer and chunk.
@@ -26,9 +29,13 @@ normalises and mixes only key columns [0, end), where end is one past the
 last column any row of the tile may attend to. Every column past end is
 masked for every row of the tile, so its weight is exactly 0 and skipping it
 is exact for every mask kind; under the frame-block masks about half of a
-long sequence's columns are skipped. A sequence of at most _TILE_ROWS tokens
-is one tile over all T columns. With R < T the tiles are clipped to the last
-R rows; a clipped tile keeps its end, which stays exact. The returned weights
+long sequence's columns are skipped. Every column before the tile's `free`
+is allowed for every row of the tile, so the softmax gets only the mask's
+columns [free, end), a view about one frame wide under causal,
+fw_block_causal and full_visual, and treats the leading columns as allowed.
+A sequence of at most _TILE_ROWS tokens is one tile over all T columns. With
+R < T the tiles are clipped to the last R rows; a clipped tile keeps its free
+and end, which stay exact. The returned weights
 stay one dense (heads, R, T) array with exact zeros at masked entries.
 
 Position-encoding modes:
@@ -51,8 +58,8 @@ collapse to functions of n alone (dual_rope, for instance, rotates at
 
 The backward pass is the exact analytic gradient of this map, over the
 same tiles; positions, masks, the APE table, and the RPE bias are treated
-as constants. Rotations are orthonormal, so their backward is the rotation
-at the negated position.
+as constants. Rotations are orthonormal, so their backward is the inverse
+table (cos, -sin), bitwise the rotation at the negated positions.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ import numpy as np
 from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_flag, check_float
 from .masks import AttentionMask, MaskKind, allowed, build_mask
 from .numerics import NonFiniteError, masked_row_softmax, softmax_backward
-from .rope import FrequencyTable, RopeConfig, frequencies, pair_score, rotate_rows
+from .rope import FrequencyTable, RopeConfig, RotationTable, frequencies, pair_score, rotate_rows, rotation_table
 
 __all__ = [
     "PeMode",
@@ -119,9 +126,11 @@ class AttentionConfig:
 class AttentionPlan:
     """Everything attention needs that depends only on plan_attention's inputs.
 
-    `tiles` holds one (lo, hi, end) per tile of query rows [lo, hi): every
-    key column at or past `end` is masked for every row of the tile. `ape`
-    is set only under time_ape, `bias` only under time_rpe with a bias table.
+    `rotation` is the rotation table of `positions`. `tiles` holds one
+    (lo, hi, free, end) per tile of query rows [lo, hi): every key column
+    before `free` is allowed and every column at or past `end` is masked for
+    every row of the tile. `ape` is set only under time_ape, `bias` only
+    under time_rpe with a bias table.
     """
 
     layout: SequenceLayout
@@ -129,8 +138,9 @@ class AttentionPlan:
     positions: np.ndarray = field(repr=False)
     temporal: np.ndarray = field(repr=False)
     freqs: FrequencyTable = field(repr=False)
+    rotation: RotationTable = field(repr=False)
     mask: AttentionMask = field(repr=False)
-    tiles: tuple[tuple[int, int, int], ...]
+    tiles: tuple[tuple[int, int, int, int], ...]
     ape: np.ndarray | None = field(default=None, repr=False)
     bias: np.ndarray | None = field(default=None, repr=False)
 
@@ -208,14 +218,20 @@ def plan_attention(
     else:
         pos = table.global_ids.astype(np.float64)
     freqs = frequencies(config.rope)
+    rotation = rotation_table(pos, freqs)
     mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
-    # One past each row's last allowed column (the diagonal is always allowed).
-    row_ends = t - (mask.values == 0.0)[:, ::-1].argmax(axis=1)
+    open_ = mask.values == 0.0
+    # Each row's first masked column (t if none), and one past its last allowed
+    # column (the diagonal is always allowed).
+    row_frees = np.where(open_.all(axis=1), t, (~open_).argmax(axis=1))
+    row_ends = t - open_[:, ::-1].argmax(axis=1)
     lows = range(0, t, _TILE_ROWS)
-    tiles = tuple(zip(lows, [*lows[1:], t], np.maximum.reduceat(row_ends, lows).tolist()))
+    frees = np.minimum.reduceat(row_frees, lows).tolist()
+    ends = np.maximum.reduceat(row_ends, lows).tolist()
+    tiles = tuple(zip(lows, [*lows[1:], t], frees, ends))
     ape = time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None
     bias = None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, _finite_table("rpe_bias", rpe_bias))
-    for arr in (pos, table.temporal_ids, freqs.thetas, mask.values, ape, bias):
+    for arr in (pos, table.temporal_ids, freqs.thetas, rotation.cos, rotation.sin, mask.values, ape, bias):
         if arr is not None:
             arr.flags.writeable = False
     return AttentionPlan(
@@ -224,6 +240,7 @@ def plan_attention(
         positions=pos,
         temporal=table.temporal_ids,
         freqs=freqs,
+        rotation=rotation,
         mask=mask,
         tiles=tiles,
         ape=ape,
@@ -243,8 +260,16 @@ def _finite_table(name: str, values) -> np.ndarray:
 
 
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
-    """Q, K, V as float64 stacks: K and V (heads, T, d_head), Q the last 1..T of those rows."""
-    arrays = [np.asarray(x, dtype=np.float64) for x in (Q, K, V)]
+    """Q, K, V as float64 stacks: K and V (heads, T, d_head), Q the last 1..T of those rows.
+
+    Only integer and real floating dtypes convert: complex would lose its
+    imaginary part and bool or text would turn into numbers unnoticed.
+    """
+    arrays = [np.asarray(x) for x in (Q, K, V)]
+    for name, arr in zip("QKV", arrays):
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold integer or real floating numbers, got dtype {arr.dtype}")
+    arrays = [arr.astype(np.float64, copy=False) for arr in arrays]
     t, d = layout.total_len, config.rope.d_head
     q_shape = arrays[0].shape
     if len(q_shape) != 3 or not 1 <= q_shape[1] <= t or q_shape[2] != d:
@@ -258,23 +283,29 @@ def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> 
     return arrays
 
 
-def _rotate_qk(qk: np.ndarray, positions: np.ndarray, offset: int, freqs: FrequencyTable) -> np.ndarray:
+def _rotate_qk(qk: np.ndarray, table: RotationTable, offset: int) -> np.ndarray:
     """Rotate an (N, R + T, D) stack of R query rows then T key rows per head as one matrix.
 
-    Query row i turns by positions[offset + i], key row j by positions[j].
+    Query row i turns by table row offset + i, key row j by table row j.
     """
     n, rows, d = qk.shape
-    pos = np.tile(np.concatenate((positions[offset:], positions)), n)
-    return rotate_rows(qk.reshape(n * rows, d), pos, freqs).reshape(qk.shape)
+    r = rows - len(table.cos)
+    stacked = []
+    for part in (table.cos, table.sin):  # filled by broadcast: faster than a gather
+        out = np.empty((n, rows, d // 2))
+        out[:, :r] = part[offset:]
+        out[:, r:] = part
+        stacked.append(out.reshape(n * rows, d // 2))
+    return rotate_rows(qk.reshape(n * rows, d), RotationTable(*stacked)).reshape(qk.shape)
 
 
-def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple[int, int, int]]:
-    """The plan's (lo, hi, end) tiles clipped to query rows >= offset.
+def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple[int, int, int, int]]:
+    """The plan's (lo, hi, free, end) tiles clipped to query rows >= offset.
 
-    A clipped tile keeps its `end`: a maximum over a superset of its rows,
-    so every column past it is still masked for every remaining row.
+    A clipped tile keeps its `free` and `end`: a minimum and a maximum over a
+    superset of its rows, so they still hold for every remaining row.
     """
-    return [(max(lo, offset), hi, end) for lo, hi, end in plan.tiles if hi > offset]
+    return [(max(lo, offset), hi, free, end) for lo, hi, free, end in plan.tiles if hi > offset]
 
 
 def attention_forward(
@@ -304,18 +335,18 @@ def attention_forward(
     qk = np.concatenate((Q, K), axis=1)  # each head's R query rows, then its T key rows
     if plan.ape is not None:
         qk += np.concatenate((plan.ape[offset:], plan.ape))
-    qk = _rotate_qk(qk, plan.positions, offset, plan.freqs)
+    qk = _rotate_qk(qk, plan.rotation, offset)
     q_rot, k_rot = qk[:, :r], qk[:, r:]
 
     weights = np.zeros((n, r, layout.total_len))
     output = np.empty(Q.shape)
-    for lo, hi, end in _query_tiles(plan, offset):
+    for lo, hi, free, end in _query_tiles(plan, offset):
         rows = slice(lo - offset, hi - offset)
         scores = q_rot[:, rows] @ k_rot[:, :end].transpose(0, 2, 1)
         scores *= config.scale
         if plan.bias is not None:
             scores += plan.bias[lo:hi, :end]
-        w = masked_row_softmax(scores, plan.mask.values[lo:hi, :end])
+        w = masked_row_softmax(scores, plan.mask.values[lo:hi, free:end])
         weights[:, rows, :end] = w
         np.matmul(w, V[:, :end], out=output[:, rows])
     return AttentionResult(output=output, weights=weights, plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
@@ -338,7 +369,7 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     grad_qk = np.zeros((n, r + plan.layout.total_len, g.shape[2]))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)
-    for lo, hi, end in _query_tiles(plan, offset):
+    for lo, hi, _, end in _query_tiles(plan, offset):
         rows = slice(lo - offset, hi - offset)
         w = state.weights[:, rows, :end]
         g_tile = g[:, rows]
@@ -347,7 +378,7 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
         grad_kr[:, :end] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, rows]
         grad_v[:, :end] += w.transpose(0, 2, 1) @ g_tile
     grad_qk *= plan.config.scale
-    grad_qk = _rotate_qk(grad_qk, -plan.positions, offset, plan.freqs)
+    grad_qk = _rotate_qk(grad_qk, plan.rotation.inverse(), offset)
     return AttentionGrads(grad_q=grad_qk[:, :r], grad_k=grad_qk[:, r:], grad_v=grad_v)
 
 

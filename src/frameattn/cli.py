@@ -168,12 +168,16 @@ def cmd_heatmap(args) -> int:
     layout, config, shape = _attention_setup(_load_json_arg(args.config))
     if args.qkv:
         try:
-            with np.load(args.qkv) as data:
-                q, k, v = data["Q"], data["K"], data["V"]
+            data = np.load(args.qkv)
         except OSError as exc:
             raise ValueError(f"cannot read tensors from {args.qkv!r}: {exc}") from exc
-        except KeyError as exc:
-            raise ValueError(f"{args.qkv!r} must contain arrays Q, K, V") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{args.qkv!r} is not an .npz archive of arrays Q, K, V")
+        with data:
+            try:
+                q, k, v = data["Q"], data["K"], data["V"]
+            except KeyError as exc:
+                raise ValueError(f"{args.qkv!r} must contain arrays Q, K, V") from exc
         for name, arr in zip("QKV", (q, k, v)):
             if arr.shape != shape:
                 raise ValueError(f"{name} in {args.qkv!r} has shape {arr.shape}, the config gives {shape}")

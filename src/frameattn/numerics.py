@@ -3,6 +3,9 @@
 Score matrices are float64 arrays whose last two axes are (R, C): R query
 rows by C key columns, square (T, T) or one tile of query rows over a
 leading block of key columns. Any leading axes stack independent matrices.
+An additive attention mask may cover only the trailing C' <= C columns of
+its scores: the columns before it count as allowed, so a caller that knows
+a leading block is open for every row passes a narrower view of its mask.
 The only non-finite value ever allowed is -inf, and only inside additive
 attention masks. Everything here is a pure function, so
 concurrent callers are safe.
@@ -38,27 +41,30 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax over entries whose mask value is 0.
 
     `scores` is (..., R, C) and must be finite; every (R, C) slice shares the
-    one (R, C) `mask`, whose entries must be exactly 0 or -inf. Masked
-    entries come out exactly 0; each row with at least one allowed entry
-    sums to 1. A fully masked row returns all zeros instead of NaN so
-    degenerate layouts stay harmless. Stabilised by subtracting the per-row
-    max of the allowed entries.
+    one (R, C') `mask`, C' <= C, whose entries must be exactly 0 or -inf. The
+    mask covers the last C' columns and the first C - C' are allowed; a
+    full-width mask covers every column. Masked entries come out exactly 0;
+    each row with at least one allowed entry sums to 1. A fully masked row
+    returns all zeros instead of NaN so degenerate layouts stay harmless.
+    Stabilised by subtracting the per-row max of the allowed entries.
     """
     scores = np.asarray(scores)
     mask = np.asarray(mask)
-    if mask.ndim != 2 or scores.ndim < 2 or scores.shape[-2:] != mask.shape:
+    if mask.ndim != 2 or scores.ndim < 2 or scores.shape[-2] != mask.shape[0] or mask.shape[1] > scores.shape[-1]:
         raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NonFiniteError("scores contain NaN or inf")
-    if not np.all((mask == 0.0) | np.isneginf(mask)):
+    if not ((mask == 0.0) | (mask == -np.inf)).all():
         raise ValueError("mask entries must be exactly 0 or -inf")
 
-    out = scores + mask  # the one scratch buffer; masked entries are -inf
-    if not np.issubdtype(out.dtype, np.floating):
-        out = out.astype(np.float64)
+    dtype = np.result_type(scores, mask)
+    # The one scratch buffer, a copy of the scores; the mask makes its
+    # trailing masked entries -inf.
+    out = scores.astype(dtype if np.issubdtype(dtype, np.floating) else np.float64)
+    out[..., out.shape[-1] - mask.shape[1] :] += mask
     row_max = np.max(out, axis=-1, keepdims=True, initial=-np.inf)
     # Fully masked rows have row_max == -inf; shift by 0 there to avoid inf-inf.
-    row_max[np.isneginf(row_max)] = 0.0
+    row_max[row_max == -np.inf] = 0.0
     out -= row_max
     np.exp(out, out=out)  # exp(-inf) is exactly 0
     denom = out.sum(axis=-1, keepdims=True)

@@ -3,8 +3,14 @@
 Channel pairing is interleaved: dimensions (2t, 2t+1) form one rotation
 plane driven by theta_t = base ** (-t / (d_head / 2)). Positions are real
 throughout because adjusted positions are fractional whenever gamma is not
-an integer. `rotary_oracle` recomputes the same map through explicit complex
-multiplication and exists purely as an independent check on `rotate_rows`.
+an integer. `rotation_table` turns positions into the cos/sin of every
+(row, pair) angle once; `rotate_rows` then only multiplies and adds, so a
+caller that rotates many matrices at one set of positions (an AttentionPlan)
+pays for the trigonometry once. `RotationTable.inverse` undoes a table
+without new trigonometry: (cos, -sin) is bitwise the table at the negated
+positions, because numpy's cos is even and its sin odd. `rotary_oracle`
+recomputes the same map through explicit complex multiplication and exists
+purely as an independent check on `rotate_rows`.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ __all__ = [
     "RopeConfig",
     "FrequencyTable",
     "frequencies",
+    "RotationTable",
+    "rotation_table",
     "rotate_rows",
     "rotary_oracle",
     "pair_score",
@@ -67,18 +75,45 @@ def frequencies(config: RopeConfig) -> FrequencyTable:
     return FrequencyTable(thetas=config.base ** (-t / half))
 
 
-def rotate_rows(mat: np.ndarray, positions: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
-    """Rotate each (2t, 2t+1) pair of row r of a (T, d_head) matrix by angle positions[r] * thetas[t]."""
-    m = np.asarray(mat)
+@dataclass(frozen=True, eq=False)
+class RotationTable:
+    """cos and sin of positions[r] * thetas[t], each (rows, d_head / 2): row r turns matrix row r."""
+
+    cos: np.ndarray = field(repr=False)
+    sin: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.cos.ndim != 2 or self.cos.shape != self.sin.shape:
+            raise ValueError(f"cos {self.cos.shape} and sin {self.sin.shape} must be one (rows, pairs) shape")
+
+    @property
+    def d_head(self) -> int:
+        return 2 * self.cos.shape[1]
+
+    def inverse(self) -> RotationTable:
+        """The table that turns each row back: (cos, -sin)."""
+        return RotationTable(self.cos, -self.sin)
+
+
+def rotation_table(positions: np.ndarray, freqs: FrequencyTable) -> RotationTable:
+    """The RotationTable of 1-D finite `positions` under `freqs`."""
     pos = np.asarray(positions, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != freqs.d_head:
-        raise ValueError(f"(T, {freqs.d_head}) matrix expected, got shape {m.shape}")
-    if pos.shape != (m.shape[0],):
-        raise ValueError(f"positions shape {pos.shape} does not match {m.shape[0]} rows")
+    if pos.ndim != 1:
+        raise ValueError(f"positions must be 1-D, got shape {pos.shape}")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
     phi = pos[:, None] * freqs.thetas[None, :]
-    c, s = np.cos(phi), np.sin(phi)
+    return RotationTable(cos=np.cos(phi), sin=np.sin(phi))
+
+
+def rotate_rows(mat: np.ndarray, table: RotationTable) -> np.ndarray:
+    """Rotate each (2t, 2t+1) pair of row r of a (rows, d_head) matrix by table row r."""
+    m = np.asarray(mat)
+    if m.ndim != 2 or m.shape[1] != table.d_head:
+        raise ValueError(f"(rows, {table.d_head}) matrix expected, got shape {m.shape}")
+    if table.cos.shape[0] != m.shape[0]:
+        raise ValueError(f"rotation table has {table.cos.shape[0]} rows, the matrix {m.shape[0]}")
+    c, s = table.cos, table.sin
     x, y = m[:, 0::2], m[:, 1::2]
     out = np.empty_like(m, dtype=np.result_type(m.dtype, np.float64))
     out[:, 0::2] = x * c - y * s

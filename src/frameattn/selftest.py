@@ -26,7 +26,7 @@ from .harness import TrialConfig, train_trial
 from .layout import SequenceLayout, build_layout, temporal_ids
 from .masks import MaskKind, allowed, build_mask
 from .numerics import make_rng, masked_row_softmax
-from .rope import RopeConfig, frequencies, pair_score, rotary_oracle, rotate_rows
+from .rope import RopeConfig, frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
 from .tasks import Task, gen_task
 
 __all__ = ["random_layout", "run_selftest", "temporal_id_literal"]
@@ -81,11 +81,16 @@ def _check_rope_oracle():
         freqs = frequencies(RopeConfig(d_head=d_head))
         mat = rng.standard_normal((60, d_head))
         positions = rng.uniform(-500, 500, 60)
-        fast = rotate_rows(mat, positions, freqs)
+        table = rotation_table(positions, freqs)
+        fast = rotate_rows(mat, table)
         for v, pos, row in zip(mat, positions, fast):
             ref = rotary_oracle(v, pos, freqs)
             assert np.max(np.abs(row - ref)) < 1e-12, "rotary oracle disagreement"
             assert abs(np.linalg.norm(row) - np.linalg.norm(v)) < 1e-12, "norm not preserved"
+        back = rotate_rows(fast, table.inverse())
+        negated = rotate_rows(fast, rotation_table(-positions, freqs))
+        assert np.array_equal(back, negated), "inverse table differs from the table at negated positions"
+        assert np.max(np.abs(back - mat)) < 1e-12, "inverse table does not undo the rotation"
 
 
 def _check_rope_shift():

@@ -24,7 +24,7 @@ from frameattn.harness import TrialConfig, gamma_sweep, train_trial
 from frameattn.layout import build_layout, temporal_ids
 from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.numerics import make_rng
-from frameattn.rope import RopeConfig, frequencies, pair_score, rotary_oracle, rotate_rows
+from frameattn.rope import RopeConfig, frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
 from frameattn.selftest import random_layout, temporal_id_literal
 from frameattn.tasks import Task
 
@@ -56,7 +56,7 @@ def test_criterion_02_rope_oracle_equivalence():
         freqs = frequencies(RopeConfig(d_head=d_head))
         mat = rng.standard_normal((250, d_head))
         positions = rng.uniform(-1000, 1000, 250)
-        fast = rotate_rows(mat, positions, freqs)
+        fast = rotate_rows(mat, rotation_table(positions, freqs))
         for vec, pos, row in zip(mat, positions, fast):
             err = np.abs(row - rotary_oracle(vec, pos, freqs)).max()
             worst = max(worst, float(err))

@@ -14,8 +14,8 @@ from frameattn.attention import (
 from frameattn.gradcheck import attention_fd_error, relative_error
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
-from frameattn.numerics import NonFiniteError, make_rng
-from frameattn.rope import RopeConfig
+from frameattn.numerics import NonFiniteError, make_rng, masked_row_softmax
+from frameattn.rope import RopeConfig, rotate_rows, rotation_table
 from frameattn.selftest import random_layout
 
 
@@ -332,6 +332,23 @@ def test_forward_shape_validation():
         attention_forward(good, bad, good, lay, cfg)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.bool_, np.str_, object])
+def test_forward_rejects_tensors_that_are_not_real_numbers(dtype):
+    # Complex would drop its imaginary part and bool or text would become
+    # numbers; each is refused by dtype, before any conversion.
+    lay = build_layout(2, 0, 0, 0)
+    good = np.ones((2, 2, 4))
+    for i, name in enumerate("QKV"):
+        tensors = [good, good, good]
+        tensors[i] = good.astype(dtype)
+        with pytest.raises(ValueError, match=f"{name} must hold integer or real floating numbers"):
+            attention_forward(*tensors, lay, config())
+        with pytest.raises(ValueError, match=f"{name} must hold"):
+            attention_brute_oracle(*tensors, lay, config())
+    ints = attention_forward(good.astype(np.int32), good, good, lay, config())
+    assert np.array_equal(ints.output, attention_forward(good, good, good, lay, config()).output)
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [
@@ -360,7 +377,8 @@ def test_plan_arrays_are_read_only():
     bias = np.linspace(-0.2, 0.2, 5)
     positions = np.arange(7, dtype=np.float64)
     plan = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_RPE), bias, positions)
-    for arr in (plan.positions, plan.temporal, plan.freqs.thetas, plan.mask.values, plan.bias):
+    for arr in (plan.positions, plan.temporal, plan.freqs.thetas, plan.rotation.cos, plan.rotation.sin,
+                plan.mask.values, plan.bias):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     # The caller's arrays are copied, not frozen.
@@ -427,7 +445,7 @@ def test_tile_size_does_not_change_results(monkeypatch, mask):
         tiled, small = forward_backward(TILE_INVARIANCE, cfg, bias, 20)
         assert len(one.plan.tiles) == 1 and len(tiled.plan.tiles) == 23
         # Some tile must skip key columns, or the comparison proves nothing.
-        assert any(end < TILE_INVARIANCE.total_len for _, _, end in tiled.plan.tiles)
+        assert any(end < TILE_INVARIANCE.total_len for _, _, _, end in tiled.plan.tiles)
         # Tiles change the length of each sum, so entries round apart by an ulp of
         # the array's scale; relative to that scale (not entry by entry, where a
         # cancelling 1e-4 entry reads 2e-12) the results must agree.
@@ -448,3 +466,50 @@ def test_gradients_match_finite_differences_last_rows(mask):
     for pe in (list(PeMode)[i], list(PeMode)[(i + 2) % len(PeMode)]):
         assert attention_fd_error(pe, mask, seed=30 + i, query_rows=2) < 1e-4
     assert attention_fd_error(PeMode.DUAL_ROPE, mask, seed=34 + i, layout=TILED, num_heads=1, query_rows=9) < 1e-4
+
+
+@pytest.mark.parametrize("pe", list(PeMode))
+def test_inverse_table_is_the_table_at_negated_positions(pe):
+    # The backward pass turns rows back with the plan's table inverted,
+    # (cos, -sin); that must be bitwise the rotation at -positions.
+    rng = make_rng(40)
+    for lay in (TILED, TILE_INVARIANCE, random_layout(rng, 120, 10, 8, 12, 10)):
+        for gamma in (0.0, 0.7, 1.0, 3.5):
+            plan = plan_attention(lay, config(d_head=16, gamma=gamma, pe=pe))
+            negated = rotation_table(-plan.positions, plan.freqs)
+            inverse = plan.rotation.inverse()
+            assert np.array_equal(inverse.cos, negated.cos) and np.array_equal(inverse.sin, negated.sin)
+            mat = rng.standard_normal((lay.total_len, 16))
+            assert np.array_equal(rotate_rows(mat, inverse), rotate_rows(mat, negated))
+            assert np.abs(rotate_rows(rotate_rows(mat, plan.rotation), inverse) - mat).max() < 1e-12
+
+
+def tile_mask_cases():
+    rng = make_rng(41)
+    layouts = [TILED, TILE_INVARIANCE] + [random_layout(rng, 150, 12, 8, 14, 12) for _ in range(8)]
+    for lay in layouts:
+        for mask in MaskKind:
+            yield lay, config(mask=mask)
+        yield lay, config(mask=MaskKind.FW_BLOCK_CAUSAL, fw_block_causal_within_frame=True)
+
+
+@pytest.mark.parametrize("tile_rows", [64, 5])
+def test_tile_free_columns_are_open_and_the_trailing_mask_is_exact(monkeypatch, tile_rows):
+    monkeypatch.setattr("frameattn.attention._TILE_ROWS", tile_rows)
+    rng = make_rng(42)
+    narrowed = 0
+    for lay, cfg in tile_mask_cases():
+        plan = plan_attention(lay, cfg)
+        values = plan.mask.values
+        assert plan.tiles[-1][1] == lay.total_len
+        for lo, hi, free, end in plan.tiles:
+            assert 0 <= free <= end <= lay.total_len
+            assert np.all(values[lo:hi, :free] == 0.0)
+            assert np.all(np.isneginf(values[lo:hi, end:]))
+            trailing = values[lo:hi, free:end]
+            assert trailing.base is not None  # a view of the plan's mask, not a copy
+            scores = rng.standard_normal((3, hi - lo, end))
+            full = masked_row_softmax(scores, values[lo:hi, :end])
+            assert np.array_equal(masked_row_softmax(scores, trailing), full)
+            narrowed += free > 0
+    assert narrowed  # some tile must hand the softmax a narrower mask

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,29 @@ def test_heatmap_from_npz_tensors(tmp_path, capsys):
     assert code == 2
     assert "K" in err and "(2, 6, 6)" in err
     assert not (tmp_path / "bad").exists()
+
+
+def test_heatmap_rejects_a_file_that_is_not_an_npz_archive(tmp_path, capsys):
+    # np.load returns a bare array for .npy, which has no Q, K, V to read.
+    path = tmp_path / "q.npy"
+    np.save(path, np.zeros((2, 6, 4)))
+    code, _, err = run(capsys, "heatmap", "--config", HEATMAP_CONFIG, "--out", str(tmp_path / "hm"), "--qkv", str(path))
+    assert code == 2
+    assert "not an .npz archive" in err
+    assert not (tmp_path / "hm").exists()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.bool_, np.str_])
+def test_heatmap_rejects_tensors_that_are_not_real_numbers(tmp_path, capsys, dtype):
+    path = tmp_path / "qkv.npz"
+    good = np.ones((2, 6, 4))
+    np.savez(path, Q=good, K=good.astype(dtype), V=good)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
+        code, _, err = run(capsys, "heatmap", "--config", HEATMAP_CONFIG, "--out", str(tmp_path / "hm"), "--qkv", str(path))
+    assert code == 2
+    assert "K must hold integer or real floating numbers" in err
+    assert not (tmp_path / "hm").exists()
 
 
 def test_heatmap_pixels_match_direct_quantisation():

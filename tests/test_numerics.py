@@ -129,3 +129,25 @@ def test_softmax_backward_matches_finite_differences(seed):
             f_down = float(np.sum(masked_row_softmax(down, mask) * g))
             numeric[i, j] = (f_up - f_down) / (2 * h)
     assert np.abs(analytic - numeric).max() < 1e-6
+
+
+def test_softmax_trailing_mask_counts_the_leading_columns_as_allowed():
+    rng = make_rng(12)
+    scores = rng.standard_normal((2, 4, 7))
+    mask = np.where(rng.random((4, 3)) < 0.5, -np.inf, 0.0)
+    full = np.concatenate((np.zeros((4, 4)), mask), axis=1)
+    assert np.array_equal(masked_row_softmax(scores, mask), masked_row_softmax(scores, full))
+    # A zero-width mask leaves every column allowed.
+    assert np.array_equal(masked_row_softmax(scores, np.zeros((4, 0))), masked_row_softmax(scores, np.zeros((4, 7))))
+    assert np.array_equal(scores, make_rng(12).standard_normal((2, 4, 7)))  # the input is not written
+
+
+def test_softmax_rejects_bad_trailing_masks():
+    scores = np.zeros((2, 3, 4))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        masked_row_softmax(scores, np.zeros((3, 5)))  # wider than the scores
+    with pytest.raises(ValueError, match="shape mismatch"):
+        masked_row_softmax(scores, np.zeros((2, 2)))  # wrong row count
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="exactly 0 or -inf"):
+            masked_row_softmax(scores, np.array([[0.0, bad]] * 3))

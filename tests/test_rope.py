@@ -12,6 +12,7 @@ from frameattn.rope import (
     pair_score,
     rotary_oracle,
     rotate_rows,
+    rotation_table,
 )
 
 
@@ -44,13 +45,13 @@ def test_base_must_exceed_one():
 def test_rotation_at_zero_is_identity():
     freqs = frequencies(RopeConfig(d_head=8))
     mat = make_rng(1).standard_normal((3, 8))
-    assert np.array_equal(rotate_rows(mat, np.zeros(3), freqs), mat)
+    assert np.array_equal(rotate_rows(mat, rotation_table(np.zeros(3), freqs)), mat)
     assert np.array_equal(rotary_oracle(mat[0], 0.0, freqs), mat[0])
 
 
 def test_single_pair_rotation():
     freqs = frequencies(RopeConfig(d_head=2))
-    out = rotate_rows(np.array([[1.0, 0.0]]), np.array([1.0]), freqs)
+    out = rotate_rows(np.array([[1.0, 0.0]]), rotation_table(np.array([1.0]), freqs))
     assert np.abs(out - np.array([[math.cos(1.0), math.sin(1.0)]])).max() < 1e-15
 
 
@@ -63,7 +64,7 @@ def test_oracle_quarter_turn():
 def test_length_mismatch_rejected():
     freqs = frequencies(RopeConfig(d_head=4))
     with pytest.raises(ValueError):
-        rotate_rows(np.zeros((1, 6)), np.ones(1), freqs)
+        rotate_rows(np.zeros((1, 6)), rotation_table(np.ones(1), freqs))
     with pytest.raises(ValueError):
         rotary_oracle(np.zeros(2), 1.0, freqs)
     with pytest.raises(ValueError):
@@ -73,7 +74,7 @@ def test_length_mismatch_rejected():
 def test_non_finite_position_rejected():
     freqs = frequencies(RopeConfig(d_head=2))
     with pytest.raises(ValueError, match="finite"):
-        rotate_rows(np.zeros((2, 2)), np.array([0.0, float("nan")]), freqs)
+        rotate_rows(np.zeros((2, 2)), rotation_table(np.array([0.0, float("nan")]), freqs))
     with pytest.raises(ValueError, match="finite"):
         rotary_oracle(np.zeros(2), float("nan"), freqs)
 
@@ -83,7 +84,7 @@ def test_non_finite_position_rejected():
 def test_oracle_equivalence(seed, d_head, position):
     freqs = frequencies(RopeConfig(d_head=d_head))
     v = make_rng(seed).standard_normal(d_head)
-    fast = rotate_rows(v[None, :], np.array([position]), freqs)[0]
+    fast = rotate_rows(v[None, :], rotation_table(np.array([position]), freqs))[0]
     ref = rotary_oracle(v, position, freqs)
     assert np.abs(fast - ref).max() < 1e-12
 
@@ -93,7 +94,7 @@ def test_oracle_equivalence_float32():
     freqs = frequencies(RopeConfig(d_head=16))
     mat = rng.standard_normal((50, 16)).astype(np.float32)
     positions = rng.uniform(-100, 100, 50)
-    fast = rotate_rows(mat, positions, freqs)
+    fast = rotate_rows(mat, rotation_table(positions, freqs))
     assert fast.dtype == np.float32
     for v, pos, row in zip(mat, positions, fast):
         ref = rotary_oracle(v, pos, freqs)
@@ -105,7 +106,7 @@ def test_oracle_equivalence_float32():
 def test_norm_preservation(seed, position):
     freqs = frequencies(RopeConfig(d_head=8))
     mat = make_rng(seed).standard_normal((2, 8))
-    out = rotate_rows(mat, np.array([position, -position]), freqs)
+    out = rotate_rows(mat, rotation_table(np.array([position, -position]), freqs))
     assert np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(mat, axis=1)).max() < 1e-12
 
 
@@ -114,8 +115,8 @@ def test_norm_preservation(seed, position):
 def test_rotation_composition(seed, a, b):
     freqs = frequencies(RopeConfig(d_head=8))
     mat = make_rng(seed).standard_normal((2, 8))
-    twice = rotate_rows(rotate_rows(mat, np.array([a, b]), freqs), np.array([b, a]), freqs)
-    once = rotate_rows(mat, np.full(2, a + b), freqs)
+    twice = rotate_rows(rotate_rows(mat, rotation_table(np.array([a, b]), freqs)), rotation_table(np.array([b, a]), freqs))
+    once = rotate_rows(mat, rotation_table(np.full(2, a + b), freqs))
     assert np.abs(twice - once).max() < 1e-12
 
 
@@ -150,16 +151,34 @@ def test_rotate_rows_matches_rotary_oracle():
         mat = rng.standard_normal((7, d_head))
         positions = rng.uniform(-1000, 1000, 7)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
-            rows = rotate_rows(mat.astype(dtype), positions, freqs)
+            rows = rotate_rows(mat.astype(dtype), rotation_table(positions, freqs))
             assert rows.dtype == dtype
             for vec, pos, row in zip(mat.astype(dtype), positions, rows):
                 ref = rotary_oracle(vec, pos, freqs).astype(np.float64)
                 assert np.abs(row.astype(np.float64) - ref).max() < tol
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rotation_table_rejects_non_finite_positions(bad):
+    freqs = frequencies(RopeConfig(d_head=4))
+    with pytest.raises(ValueError, match="finite"):
+        rotation_table(np.array([0.0, bad, 1.0]), freqs)
+    with pytest.raises(ValueError, match="1-D"):
+        rotation_table(np.zeros((2, 2)), freqs)
+
+
+def test_rotation_table_holds_cos_and_sin_of_each_angle():
+    freqs = frequencies(RopeConfig(d_head=4))
+    table = rotation_table(np.array([0.0, 2.5]), freqs)
+    assert table.cos.shape == table.sin.shape == (2, 2) and table.d_head == 4
+    assert np.array_equal(table.cos[1], np.cos(2.5 * freqs.thetas))
+    assert np.array_equal(table.sin[1], np.sin(2.5 * freqs.thetas))
+    assert np.array_equal(table.inverse().sin, -table.sin)
+
+
 def test_rotate_rows_validates_shapes():
     freqs = frequencies(RopeConfig(d_head=4))
     with pytest.raises(ValueError):
-        rotate_rows(np.zeros((3, 6)), np.zeros(3), freqs)
+        rotate_rows(np.zeros((3, 6)), rotation_table(np.zeros(3), freqs))
     with pytest.raises(ValueError):
-        rotate_rows(np.zeros((3, 4)), np.zeros(4), freqs)
+        rotate_rows(np.zeros((3, 4)), rotation_table(np.zeros(4), freqs))
