@@ -71,7 +71,7 @@ import numpy as np
 
 from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_flag, check_float
 from .masks import AttentionMask, MaskKind, allowed, build_mask
-from .numerics import NonFiniteError, masked_row_softmax, softmax_backward
+from .numerics import NonFiniteError, check_real_dtype, masked_row_softmax, softmax_backward
 from .rope import FrequencyTable, RopeConfig, RotationTable, frequencies, pair_score, rotate_rows, rotation_table
 
 __all__ = [
@@ -262,13 +262,10 @@ def _finite_table(name: str, values) -> np.ndarray:
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
     """Q, K, V as float64 stacks: K and V (heads, T, d_head), Q the last 1..T of those rows.
 
-    Only integer and real floating dtypes convert: complex would lose its
-    imaginary part and bool or text would turn into numbers unnoticed.
+    Only integer and real floating dtypes convert (numerics.check_real_dtype).
     """
     arrays = [np.asarray(x) for x in (Q, K, V)]
-    for name, arr in zip("QKV", arrays):
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"{name} must hold integer or real floating numbers, got dtype {arr.dtype}")
+    check_real_dtype(Q=arrays[0], K=arrays[1], V=arrays[2])
     arrays = [arr.astype(np.float64, copy=False) for arr in arrays]
     t, d = layout.total_len, config.rope.d_head
     q_shape = arrays[0].shape

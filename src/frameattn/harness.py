@@ -188,13 +188,16 @@ def train_trial(config: TrialConfig) -> TrialReport:
     and passes it to every training step and to the eval, so nothing that
     depends only on the layout and config is rebuilt per step.
 
-    A non-finite loss, or a kernel's NonFiniteError, stops the parameter
-    updates; the remaining curve is filled with NaN and the report comes back
-    with converged=False rather than raising. The whole eval set is predicted
-    in one call; if that call raises NonFiniteError, FloatingPointError or
-    OverflowError, every eval sample scores as wrong (accuracy 0.0) and the
-    loss curve is kept as trained. Any other error propagates, so a
-    programming error is never reported as divergence.
+    Each step is momentum SGD on the flat parameter vector: v = momentum * v
+    + grad, then model.flat -= lr * v. One check before each update sees a
+    non-finite loss, a kernel's NonFiniteError or a NaN or inf anywhere in
+    the flat gradient; any of them stops the updates, the remaining curve is
+    filled with NaN and the report comes back with converged=False rather
+    than raising. The whole eval set is predicted in one call; if that call
+    raises NonFiniteError, FloatingPointError or OverflowError, every eval
+    sample scores as wrong (accuracy 0.0) and the loss curve is kept as
+    trained. Any other error propagates, so a programming error is never
+    reported as divergence.
     """
     start = time.perf_counter()
     train = gen_task(config.task, config.layout, config.seed, config.train_size, config.num_symbols)
@@ -205,26 +208,24 @@ def train_trial(config: TrialConfig) -> TrialReport:
     plan = plan_attention(config.layout, config.attention_config(), _make_rpe_bias(config))
     batch_rng = make_rng(config.seed, 3)
 
-    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    velocity = np.zeros_like(model.flat)
     curve: list[float] = []
     diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.steps):
             idx = batch_rng.integers(0, len(train), size=config.batch_size)
             try:
-                loss, grads = model.loss_and_grads(train.tokens[idx], train.labels[idx], plan)
+                loss, grad = model.loss_and_grads(train.tokens[idx], train.labels[idx], plan)
             except (NonFiniteError, FloatingPointError, OverflowError):
                 # Parameters blew up badly enough that a kernel rejected them.
-                loss, grads = float("nan"), None
+                loss, grad = float("nan"), None
             curve.append(float(loss))
-            if grads is None or not math.isfinite(loss) or any(
-                not np.all(np.isfinite(g)) for g in grads.values()
-            ):
+            if grad is None or not math.isfinite(loss) or not np.isfinite(grad).all():
                 diverged = True
                 break
-            for k, g in grads.items():
-                velocity[k] = config.momentum * velocity[k] + g
-                model.params[k] -= config.lr * velocity[k]
+            velocity *= config.momentum
+            velocity += grad
+            model.flat -= config.lr * velocity
         try:
             predictions = model.predict(eval_set.tokens, plan)
         except (NonFiniteError, FloatingPointError, OverflowError):

@@ -25,7 +25,11 @@ computation.
 Parameter matrices of shape (fan_in, fan_out) initialise uniform in
 +-1/sqrt(fan_in); the embedding table uses fan_in = embed_dim. All
 initialisation draws come from one seeded stream in a fixed parameter
-order, so a seed pins the model bit-for-bit.
+order, so a seed pins the model bit-for-bit. Every parameter is a named
+view (model.params) into one contiguous float64 vector, model.flat, in that
+order: embed, per layer w_q, w_k, w_v, w_o, w_ff1, w_ff2, then w_out.
+loss_and_grads returns its gradient as one vector in the same layout, and
+model.views(grad) names its blocks, so an SGD step is one array operation.
 """
 
 from __future__ import annotations
@@ -82,15 +86,26 @@ def _add_weight_grad(grad: np.ndarray, inputs: np.ndarray, grad_out: np.ndarray)
 class TinyModel:
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
-        rng = make_rng(seed, 0)
-        d = config.embed_dim
-        self.params: dict[str, np.ndarray] = {"embed": _init(rng, d, (config.vocab_size, d))}
+        d, h = config.embed_dim, config.ff_hidden
+        # (name, fan_in, shape) of every parameter, in init and storage order.
+        self._specs = [("embed", d, (config.vocab_size, d))]
         for layer in range(config.layers):
-            for name in ("w_q", "w_k", "w_v", "w_o"):
-                self.params[f"layer{layer}.{name}"] = _init(rng, d, (d, d))
-            self.params[f"layer{layer}.w_ff1"] = _init(rng, d, (d, config.ff_hidden))
-            self.params[f"layer{layer}.w_ff2"] = _init(rng, config.ff_hidden, (config.ff_hidden, d))
-        self.params["w_out"] = _init(rng, d, (d, config.num_classes))
+            self._specs += [(f"layer{layer}.{name}", d, (d, d)) for name in ("w_q", "w_k", "w_v", "w_o")]
+            self._specs += [(f"layer{layer}.w_ff1", d, (d, h)), (f"layer{layer}.w_ff2", h, (h, d))]
+        self._specs.append(("w_out", d, (d, config.num_classes)))
+        rng = make_rng(seed, 0)
+        self.flat = np.concatenate([_init(rng, fan_in, shape).ravel() for _, fan_in, shape in self._specs])
+        self.params = self.views(self.flat)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named, parameter-shaped views into a vector laid out like model.flat."""
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"expected a flat vector of shape {self.flat.shape}, got {flat.shape}")
+        out, lo = {}, 0
+        for name, _, shape in self._specs:
+            out[name] = flat[lo : lo + math.prod(shape)].reshape(shape)
+            lo += out[name].size
+        return out
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         """(B, T, embed_dim) -> (B * heads, T, d_head), sequence-major."""
@@ -137,17 +152,17 @@ class TinyModel:
         return np.argmax(np.concatenate(logits), axis=-1)
 
     def loss_and_grads(self, tokens_batch, labels, plan):
-        """Mean cross-entropy over the batch under `plan`, plus gradients for every parameter."""
+        """Mean cross-entropy over the batch under `plan`, and its flat gradient laid out like model.flat."""
         tokens_batch, labels = np.asarray(tokens_batch), np.asarray(labels)
         chunks = self._chunks(tokens_batch)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        flat_grad = np.zeros_like(self.flat)
+        grads = self.views(flat_grad)
         total_loss = sum(self._chunk_loss(tokens_batch[c], labels[c], plan, grads) for c in chunks)
-        for g in grads.values():
-            g /= len(tokens_batch)
-        return total_loss / len(tokens_batch), grads
+        flat_grad /= len(tokens_batch)
+        return total_loss / len(tokens_batch), flat_grad
 
     def _chunk_loss(self, tokens, labels, plan, grads) -> float:
-        """Summed cross-entropy of one chunk; adds its unaveraged gradients into `grads`."""
+        """Summed cross-entropy of one chunk; adds its unaveraged gradients into the named views `grads`."""
         p = self.params
         logits, x_final, caches = self._forward(tokens, plan)
         rows = np.arange(len(labels))

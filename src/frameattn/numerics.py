@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .layout import check_int
+
 __all__ = [
     "make_rng",
     "NonFiniteError",
@@ -28,8 +30,11 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 
     PCG64 produces the same stream on every platform for a given key, so
     golden files and trial reports are reproducible anywhere. Extra stream
-    ids carve independent substreams out of one experiment seed.
+    ids carve independent substreams out of one experiment seed. Seed and
+    stream ids must be ints >= 0: 1.5 or "3" is refused, not truncated.
     """
+    for i, value in enumerate((seed, *stream)):
+        check_int("stream id" if i else "seed", value)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
 
 
@@ -37,10 +42,17 @@ class NonFiniteError(ValueError):
     """A NaN or infinity where only finite values are allowed: the mark of a diverged run."""
 
 
+def check_real_dtype(**arrays: np.ndarray) -> None:
+    """Refuse complex (it would lose its imaginary part), bool and text: only int and real float pass."""
+    for name, arr in arrays.items():
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold integer or real floating numbers, got dtype {arr.dtype}")
+
+
 def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax over entries whose mask value is 0.
 
-    `scores` is (..., R, C) and must be finite; every (R, C) slice shares the
+    `scores` is (..., R, C), real and finite; every (R, C) slice shares the
     one (R, C') `mask`, C' <= C, whose entries must be exactly 0 or -inf. The
     mask covers the last C' columns and the first C - C' are allowed; a
     full-width mask covers every column. Masked entries come out exactly 0;
@@ -50,6 +62,7 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """
     scores = np.asarray(scores)
     mask = np.asarray(mask)
+    check_real_dtype(scores=scores, mask=mask)
     if mask.ndim != 2 or scores.ndim < 2 or scores.shape[-2] != mask.shape[0] or mask.shape[1] > scores.shape[-1]:
         raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
     if not np.isfinite(scores).all():
@@ -80,6 +93,7 @@ def softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarra
     entries (weight exactly 0) and fully masked rows propagate zero gradient,
     matching the forward convention.
     """
+    check_real_dtype(weights=weights, grad_weights=grad_weights)
     if weights.shape != grad_weights.shape:
         raise ValueError(f"shape mismatch: {weights.shape} vs {grad_weights.shape}")
     out = weights * grad_weights  # scratch buffer, reused for the result

@@ -3,6 +3,7 @@ import math
 import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,6 +257,31 @@ def test_kernel_errors_are_not_divergence(monkeypatch):
     assert report.accuracy == 0.0 < trained.accuracy
     assert report.loss_curve == trained.loss_curve
     assert all(math.isfinite(x) for x in report.loss_curve)
+
+
+@pytest.mark.parametrize("name,index", [("embed", 0), ("w_out", -1)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_one_non_finite_gradient_entry_stops_the_trial(monkeypatch, name, index, bad):
+    # One NaN or inf in a single slot of the flat gradient, at either end of the
+    # buffer, stops the trial at that step before any parameter is updated with it.
+    real = model.TinyModel.loss_and_grads
+    seen = []
+
+    def poisoned(self, tokens_batch, labels, plan):
+        loss, grad = real(self, tokens_batch, labels, plan)
+        seen.append(self)
+        if len(seen) == 3:
+            self.views(grad)[name].flat[index] = bad
+        return loss, grad
+
+    monkeypatch.setattr(model.TinyModel, "loss_and_grads", poisoned)
+    report = train_trial(TINY)
+    assert len(seen) == 3
+    assert all(math.isfinite(x) for x in report.loss_curve[:3])
+    assert all(math.isnan(x) for x in report.loss_curve[3:])
+    assert len(report.loss_curve) == TINY.steps
+    assert not report.converged
+    assert np.isfinite(seen[-1].flat).all()
 
 
 def test_gamma_sweep_seven_values():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import frameattn.attention
+import frameattn.harness
 import frameattn.model
 from frameattn.attention import AttentionConfig, PeMode, attention_forward, plan_attention
 from frameattn.gradcheck import model_fd_error, relative_error
@@ -12,6 +13,7 @@ from frameattn.harness import TrialConfig, train_trial
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
 from frameattn.model import ModelConfig, TinyModel
+from frameattn.numerics import make_rng
 from frameattn.rope import RopeConfig
 from frameattn.tasks import Task, gen_task
 
@@ -58,24 +60,88 @@ def test_init_bounds_follow_fan_in():
         assert np.abs(param).max() <= 1.0 / math.sqrt(fan_in)
 
 
+def test_params_are_views_that_tile_the_flat_buffer_in_init_order():
+    cfg = ModelConfig(layers=2, num_heads=2, d_head=4, vocab_size=7, num_classes=3)
+    tiny = TinyModel(cfg, seed=11)
+    names = ["embed"]
+    names += [f"layer{i}.{n}" for i in range(2) for n in ("w_q", "w_k", "w_v", "w_o", "w_ff1", "w_ff2")]
+    assert list(tiny.params) == names + ["w_out"]
+    assert tiny.flat.dtype == np.float64 and tiny.flat.ndim == 1 and tiny.flat.flags.c_contiguous
+    rng = make_rng(11, 0)  # the init draws: one stream, in the order above
+    offset, offsets = 0, {}
+    for name, view in tiny.params.items():
+        assert np.shares_memory(view, tiny.flat)
+        assert view.flags.c_contiguous
+        assert view.ctypes.data - tiny.flat.ctypes.data == offset * tiny.flat.itemsize  # no gap, no overlap
+        offsets[name] = offset
+        offset += view.size
+        bound = 1.0 / math.sqrt(cfg.ff_hidden if name.endswith("w_ff2") else cfg.embed_dim)
+        assert np.array_equal(view, rng.uniform(-bound, bound, size=view.shape))
+    assert offset == tiny.flat.size
+    before = tiny.flat.copy()
+    tiny.params["layer1.w_ff2"][2, 3] = 123.0
+    tiny.params["embed"][0] *= 2.0
+    changed = np.flatnonzero(tiny.flat != before).tolist()
+    assert changed == list(range(cfg.embed_dim)) + [offsets["layer1.w_ff2"] + 2 * cfg.embed_dim + 3]
+    assert tiny.flat[changed[-1]] == 123.0
+    grad = np.arange(tiny.flat.size, dtype=np.float64)
+    for name, view in tiny.views(grad).items():
+        assert np.array_equal(view, grad[offsets[name] : offsets[name] + view.size].reshape(view.shape))
+    with pytest.raises(ValueError, match="flat vector"):
+        tiny.views(grad[:-1])
+
+
+def test_flat_momentum_update_matches_the_per_parameter_rule(monkeypatch):
+    # train_trial's flat update gives bitwise the parameters of the literal
+    # per-parameter momentum loop it replaced, after 5 steps.
+    cfg = TrialConfig(
+        task=Task.FRAME_ORDER, layout=LAYOUT, steps=5, train_size=8, eval_size=4, batch_size=3, num_symbols=4, d_head=4
+    )
+    trained = []
+
+    class Recorded(TinyModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trained.append(self)
+
+    monkeypatch.setattr(frameattn.harness, "TinyModel", Recorded)
+    report = train_trial(cfg)
+    ref = TinyModel(cfg.model_config(), seed=cfg.seed)
+    plan = plan_attention(cfg.layout, cfg.attention_config())
+    train = gen_task(cfg.task, cfg.layout, cfg.seed, cfg.train_size, cfg.num_symbols)
+    batch_rng = make_rng(cfg.seed, 3)
+    velocity = {k: np.zeros_like(v) for k, v in ref.params.items()}
+    curve = []
+    for _ in range(cfg.steps):
+        idx = batch_rng.integers(0, len(train), size=cfg.batch_size)
+        loss, grad = ref.loss_and_grads(train.tokens[idx], train.labels[idx], plan)
+        curve.append(loss)
+        for k, g in ref.views(grad).items():
+            velocity[k] = cfg.momentum * velocity[k] + g
+            ref.params[k] -= cfg.lr * velocity[k]
+    assert report.loss_curve == curve
+    assert trained[0].flat.tobytes() == ref.flat.tobytes()
+    assert not np.array_equal(ref.flat, TinyModel(cfg.model_config(), seed=cfg.seed).flat)
+
+
 def test_forward_loss_is_finite():
     model = TinyModel(MODEL_CFG, seed=2)
     data = gen_task(Task.FRAME_ORDER, LAYOUT, 3, 4, num_symbols=4)
-    loss, grads = model.loss_and_grads(data.tokens, data.labels, PLAN)
+    loss, grad = model.loss_and_grads(data.tokens, data.labels, PLAN)
     assert math.isfinite(loss)
     assert loss > 0
-    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    assert grad.shape == model.flat.shape
+    assert np.isfinite(grad).all()
 
 
 def test_gradients_average_over_batch():
     model = TinyModel(MODEL_CFG, seed=3)
     data = gen_task(Task.FRAME_ORDER, LAYOUT, 4, 2, num_symbols=4)
-    loss_a, grads_a = model.loss_and_grads(data.tokens[:1], data.labels[:1], PLAN)
-    loss_b, grads_b = model.loss_and_grads(data.tokens[1:], data.labels[1:], PLAN)
-    loss_ab, grads_ab = model.loss_and_grads(data.tokens, data.labels, PLAN)
+    loss_a, grad_a = model.loss_and_grads(data.tokens[:1], data.labels[:1], PLAN)
+    loss_b, grad_b = model.loss_and_grads(data.tokens[1:], data.labels[1:], PLAN)
+    loss_ab, grad_ab = model.loss_and_grads(data.tokens, data.labels, PLAN)
     assert abs(loss_ab - (loss_a + loss_b) / 2) < 1e-12
-    for name in grads_ab:
-        assert relative_error(grads_ab[name], (grads_a[name] + grads_b[name]) / 2) < 1e-12
+    assert relative_error(grad_ab, (grad_a + grad_b) / 2) < 1e-12
 
 
 def test_predict_returns_class_index():
@@ -100,15 +166,14 @@ def test_chunks_do_not_change_results(monkeypatch):
     tokens = rng.integers(0, cfg.vocab_size, size=(6, layout.total_len))
     labels = rng.integers(0, cfg.num_classes, size=6)
     assert len(tiny._chunks(tokens)) == 1
-    loss, grads = tiny.loss_and_grads(tokens, labels, plan)
+    loss, grad = tiny.loss_and_grads(tokens, labels, plan)
     predictions = tiny.predict(tokens, plan)
     assert len(set(predictions.tolist())) > 1
     monkeypatch.setattr("frameattn.model._SCORE_BUDGET", 1)
     assert len(tiny._chunks(tokens)) == 6
-    loss_c, grads_c = tiny.loss_and_grads(tokens, labels, plan)
+    loss_c, grad_c = tiny.loss_and_grads(tokens, labels, plan)
     assert loss_c == pytest.approx(loss, rel=1e-12, abs=0)
-    for name in grads:
-        assert relative_error(grads_c[name], grads[name]) < 1e-12
+    assert relative_error(grad_c, grad) < 1e-12
     assert np.array_equal(tiny.predict(tokens, plan), predictions)
 
 
@@ -137,14 +202,13 @@ def test_last_layer_query_rows_do_not_change_results(monkeypatch):
     for rows in (layout.total_len, 2):
         monkeypatch.setattr("frameattn.model._QUERY_ROWS", rows)
         query_rows.clear()
-        loss, grads = tiny.loss_and_grads(tokens, labels, plan)
-        results[rows] = loss, grads, tiny.predict(tokens, plan)
+        loss, grad = tiny.loss_and_grads(tokens, labels, plan)
+        results[rows] = loss, grad, tiny.predict(tokens, plan)
         assert query_rows == [layout.total_len, rows] * 2
-    (loss, grads, predictions), (loss_r, grads_r, predictions_r) = results.values()
+    (loss, grad, predictions), (loss_r, grad_r, predictions_r) = results.values()
     assert len(set(predictions.tolist())) > 1
     assert relative_error(loss_r, loss) < 1e-12
-    for name in grads:
-        assert relative_error(grads_r[name], grads[name]) < 1e-12
+    assert relative_error(grad_r, grad) < 1e-12
     assert np.array_equal(predictions_r, predictions)
 
 

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameattn.layout import build_layout
+from frameattn.model import ModelConfig, TinyModel
 from frameattn.numerics import NonFiniteError, make_rng, masked_row_softmax, softmax_backward
+from frameattn.tasks import Task, gen_task
 
 
 @given(st.integers(0, 2**63 - 1))
@@ -13,6 +16,24 @@ def test_rng_same_seed_same_stream(seed):
     b = make_rng(seed).standard_normal(16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(seed, 1).standard_normal(16))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: make_rng(seed),
+        lambda seed: make_rng(0, seed),
+        lambda seed: make_rng(0, 1, seed),
+        lambda seed: TinyModel(ModelConfig(layers=1, num_heads=1, d_head=4, vocab_size=7, num_classes=2), seed=seed),
+        lambda seed: gen_task(Task.FRAME_ORDER, build_layout(1, 2, 2, 3), seed, 2, 4),
+    ],
+    ids=["make_rng_seed", "make_rng_stream", "make_rng_second_stream", "TinyModel", "gen_task"],
+)
+def test_non_integer_seeds_and_stream_ids_are_refused(build, bad):
+    # A float or numeric string is neither truncated (1.5 -> 1) nor parsed ("3" -> 3).
+    with pytest.raises(ValueError, match="(seed|stream id) must be an integer"):
+        build(bad)
 
 
 def test_softmax_uniform_row():
@@ -151,3 +172,18 @@ def test_softmax_rejects_bad_trailing_masks():
     for bad in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="exactly 0 or -inf"):
             masked_row_softmax(scores, np.array([[0.0, bad]] * 3))
+
+
+@pytest.mark.parametrize("bad", [np.array([[1 + 1j, 0]]), np.array([[True, False]]), np.array([["1", "0"]])])
+def test_softmax_refuses_complex_bool_and_text(bad):
+    ok = np.zeros((1, 2))
+    for call, match in (
+        (lambda: masked_row_softmax(bad, ok), "scores"),
+        (lambda: masked_row_softmax(ok, bad), "mask"),
+        (lambda: softmax_backward(bad, ok), "weights"),
+        (lambda: softmax_backward(ok, bad), "grad_weights"),
+    ):
+        with pytest.raises(ValueError, match=f"^{match} must hold integer or real floating numbers"):
+            call()
+    # Integer inputs still convert.
+    assert np.array_equal(masked_row_softmax(np.array([[1, 0]]), ok), masked_row_softmax(np.array([[1.0, 0.0]]), ok))
