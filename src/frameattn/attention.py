@@ -60,6 +60,11 @@ The backward pass is the exact analytic gradient of this map, over the
 same tiles; positions, masks, the APE table, and the RPE bias are treated
 as constants. Rotations are orthonormal, so their backward is the inverse
 table (cos, -sin), bitwise the rotation at the negated positions.
+
+Array arguments go through `numerics.real_array`. Non-finite Q, K or V raise
+NonFiniteError, which a trial reads as divergence; non-finite positions or
+rpe_bias raise a plain ValueError at plan time. grad_output is not checked
+for finiteness, so a diverged loss still reaches the harness as a loss.
 """
 
 from __future__ import annotations
@@ -69,9 +74,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_flag, check_float
+from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_enum, check_flag
 from .masks import AttentionMask, MaskKind, allowed, build_mask
-from .numerics import NonFiniteError, check_real_dtype, masked_row_softmax, softmax_backward
+from .numerics import NonFiniteError, masked_row_softmax, real_array, softmax_backward
 from .rope import FrequencyTable, RopeConfig, RotationTable, frequencies, pair_score, rotate_rows, rotation_table
 
 __all__ = [
@@ -103,23 +108,23 @@ class PeMode(NamedEnum):
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Per-layer attention settings; `scale` defaults to 1/sqrt(rope.d_head)."""
+    """Per-layer attention settings; scores are scaled by `scale` = 1/sqrt(rope.d_head)."""
 
     rope: RopeConfig
     mask_kind: MaskKind
     pe_mode: PeMode = PeMode.DUAL_ROPE
-    scale: float | None = None
     strict_monotonic_suffix: bool = False
     fw_block_causal_within_frame: bool = False
 
     def __post_init__(self):
+        check_enum("mask_kind", self.mask_kind, MaskKind)
+        check_enum("pe_mode", self.pe_mode, PeMode)
         check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
         check_flag("fw_block_causal_within_frame", self.fw_block_causal_within_frame)
-        if self.scale is None:
-            object.__setattr__(self, "scale", 1.0 / math.sqrt(self.rope.d_head))
-        check_float("scale", self.scale)
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+
+    @property
+    def scale(self) -> float:
+        return 1.0 / math.sqrt(self.rope.d_head)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +171,7 @@ class AttentionGrads:
 
 def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
     """Sinusoidal embedding of temporal ids: (sin, cos) per frequency pair."""
-    phi = np.asarray(temporal, dtype=np.float64)[:, None] * freqs.thetas[None, :]
+    phi = real_array("temporal", temporal)[:, None] * freqs.thetas[None, :]
     emb = np.empty((len(phi), freqs.d_head), dtype=np.float64)
     emb[:, 0::2] = np.sin(phi)
     emb[:, 1::2] = np.cos(phi)
@@ -176,12 +181,14 @@ def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarra
 def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarray:
     """Bias[i, j] = rpe_bias[R + clip(temporal[i] - temporal[j], -R, R)].
 
-    `rpe_bias` must have odd length 2R + 1; its middle entry is the
-    zero-distance bias.
+    `rpe_bias` must be finite with odd length 2R + 1; its middle entry is
+    the zero-distance bias.
     """
-    b = np.asarray(rpe_bias, dtype=np.float64)
+    b = real_array("rpe_bias", rpe_bias)
     if b.ndim != 1 or len(b) % 2 != 1:
         raise ValueError(f"rpe bias must be a 1-D odd-length table, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rpe_bias must be finite")
     radius = len(b) // 2
     t = np.asarray(temporal, dtype=np.int64)
     delta = np.clip(t[:, None] - t[None, :], -radius, radius)
@@ -198,8 +205,8 @@ def plan_attention(
 
     `positions` overrides the mode-derived rotation positions (used for
     shift-invariance experiments). `rpe_bias` is only accepted in time_rpe
-    mode; omitting it there means a zero bias. Both must be finite numbers,
-    not bools.
+    mode; omitting it there means a zero bias. Both must be finite integer
+    or real floating numbers.
     """
     if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
         raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
@@ -208,7 +215,7 @@ def plan_attention(
         layout, config.rope.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix
     )
     if positions is not None:
-        pos = _finite_table("positions", positions)
+        pos = real_array("positions", positions).copy()  # the plan's own, made read-only below
         if pos.shape != (t,):
             raise ValueError(f"positions must have shape ({t},), got {pos.shape}")
     elif config.pe_mode is PeMode.TIME_ROPE_ONLY:
@@ -230,7 +237,7 @@ def plan_attention(
     ends = np.maximum.reduceat(row_ends, lows).tolist()
     tiles = tuple(zip(lows, [*lows[1:], t], frees, ends))
     ape = time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None
-    bias = None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, _finite_table("rpe_bias", rpe_bias))
+    bias = None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, rpe_bias)
     for arr in (pos, table.temporal_ids, freqs.thetas, rotation.cos, rotation.sin, mask.values, ape, bias):
         if arr is not None:
             arr.flags.writeable = False
@@ -248,25 +255,9 @@ def plan_attention(
     )
 
 
-def _finite_table(name: str, values) -> np.ndarray:
-    """A float64 copy of `values`, which must be finite numbers and not bools."""
-    arr = np.asarray(values)
-    if arr.dtype == bool:
-        raise ValueError(f"{name} must hold numbers, not bools")
-    arr = arr.astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
-    """Q, K, V as float64 stacks: K and V (heads, T, d_head), Q the last 1..T of those rows.
-
-    Only integer and real floating dtypes convert (numerics.check_real_dtype).
-    """
-    arrays = [np.asarray(x) for x in (Q, K, V)]
-    check_real_dtype(Q=arrays[0], K=arrays[1], V=arrays[2])
-    arrays = [arr.astype(np.float64, copy=False) for arr in arrays]
+    """Q, K, V as float64 stacks: K and V (heads, T, d_head), Q the last 1..T of those rows."""
+    arrays = [real_array(name, x) for name, x in zip("QKV", (Q, K, V))]
     t, d = layout.total_len, config.rope.d_head
     q_shape = arrays[0].shape
     if len(q_shape) != 3 or not 1 <= q_shape[1] <= t or q_shape[2] != d:
@@ -357,7 +348,7 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     the R rows of Q, grad_k and grad_v all T rows. Each tile writes its
     grad_q rows and adds into the first `end` rows of grad_k and grad_v.
     """
-    g = np.asarray(grad_output, dtype=np.float64)
+    g = real_array("grad_output", grad_output)
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
     plan = state.plan
@@ -410,7 +401,7 @@ def attention_brute_oracle(
     bias_table = None
     radius = 0
     if config.pe_mode is PeMode.TIME_RPE and rpe_bias is not None:
-        bias_table = [float(b) for b in np.asarray(rpe_bias, dtype=np.float64)]
+        bias_table = [float(b) for b in real_array("rpe_bias", rpe_bias)]
         radius = len(bias_table) // 2
 
     out = np.zeros_like(V)

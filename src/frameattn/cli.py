@@ -81,7 +81,6 @@ ATTENTION_FIELDS = (
     "pe_mode",
     "gamma",
     "base",
-    "scale",
     "strict_monotonic_suffix",
     "fw_block_causal_within_frame",
 )
@@ -104,7 +103,6 @@ def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig, tuple[
         ),
         mask_kind=MaskKind.from_string(obj.get("mask_kind", "fw_block_causal")),
         pe_mode=PeMode.from_string(obj.get("pe_mode", "dual_rope")),
-        scale=obj.get("scale"),
         strict_monotonic_suffix=obj.get("strict_monotonic_suffix", False),
         fw_block_causal_within_frame=obj.get("fw_block_causal_within_frame", False),
     )

@@ -23,7 +23,7 @@ from .attention import (
 from .layout import SequenceLayout, build_layout
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
-from .numerics import make_rng
+from .numerics import make_rng, real_array
 from .rope import RopeConfig
 from .tasks import Task, gen_task, num_classes, vocab_size
 
@@ -38,8 +38,8 @@ ERROR_FLOOR = 1e-4
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ERROR_FLOOR) -> float:
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
+    a = real_array("analytic", analytic)
+    n = real_array("numeric", numeric)
     if a.size == 0:
         return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .attention import AttentionConfig, PeMode, plan_attention
-from .layout import SequenceLayout, adjusted_positions, check_fields, check_float, check_int
+from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_fields, check_float, check_int
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import NonFiniteError, make_rng
@@ -129,11 +129,7 @@ class TrialConfig:
         )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["task"] = self.task.value
-        d["pe_mode"] = self.pe_mode.value
-        d["mask_kind"] = self.mask_kind.value
-        return d
+        return {name: v.value if isinstance(v, NamedEnum) else v for name, v in asdict(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

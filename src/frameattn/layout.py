@@ -17,7 +17,7 @@ that collision.
 This module also holds the strict field checks that every config parser in
 the package shares (layout, rotary, attention and trial configs): integers
 must be non-bool ints, real numbers finite non-bool ints or floats, flags
-bools, and nothing is coerced.
+bools, enums members of their type rather than strings, and nothing is coerced.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "NamedEnum",
     "check_fields",
     "check_int",
+    "check_enum",
     "check_float",
     "check_flag",
     "TokenRole",
@@ -72,6 +73,12 @@ def check_int(name: str, value, minimum: int = 0) -> None:
     """Reject anything but an int >= minimum, bools and integral floats such as 2.0 included."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_enum(name: str, value, enum_type: type[enum.Enum]) -> None:
+    """Reject anything but a member of `enum_type`, its string value included."""
+    if not isinstance(value, enum_type):
+        raise ValueError(f"{name} must be a {enum_type.__name__} member, got {value!r}")
 
 
 def check_float(name: str, value) -> None:

@@ -9,6 +9,10 @@ a leading block is open for every row passes a narrower view of its mask.
 The only non-finite value ever allowed is -inf, and only inside additive
 attention masks. Everything here is a pure function, so
 concurrent callers are safe.
+
+`real_array` is the package's one conversion of array input: integer and
+real floating arrays become float64; complex, bool, text and object arrays
+raise a ValueError naming the argument. Both softmax functions return float64.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .layout import check_int
 __all__ = [
     "make_rng",
     "NonFiniteError",
+    "real_array",
     "masked_row_softmax",
     "softmax_backward",
 ]
@@ -42,11 +47,12 @@ class NonFiniteError(ValueError):
     """A NaN or infinity where only finite values are allowed: the mark of a diverged run."""
 
 
-def check_real_dtype(**arrays: np.ndarray) -> None:
-    """Refuse complex (it would lose its imaginary part), bool and text: only int and real float pass."""
-    for name, arr in arrays.items():
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"{name} must hold integer or real floating numbers, got dtype {arr.dtype}")
+def real_array(name: str, values) -> np.ndarray:
+    """`values` as a float64 array, not copied if it already is one; only integer and real float kinds pass."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integer or real floating numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
 
 
 def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -60,9 +66,7 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     returns all zeros instead of NaN so degenerate layouts stay harmless.
     Stabilised by subtracting the per-row max of the allowed entries.
     """
-    scores = np.asarray(scores)
-    mask = np.asarray(mask)
-    check_real_dtype(scores=scores, mask=mask)
+    scores, mask = real_array("scores", scores), real_array("mask", mask)
     if mask.ndim != 2 or scores.ndim < 2 or scores.shape[-2] != mask.shape[0] or mask.shape[1] > scores.shape[-1]:
         raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
     if not np.isfinite(scores).all():
@@ -70,10 +74,9 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if not ((mask == 0.0) | (mask == -np.inf)).all():
         raise ValueError("mask entries must be exactly 0 or -inf")
 
-    dtype = np.result_type(scores, mask)
     # The one scratch buffer, a copy of the scores; the mask makes its
     # trailing masked entries -inf.
-    out = scores.astype(dtype if np.issubdtype(dtype, np.floating) else np.float64)
+    out = scores.copy()
     out[..., out.shape[-1] - mask.shape[1] :] += mask
     row_max = np.max(out, axis=-1, keepdims=True, initial=-np.inf)
     # Fully masked rows have row_max == -inf; shift by 0 there to avoid inf-inf.
@@ -93,7 +96,7 @@ def softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarra
     entries (weight exactly 0) and fully masked rows propagate zero gradient,
     matching the forward convention.
     """
-    check_real_dtype(weights=weights, grad_weights=grad_weights)
+    weights, grad_weights = real_array("weights", weights), real_array("grad_weights", grad_weights)
     if weights.shape != grad_weights.shape:
         raise ValueError(f"shape mismatch: {weights.shape} vs {grad_weights.shape}")
     out = weights * grad_weights  # scratch buffer, reused for the result

@@ -10,7 +10,8 @@ pays for the trigonometry once. `RotationTable.inverse` undoes a table
 without new trigonometry: (cos, -sin) is bitwise the table at the negated
 positions, because numpy's cos is even and its sin odd. `rotary_oracle`
 recomputes the same map through explicit complex multiplication and exists
-purely as an independent check on `rotate_rows`.
+purely as an independent check on `rotate_rows`. Positions and
+frequencies go through `numerics.real_array`; positions must be finite.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layout import check_float, check_int
+from .numerics import real_array
 
 __all__ = [
     "RopeConfig",
@@ -58,7 +60,7 @@ class FrequencyTable:
     thetas: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=np.float64))
+        object.__setattr__(self, "thetas", real_array("thetas", self.thetas))
 
     @property
     def num_pairs(self) -> int:
@@ -97,7 +99,7 @@ class RotationTable:
 
 def rotation_table(positions: np.ndarray, freqs: FrequencyTable) -> RotationTable:
     """The RotationTable of 1-D finite `positions` under `freqs`."""
-    pos = np.asarray(positions, dtype=np.float64)
+    pos = real_array("positions", positions)
     if pos.ndim != 1:
         raise ValueError(f"positions must be 1-D, got shape {pos.shape}")
     if not np.all(np.isfinite(pos)):

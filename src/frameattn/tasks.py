@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import NamedEnum, SequenceLayout
+from .layout import NamedEnum, SequenceLayout, check_enum, check_int
 from .numerics import make_rng
 
 __all__ = [
@@ -72,6 +72,7 @@ def vocab_size(num_symbols: int) -> int:
 
 
 def num_classes(task: Task, layout: SequenceLayout, num_symbols: int) -> int:
+    check_enum("task", task, Task)
     if task is Task.FRAME_ORDER:
         return layout.num_frames
     if task is Task.MOVING_COUNT:
@@ -81,6 +82,7 @@ def num_classes(task: Task, layout: SequenceLayout, num_symbols: int) -> int:
 
 def check_task(task: Task, layout: SequenceLayout, num_symbols: int) -> None:
     """Reject a layout or symbol count that `task`'s data generation cannot fill."""
+    check_enum("task", task, Task)
     if not layout.has_visual:
         raise ValueError(f"{task.value} needs at least one frame, got a layout with none")
     if task is Task.FRAME_ORDER and num_symbols < layout.num_frames:
@@ -103,8 +105,7 @@ def gen_task(
     num_symbols: int = 8,
 ) -> Dataset:
     """Deterministic dataset of `count` (token sequence, label) pairs."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_int("count", count, 1)
     check_task(task, layout, num_symbols)
     f = layout.num_frames
     m = layout.tokens_per_frame

@@ -187,3 +187,17 @@ def test_softmax_refuses_complex_bool_and_text(bad):
             call()
     # Integer inputs still convert.
     assert np.array_equal(masked_row_softmax(np.array([[1, 0]]), ok), masked_row_softmax(np.array([[1.0, 0.0]]), ok))
+
+
+def test_softmax_functions_compute_and_return_float64():
+    # The scratch buffers are float64 whatever the input dtypes: an integer
+    # buffer would truncate the gradient.
+    w, g = np.array([[0.25, 0.75]]), np.array([[2.0, 3.0]])
+    expected = softmax_backward(w, g)
+    assert softmax_backward(np.array([[1, 0]]), np.array([[2, 3]])).dtype == np.float64
+    got = softmax_backward(w.astype(np.float32), g.astype(np.int32))
+    assert got.dtype == np.float64 and np.array_equal(got, expected)
+    mask = np.zeros((1, 2))
+    assert np.array_equal(softmax_backward(masked_row_softmax(np.array([[1, 0]]), mask), np.array([[2, 3]])),
+                          softmax_backward(masked_row_softmax(np.array([[1.0, 0.0]]), mask), g))
+    assert masked_row_softmax(np.array([[1, 0]], dtype=np.float32), mask.astype(np.float32)).dtype == np.float64
