@@ -61,9 +61,10 @@ same tiles; positions, masks, the APE table, and the RPE bias are treated
 as constants. Rotations are orthonormal, so their backward is the inverse
 table (cos, -sin), bitwise the rotation at the negated positions.
 
-Array arguments go through `numerics.real_array`. Non-finite Q, K or V raise
-NonFiniteError, which a trial reads as divergence; non-finite positions or
-rpe_bias raise a plain ValueError at plan time. grad_output is not checked
+Array arguments go through `numerics.real_array`, temporal ids through
+`numerics.int_array`. Non-finite Q, K or V raise NonFiniteError, which a
+trial reads as divergence; non-finite positions or rpe_bias raise a plain
+ValueError at plan time. grad_output is not checked
 for finiteness, so a diverged loss still reaches the harness as a loss.
 """
 
@@ -76,7 +77,7 @@ import numpy as np
 
 from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_enum, check_flag
 from .masks import AttentionMask, MaskKind, allowed, build_mask
-from .numerics import NonFiniteError, masked_row_softmax, real_array, softmax_backward
+from .numerics import NonFiniteError, int_array, masked_row_softmax, real_array, softmax_backward
 from .rope import FrequencyTable, RopeConfig, RotationTable, frequencies, pair_score, rotate_rows, rotation_table
 
 __all__ = [
@@ -181,6 +182,7 @@ def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarra
 def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarray:
     """Bias[i, j] = rpe_bias[R + clip(temporal[i] - temporal[j], -R, R)].
 
+    `temporal` must be of integer kind: a float id is refused, not truncated.
     `rpe_bias` must be finite with odd length 2R + 1; its middle entry is
     the zero-distance bias.
     """
@@ -190,7 +192,7 @@ def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarr
     if not np.all(np.isfinite(b)):
         raise ValueError("rpe_bias must be finite")
     radius = len(b) // 2
-    t = np.asarray(temporal, dtype=np.int64)
+    t = int_array("temporal", temporal).astype(np.int64, copy=False)
     delta = np.clip(t[:, None] - t[None, :], -radius, radius)
     return b[radius + delta]
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .attention import attention_backward, attention_forward
 from .layout import check_int
-from .numerics import make_rng
+from .numerics import int_array, make_rng
 
 __all__ = ["ModelConfig", "TinyModel"]
 
@@ -147,13 +147,17 @@ class TinyModel:
 
     def predict(self, tokens, plan) -> np.ndarray:
         """Class index of each sequence of a (B, T) token batch under `plan`."""
-        tokens = np.asarray(tokens)
+        tokens = int_array("tokens", tokens, self.config.vocab_size)
         logits = [self._forward(tokens[c], plan)[0] for c in self._chunks(tokens)]
         return np.argmax(np.concatenate(logits), axis=-1)
 
     def loss_and_grads(self, tokens_batch, labels, plan):
-        """Mean cross-entropy over the batch under `plan`, and its flat gradient laid out like model.flat."""
-        tokens_batch, labels = np.asarray(tokens_batch), np.asarray(labels)
+        """Mean cross-entropy over the batch under `plan`, and its flat gradient laid out like model.flat.
+
+        Here and in predict, ids out of range are refused: numpy would read -1 as the last row.
+        """
+        tokens_batch = int_array("tokens", tokens_batch, self.config.vocab_size)
+        labels = int_array("labels", labels, self.config.num_classes)
         chunks = self._chunks(tokens_batch)
         flat_grad = np.zeros_like(self.flat)
         grads = self.views(flat_grad)

@@ -12,7 +12,9 @@ concurrent callers are safe.
 
 `real_array` is the package's one conversion of array input: integer and
 real floating arrays become float64; complex, bool, text and object arrays
-raise a ValueError naming the argument. Both softmax functions return float64.
+raise a ValueError naming the argument. `int_array` is its counterpart for
+ids and indices, which must already be of integer kind. Both softmax
+functions return float64.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "make_rng",
     "NonFiniteError",
     "real_array",
+    "int_array",
     "masked_row_softmax",
     "softmax_backward",
 ]
@@ -53,6 +56,17 @@ def real_array(name: str, values) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold integer or real floating numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
+
+
+def int_array(name: str, values, stop: int | None = None) -> np.ndarray:
+    """`values` as an array, unconverted; only integer kinds pass, and with `stop` only entries in 0..stop-1."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    # Cast to uint64, a negative entry exceeds any stop: one reduction checks both ends.
+    if stop is not None and arr.size and arr.astype(np.uint64, copy=False).max() >= stop:
+        raise ValueError(f"{name} must lie in 0..{stop - 1}, got values from {arr.min()} to {arr.max()}")
+    return arr
 
 
 def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -3,17 +3,19 @@
 P2 was chosen over binary formats because the outputs double as golden
 files: human-readable, diffable, no image library needed to inspect them.
 
-Both emitters encode one matrix row at a time. A pixel is an index into
-``_PIXELS``, the 256 tokens ``"0"``..``"255"``, so a row is one fancy-index
-and one join, with no ``repr`` per pixel. A CSV row in which at most half
-the cells are non-zero starts with every cell set to the one shared token
-for ``+0`` of the dtype; only the cells that are not ``+0`` (``-0.0`` and
-NaN included) are passed to ``repr``. Attention weights under a frame-block
-mask are mostly zeros, so this skips most of the per-cell Python work. A
-row that is mostly non-zero gains nothing from that bookkeeping and costs
-more with it, so it is written cell by cell. Either way each cell
-is exactly ``repr(value.item())``. Token scratch covers one row, never the
-whole matrix, so memory stays close to that of the output text itself.
+Both emitters encode _BLOCK_ROWS matrix rows at a time, as alternating runs
+of zero cells and key cells. A key cell is one whose text is not the zero
+token, plus the last cell of every row, which carries the line break. The
+run before a key cell is the zero token and separator repeated once per
+zero cell, built once per distinct run length; only key cells cost Python
+work of their own. A PGM key cell is one lookup in _PIXEL_TOKENS, a value's
+text with its separator already attached. A CSV cell is exactly
+``repr(value.item())``, and ``repr`` is called only on the key cells that
+are not ``+0`` of the dtype (``-0.0`` and NaN included). Attention weights
+under a frame-block mask are mostly zeros, so most cells are never touched
+one by one. A CSV block that is mostly non-zero gains nothing from the runs
+and is written cell by cell. Scratch covers one block, never the whole
+matrix, so memory stays close to that of the output text itself.
 """
 
 from __future__ import annotations
@@ -24,7 +26,27 @@ import numpy as np
 
 __all__ = ["pgm_text", "csv_text", "write_text_atomic"]
 
-_PIXELS = np.array([repr(i) for i in range(256)], dtype=object)
+_BLOCK_ROWS = 64
+# Entry v is "v " and entry 256 + v is "v\n": a pixel's text inside a row and at its end.
+_PIXEL_TOKENS = np.array([f"{v} " for v in range(256)] + [f"{v}\n" for v in range(256)], dtype=object)
+_CSV_SEPS = np.array([",", "\n"], dtype=object)
+
+
+def _run_text(pos: np.ndarray, tokens: np.ndarray, zero_cell: str) -> str:
+    """Text of one block from the flat indices `pos` of its key cells and their `tokens`.
+
+    Every cell between two key cells prints as `zero_cell`, the zero token
+    with its separator. The last cell of each row must be a key cell, so no
+    run crosses a line break.
+    """
+    gaps = np.diff(pos, prepend=-1) - 1
+    runs = np.empty(gaps.max() + 1, dtype=object)
+    for gap in np.flatnonzero(np.bincount(gaps)):
+        runs[gap] = zero_cell * int(gap)
+    pieces = np.empty(2 * len(pos), dtype=object)
+    pieces[0::2] = runs[gaps]
+    pieces[1::2] = tokens
+    return "".join(pieces.tolist())
 
 
 def pgm_text(pixels: np.ndarray) -> str:
@@ -37,9 +59,17 @@ def pgm_text(pixels: np.ndarray) -> str:
     if px.size and (px.min() < 0 or px.max() > 255):
         raise ValueError("pixel values must lie in 0..255")
     h, w = px.shape
-    lines = ["P2", f"{w} {h}", "255"]
-    lines.extend(" ".join(_PIXELS[row].tolist()) for row in px)
-    return "\n".join(lines) + "\n"
+    parts = [f"P2\n{w} {h}\n255\n"]
+    if px.size == 0:
+        return parts[0] + "\n" * h
+    for lo in range(0, h, _BLOCK_ROWS):
+        block = px[lo : lo + _BLOCK_ROWS]
+        key = block != 0
+        key[:, -1] = True
+        pos = np.flatnonzero(key)
+        ends_row = pos % w == w - 1
+        parts.append(_run_text(pos, _PIXEL_TOKENS[block.ravel()[pos] + 256 * ends_row], "0 "))
+    return "".join(parts)
 
 
 def csv_text(values: np.ndarray) -> str:
@@ -49,19 +79,26 @@ def csv_text(values: np.ndarray) -> str:
         raise ValueError(f"expected 2-D array, got shape {vals.shape}")
     if vals.dtype.kind not in "biuf":  # complex, object, str: no one token for zero
         return "\n".join(",".join(map(repr, row.tolist())) for row in vals) + "\n"
+    h, w = vals.shape
+    if vals.size == 0:
+        return "\n" * max(h, 1)
     zero = repr(vals.dtype.type(0).item())
-    cells = np.empty(vals.shape[1], dtype=object)
-
-    def line(row: np.ndarray) -> str:
-        hit = (row != 0) | np.signbit(row)  # -0.0 == 0 but prints "-0.0"
+    parts = []
+    for lo in range(0, h, _BLOCK_ROWS):
+        block = vals[lo : lo + _BLOCK_ROWS]
+        hit = (block != 0) | np.signbit(block)  # -0.0 == 0 but prints "-0.0"
         if 2 * np.count_nonzero(hit) > hit.size:
-            return ",".join(map(repr, row.tolist()))
-        cells.fill(zero)
-        cells[hit] = list(map(repr, row[hit].tolist()))
-        return ",".join(cells.tolist())
-
-    # A lazy map, not a list of lines: the lines are freed before the "+".
-    return "\n".join(map(line, vals)) + "\n"
+            parts.append("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+            continue
+        key = hit.copy()
+        key[:, -1] = True
+        pos = np.flatnonzero(key)
+        hit_at = hit.ravel()[pos]
+        tokens = np.full(len(pos), zero, dtype=object)
+        tokens[hit_at] = list(map(repr, block.ravel()[pos[hit_at]].tolist()))
+        tokens += _CSV_SEPS[(pos % w == w - 1).astype(np.intp)]
+        parts.append(_run_text(pos, tokens, zero + ","))
+    return "".join(parts)
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -1,8 +1,9 @@
 """Every public entry point refuses input it would otherwise have to coerce.
 
-Complex, bool and text arrays, a string where an enum member belongs, and a
-float or bool count each raise a ValueError that names the field, before
-any numpy conversion can warn or drop information.
+Complex, bool and text arrays, float ids, ids out of range, a string where
+an enum member belongs, and a float or bool count each raise a ValueError
+that names the field, before any numpy conversion can warn, drop information
+or wrap a negative index around.
 """
 
 import warnings
@@ -21,6 +22,7 @@ from frameattn.attention import (
 from frameattn.harness import TrialConfig
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
+from frameattn.model import ModelConfig, TinyModel
 from frameattn.numerics import NonFiniteError, masked_row_softmax, softmax_backward
 from frameattn.rope import RopeConfig, frequencies, rotation_table
 from frameattn.tasks import Task, gen_task, num_classes
@@ -71,6 +73,21 @@ ARRAY_CASES = [
     ("grad_weights", lambda bad: softmax_backward(np.zeros((2, 3)), bad((2, 3)))),
 ]
 
+MODEL = TinyModel(ModelConfig(layers=1, num_heads=1, d_head=4, vocab_size=5, num_classes=3), seed=0)
+PLAN = plan_attention(LAYOUT, attn())
+TOKENS, LABELS = np.zeros((1, T), dtype=int), np.zeros(1, dtype=int)
+
+# Ids and indices must be of integer kind: floats are refused as well.
+BAD_IDS = {**BAD_ARRAYS, "float": lambda shape: np.full(shape, 1.5)}
+
+# (field, call taking a maker of bad id arrays)
+ID_CASES = [
+    ("temporal", lambda bad: temporal_bias_matrix(bad((T,)), np.zeros(3))),
+    ("tokens", lambda bad: MODEL.predict(bad((1, T)), PLAN)),
+    ("tokens", lambda bad: MODEL.loss_and_grads(bad((1, T)), LABELS, PLAN)),
+    ("labels", lambda bad: MODEL.loss_and_grads(TOKENS, bad((1,)), PLAN)),
+]
+
 
 def trial(**kw):
     return TrialConfig(**{"task": Task.FRAME_ORDER, "layout": LAYOUT, "num_symbols": 4, **kw})
@@ -92,6 +109,15 @@ FIELD_CASES = [
     ("task", lambda: num_classes("moving_count", LAYOUT, 4)),
 ]
 
+# (field, call) with ids out of range: numpy would read -1 as the last row or class
+RANGE_CASES = [
+    ("tokens", lambda: MODEL.predict(np.full((1, T), -1), PLAN)),
+    ("tokens", lambda: MODEL.predict(np.full((1, T), 5), PLAN)),
+    ("tokens", lambda: MODEL.loss_and_grads(np.full((1, T), -1), LABELS, PLAN)),
+    ("labels", lambda: MODEL.loss_and_grads(TOKENS, np.array([-1]), PLAN)),
+    ("labels", lambda: MODEL.loss_and_grads(TOKENS, np.array([3]), PLAN)),
+]
+
 
 def refuses(field, call):
     with warnings.catch_warnings():
@@ -107,6 +133,17 @@ def test_array_inputs_that_are_not_real_numbers_are_refused(field, call, kind):
     refuses(field, lambda: call(BAD_ARRAYS[kind]))
 
 
+@pytest.mark.parametrize("kind", BAD_IDS)
+@pytest.mark.parametrize("field, call", ID_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(ID_CASES)])
+def test_id_arrays_that_are_not_integers_are_refused(field, call, kind):
+    refuses(field, lambda: call(BAD_IDS[kind]))
+
+
 @pytest.mark.parametrize("field, call", FIELD_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(FIELD_CASES)])
 def test_strings_for_enums_and_non_int_counts_are_refused(field, call):
+    refuses(field, call)
+
+
+@pytest.mark.parametrize("field, call", RANGE_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(RANGE_CASES)])
+def test_ids_out_of_range_are_refused(field, call):
     refuses(field, call)

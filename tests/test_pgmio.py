@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from frameattn.pgmio import csv_text, pgm_text, write_text_atomic
 
 
-# Per-cell oracles: one repr per cell, the plain form the row-wise encoders must match.
+# Per-cell oracles: one repr per cell, the plain form the block-wise encoders must match.
 def csv_oracle(values) -> str:
     return "\n".join(",".join(map(repr, row.tolist())) for row in np.asarray(values)) + "\n"
 
@@ -44,6 +45,69 @@ def matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_csv_matches_per_cell_repr(values):
     assert csv_text(values) == csv_oracle(values)
+
+
+# Non-zero cell values (and -0.0, which prints unlike 0.0) for the sparse matrices below.
+NONZERO = {
+    np.float64: st.one_of(st.sampled_from([-0.0, float("nan"), float("-inf"), 5e-324, 1 / 3]), st.floats()),
+    np.float32: st.one_of(st.sampled_from([-0.0, float("nan"), float("inf"), 1e16]), st.floats(width=32)),
+    np.int64: st.one_of(st.sampled_from([-1, 1, 2**63 - 1]), st.integers(-(2**63), 2**63 - 1)),
+    np.bool_: st.just(True),
+}
+PIXELS = {np.int64: st.integers(1, 255), np.uint8: st.integers(1, 255)}
+# First and last rows of the first encoding blocks of 64 rows.
+EDGE_ROWS = (0, 63, 64, 127, 128)
+
+
+@st.composite
+def sparse_matrices(draw, nonzero):
+    """Mostly-zero matrices up to 150 rows: all-zero rows, rows whose only non-zero cell is the
+    last, values at row and block edges, and now and then a band of non-zero rows."""
+    dtype = draw(st.sampled_from(list(nonzero)))
+    h, w = draw(st.integers(1, 150)), draw(st.one_of(st.just(1), st.integers(1, 9)))
+    values = np.zeros((h, w), dtype=dtype)
+    rows = st.one_of(st.sampled_from([r for r in EDGE_ROWS if r < h] + [h - 1]), st.integers(0, h - 1))
+    cols = st.one_of(st.sampled_from([0, w - 1]), st.integers(0, w - 1))
+    for r, c, v in draw(st.lists(st.tuples(rows, cols, nonzero[dtype]), max_size=40)):
+        values[r, c] = v
+    for r, v in draw(st.lists(st.tuples(rows, nonzero[dtype]), max_size=5)):
+        values[r] = 0
+        values[r, -1] = v
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, h - 1))
+        values[lo : lo + draw(st.integers(1, 70))] = draw(nonzero[dtype])
+    return values
+
+
+@given(sparse_matrices(NONZERO))
+@settings(max_examples=200, deadline=None)
+def test_csv_sparse_multi_block_matches_per_cell_repr(values):
+    assert csv_text(values) == csv_oracle(values)
+
+
+@given(sparse_matrices(PIXELS))
+@settings(max_examples=200, deadline=None)
+def test_pgm_sparse_multi_block_matches_per_cell_repr(pixels):
+    assert pgm_text(pixels) == pgm_oracle(pixels)
+
+
+def traced_peak(encode, matrix):
+    """The encoder's text and the peak memory traced while it ran, the text included."""
+    tracemalloc.start()
+    try:
+        text = encode(matrix)
+        return text, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scratch_memory_stays_within_four_times_the_text():
+    rng = np.random.default_rng(0)
+    dense_pixels = rng.integers(1, 256, size=(512, 512))
+    sparse_weights = np.where(rng.random((512, 512)) < 0.05, rng.random((512, 512)), 0.0)
+    for encode, matrix in ((pgm_text, dense_pixels), (csv_text, sparse_weights)):
+        text, peak = traced_peak(encode, matrix)
+        assert peak <= 4 * len(text), (encode.__name__, peak / len(text))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
