@@ -47,7 +47,6 @@ from .model import ModelConfig, TinyModel
 from .numerics import NonFiniteError, make_rng, masked_row_softmax
 from .rope import (
     FrequencyTable,
-    RopeConfig,
     RotationTable,
     frequencies,
     pair_score,
@@ -73,7 +72,6 @@ __all__ = [
     "PAPER_GAMMA_GRID",
     "PeMode",
     "PositionTable",
-    "RopeConfig",
     "RotationTable",
     "SequenceLayout",
     "Task",

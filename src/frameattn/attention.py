@@ -2,7 +2,7 @@
 
 K and V are one (heads, T, d_head) float64 stack of independent heads: the
 head count comes from the tensors and the head width must equal
-rope.d_head. Q holds the same heads' last R query rows, 1 <= R <= T, and
+config.d_head. Q holds the same heads' last R query rows, 1 <= R <= T, and
 the output and weights hold those R rows: a caller that reads only the
 final rows (the model's last layer) pays for R rows of scores, not T. R = T
 is the whole sequence, the same path at row offset 0. The forward pass runs
@@ -16,13 +16,13 @@ Everything that depends only on (layout, config, rpe bias, position
 override) lives in an AttentionPlan: rotation positions and their cos/sin
 rotation table, temporal ids, the frequency table, the mask, the APE table,
 the RPE bias matrix and the query tiles. A call's own work is arithmetic on
-Q, K and V: it copies its rows of the rotation table and takes views of the
-mask, but computes no trigonometry and builds no mask. `plan_attention`
-builds the plan, and is the only way to pass an rpe bias or a position
-override into attention. A plan's arrays are read-only, so a
-caller that runs many stacks over one layout builds it once and passes it to
-every `attention_forward` call: a trial builds one plan, shared by every
-step, layer and chunk.
+Q, K and V: it stacks one (R + T)-row table from the plan's rotation table,
+which turns every head, and takes views of the mask, but computes no
+trigonometry and builds no mask. `plan_attention` builds the plan, and is
+the only way to pass an rpe bias or a position override into attention. A
+plan's arrays are read-only, so a caller that runs many stacks over one
+layout builds it once and passes it to every `attention_forward` call: a
+trial builds one plan, shared by every step, layer and chunk.
 
 Query rows are processed in tiles of _TILE_ROWS rows. Tile [lo, hi) scores,
 normalises and mixes only key columns [0, end), where end is one past the
@@ -75,10 +75,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_enum, check_flag
+from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_enum, check_flag, check_float
 from .masks import AttentionMask, MaskKind, allowed, build_mask
 from .numerics import NonFiniteError, int_array, masked_row_softmax, real_array, softmax_backward
-from .rope import FrequencyTable, RopeConfig, RotationTable, frequencies, pair_score, rotate_rows, rotation_table
+from .rope import FrequencyTable, RotationTable, frequencies, pair_score, rotate_rows, rotation_table
 
 __all__ = [
     "PeMode",
@@ -109,15 +109,24 @@ class PeMode(NamedEnum):
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Per-layer attention settings; scores are scaled by `scale` = 1/sqrt(rope.d_head)."""
+    """Per-layer attention settings; scores are scaled by `scale` = 1/sqrt(d_head).
 
-    rope: RopeConfig
-    mask_kind: MaskKind
+    `d_head` and `base` set the rotary frequencies, `gamma` the temporal
+    weight in the positions n + gamma * temporal_id(n). The defaults are the
+    heatmap config's and a TrialConfig's.
+    """
+
+    d_head: int = 8
+    base: float = 10000.0
+    gamma: float = 1.0
+    mask_kind: MaskKind = MaskKind.FW_BLOCK_CAUSAL
     pe_mode: PeMode = PeMode.DUAL_ROPE
     strict_monotonic_suffix: bool = False
     fw_block_causal_within_frame: bool = False
 
     def __post_init__(self):
+        frequencies(self.d_head, self.base)
+        check_float("gamma", self.gamma)
         check_enum("mask_kind", self.mask_kind, MaskKind)
         check_enum("pe_mode", self.pe_mode, PeMode)
         check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
@@ -125,7 +134,7 @@ class AttentionConfig:
 
     @property
     def scale(self) -> float:
-        return 1.0 / math.sqrt(self.rope.d_head)
+        return 1.0 / math.sqrt(self.d_head)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +181,7 @@ class AttentionGrads:
 
 def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarray:
     """Sinusoidal embedding of temporal ids: (sin, cos) per frequency pair."""
-    phi = real_array("temporal", temporal)[:, None] * freqs.thetas[None, :]
+    phi = int_array("temporal", temporal).astype(np.float64)[:, None] * freqs.thetas[None, :]
     emb = np.empty((len(phi), freqs.d_head), dtype=np.float64)
     emb[:, 0::2] = np.sin(phi)
     emb[:, 1::2] = np.cos(phi)
@@ -213,20 +222,18 @@ def plan_attention(
     if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
         raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
     t = layout.total_len
-    table = adjusted_positions(
-        layout, config.rope.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix
-    )
+    table = adjusted_positions(layout, config.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix)
     if positions is not None:
         pos = real_array("positions", positions).copy()  # the plan's own, made read-only below
         if pos.shape != (t,):
             raise ValueError(f"positions must have shape ({t},), got {pos.shape}")
     elif config.pe_mode is PeMode.TIME_ROPE_ONLY:
-        pos = config.rope.gamma * table.temporal_ids.astype(np.float64)
+        pos = config.gamma * table.temporal_ids.astype(np.float64)
     elif config.pe_mode is PeMode.DUAL_ROPE:
         pos = table.adjusted
     else:
         pos = table.global_ids.astype(np.float64)
-    freqs = frequencies(config.rope)
+    freqs = frequencies(config.d_head, config.base)
     rotation = rotation_table(pos, freqs)
     mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
     open_ = mask.values == 0.0
@@ -260,7 +267,7 @@ def plan_attention(
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
     """Q, K, V as float64 stacks: K and V (heads, T, d_head), Q the last 1..T of those rows."""
     arrays = [real_array(name, x) for name, x in zip("QKV", (Q, K, V))]
-    t, d = layout.total_len, config.rope.d_head
+    t, d = layout.total_len, config.d_head
     q_shape = arrays[0].shape
     if len(q_shape) != 3 or not 1 <= q_shape[1] <= t or q_shape[2] != d:
         raise ValueError(f"Q must have shape (heads, R, {d}) with 1 <= R <= {t}, got {q_shape}")
@@ -276,17 +283,12 @@ def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> 
 def _rotate_qk(qk: np.ndarray, table: RotationTable, offset: int) -> np.ndarray:
     """Rotate an (N, R + T, D) stack of R query rows then T key rows per head as one matrix.
 
-    Query row i turns by table row offset + i, key row j by table row j.
+    Query row i turns by table row offset + i, key row j by table row j: one
+    (R + T)-row table serves every head.
     """
     n, rows, d = qk.shape
-    r = rows - len(table.cos)
-    stacked = []
-    for part in (table.cos, table.sin):  # filled by broadcast: faster than a gather
-        out = np.empty((n, rows, d // 2))
-        out[:, :r] = part[offset:]
-        out[:, r:] = part
-        stacked.append(out.reshape(n * rows, d // 2))
-    return rotate_rows(qk.reshape(n * rows, d), RotationTable(*stacked)).reshape(qk.shape)
+    qk_table = RotationTable(*(np.concatenate((part[offset:], part)) for part in (table.cos, table.sin)))
+    return rotate_rows(qk.reshape(n * rows, d), qk_table).reshape(qk.shape)
 
 
 def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple[int, int, int, int]]:
@@ -391,7 +393,7 @@ def attention_brute_oracle(
     t = layout.total_len
     if Q.shape != K.shape:
         raise ValueError(f"the oracle takes all {t} query rows, got Q of shape {Q.shape}")
-    freqs = frequencies(config.rope)
+    freqs = frequencies(config.d_head, config.base)
     plan = plan_attention(layout, config)
     pos, temporal = plan.positions, plan.temporal
 
@@ -427,7 +429,7 @@ def attention_brute_oracle(
             top = max(logits)
             exps = [math.exp(s - top) for s in logits]
             z = sum(exps)
-            row = np.zeros(config.rope.d_head)
+            row = np.zeros(config.d_head)
             for e, j in zip(exps, cols):
                 row += (e / z) * V[h, j]
             out[h, i] = row

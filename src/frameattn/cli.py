@@ -35,7 +35,6 @@ from .layout import SequenceLayout, adjusted_positions, check_fields, check_int
 from .masks import MaskKind, build_mask, mask_stats, mask_to_csv, mask_to_pgm
 from .numerics import make_rng
 from .pgmio import csv_text, pgm_text, write_text_atomic
-from .rope import RopeConfig
 from .selftest import run_selftest
 from .tasks import Task
 
@@ -73,40 +72,25 @@ def _resolve_out(path: str | None, default_name: str) -> str:
     raise ValueError(f"--out not given and {OUT_DIR_ENV} is not set")
 
 
-ATTENTION_FIELDS = (
-    "layout",
-    "num_heads",
-    "d_head",
-    "mask_kind",
-    "pe_mode",
-    "gamma",
-    "base",
-    "strict_monotonic_suffix",
-    "fw_block_causal_within_frame",
-)
+ATTENTION_FIELDS = ("layout", "num_heads", *AttentionConfig.__dataclass_fields__)
 
 
 def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig, tuple[int, int, int]]:
     """Attention config JSON: layout, config and the (num_heads, T, d_head) shape of Q, K, V.
 
-    Every field is checked by the config types, num_heads here.
+    Every field is checked by the config types, num_heads here; an absent
+    attention field takes AttentionConfig's default.
     """
     check_fields("config", obj, ATTENTION_FIELDS, ("layout",))
-    layout = SequenceLayout.from_dict(obj["layout"])
-    num_heads = obj.get("num_heads", 2)
+    fields = dict(obj)
+    layout = SequenceLayout.from_dict(fields.pop("layout"))
+    num_heads = fields.pop("num_heads", 2)
     check_int("num_heads", num_heads, 1)
-    config = AttentionConfig(
-        rope=RopeConfig(
-            d_head=obj.get("d_head", 8),
-            base=obj.get("base", 10000.0),
-            gamma=obj.get("gamma", 1.0),
-        ),
-        mask_kind=MaskKind.from_string(obj.get("mask_kind", "fw_block_causal")),
-        pe_mode=PeMode.from_string(obj.get("pe_mode", "dual_rope")),
-        strict_monotonic_suffix=obj.get("strict_monotonic_suffix", False),
-        fw_block_causal_within_frame=obj.get("fw_block_causal_within_frame", False),
-    )
-    return layout, config, (num_heads, layout.total_len, config.rope.d_head)
+    for name, enum_type in (("mask_kind", MaskKind), ("pe_mode", PeMode)):
+        if name in fields:
+            fields[name] = enum_type.from_string(fields[name])
+    config = AttentionConfig(**fields)
+    return layout, config, (num_heads, layout.total_len, config.d_head)
 
 
 def cmd_render_mask(args) -> int:

@@ -24,7 +24,6 @@ from .layout import SequenceLayout, build_layout
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import make_rng, real_array
-from .rope import RopeConfig
 from .tasks import Task, gen_task, num_classes, vocab_size
 
 __all__ = [
@@ -82,11 +81,7 @@ def attention_fd_error(
     Q holds the last `query_rows` query rows, all T by default.
     """
     d_head = 4
-    config = AttentionConfig(
-        rope=RopeConfig(d_head=d_head, gamma=0.7),
-        mask_kind=mask_kind,
-        pe_mode=pe_mode,
-    )
+    config = AttentionConfig(d_head=d_head, gamma=0.7, mask_kind=mask_kind, pe_mode=pe_mode)
     rng = make_rng(seed, 300)
     t = layout.total_len
     shape = (num_heads, t, d_head)
@@ -127,11 +122,7 @@ def model_fd_error(
         vocab_size=vocab_size(4),
         num_classes=num_classes(Task.FRAME_ORDER, layout, 4),
     )
-    attn_cfg = AttentionConfig(
-        rope=RopeConfig(d_head=4, gamma=1.0),
-        mask_kind=mask_kind,
-        pe_mode=pe_mode,
-    )
+    attn_cfg = AttentionConfig(d_head=4, gamma=1.0, mask_kind=mask_kind, pe_mode=pe_mode)
     plan = plan_attention(layout, attn_cfg)
     model = TinyModel(model_cfg, seed=seed)
     data = gen_task(Task.FRAME_ORDER, layout, seed, 2, 4)

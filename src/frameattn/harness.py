@@ -28,7 +28,6 @@ from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_fields,
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import NonFiniteError, make_rng
-from .rope import RopeConfig
 from .tasks import Task, check_task, gen_task, num_classes, vocab_size
 
 __all__ = [
@@ -111,7 +110,9 @@ class TrialConfig:
 
     def attention_config(self) -> AttentionConfig:
         return AttentionConfig(
-            rope=RopeConfig(d_head=self.d_head, base=self.rope_base, gamma=self.gamma),
+            d_head=self.d_head,
+            base=self.rope_base,
+            gamma=self.gamma,
             mask_kind=self.mask_kind,
             pe_mode=self.pe_mode,
             strict_monotonic_suffix=self.strict_monotonic_suffix,

@@ -15,9 +15,10 @@ which makes the first suffix token share the last frame's temporal id. Pass
 that collision.
 
 This module also holds the strict field checks that every config parser in
-the package shares (layout, rotary, attention and trial configs): integers
-must be non-bool ints, real numbers finite non-bool ints or floats, flags
-bools, enums members of their type rather than strings, and nothing is coerced.
+the package shares (layout, attention and trial configs, rotary
+frequencies): integers must be non-bool ints, real numbers finite non-bool
+ints or floats, flags bools, enums members of their type rather than
+strings, and nothing is coerced. Flags are checked where they are read.
 """
 
 from __future__ import annotations
@@ -194,6 +195,7 @@ def temporal_ids(layout: SequenceLayout, strict_monotonic_suffix: bool = False) 
     of whole frame steps it covered. With no visual span this is the identity
     map.
     """
+    check_flag("strict_monotonic_suffix", strict_monotonic_suffix)
     n = np.arange(layout.total_len, dtype=np.int64)
     if not layout.has_visual:
         return n

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import NamedEnum, SequenceLayout
+from .layout import NamedEnum, SequenceLayout, check_flag
 from .pgmio import csv_text, pgm_text
 
 __all__ = [
@@ -58,6 +58,7 @@ def allowed(
     fw_block_causal_within_frame: bool = False,
 ) -> bool:
     """May query position i attend to key position j under `kind`?"""
+    check_flag("fw_block_causal_within_frame", fw_block_causal_within_frame)
     t = layout.total_len
     for name, idx in (("i", i), ("j", j)):
         if not 0 <= idx < t:
@@ -110,6 +111,7 @@ def build_mask(
     fw_block_causal_within_frame: bool = False,
 ) -> AttentionMask:
     """Dense additive mask; 0 where `allowed`, -inf elsewhere."""
+    check_flag("fw_block_causal_within_frame", fw_block_causal_within_frame)
     ok = _allowed_bool(kind, layout, fw_block_causal_within_frame)
     values = np.where(ok, 0.0, -np.inf)
     return AttentionMask(kind=kind, size=layout.total_len, values=values)

@@ -26,7 +26,7 @@ from .harness import TrialConfig, train_trial
 from .layout import SequenceLayout, build_layout, temporal_ids
 from .masks import MaskKind, allowed, build_mask
 from .numerics import make_rng, masked_row_softmax
-from .rope import RopeConfig, frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
+from .rope import frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
 from .tasks import Task, gen_task
 
 __all__ = ["random_layout", "run_selftest", "temporal_id_literal"]
@@ -78,7 +78,7 @@ def _check_temporal_ids():
 def _check_rope_oracle():
     rng = make_rng(7002)
     for d_head in (2, 8, 64):
-        freqs = frequencies(RopeConfig(d_head=d_head))
+        freqs = frequencies(d_head)
         mat = rng.standard_normal((60, d_head))
         positions = rng.uniform(-500, 500, 60)
         table = rotation_table(positions, freqs)
@@ -95,7 +95,7 @@ def _check_rope_oracle():
 
 def _check_rope_shift():
     rng = make_rng(7003)
-    freqs = frequencies(RopeConfig(d_head=8))
+    freqs = frequencies(8)
     for _ in range(50):
         q, k = rng.standard_normal(8), rng.standard_normal(8)
         pq, pk, s = rng.uniform(-50, 50, 3)
@@ -148,11 +148,7 @@ def _check_degeneracy():
     rng = make_rng(7006)
     lay = build_layout(1, 2, 3, 2)
     t = lay.total_len
-    base = AttentionConfig(
-        rope=RopeConfig(d_head=4, gamma=0.0),
-        mask_kind=MaskKind.CAUSAL,
-        pe_mode=PeMode.DUAL_ROPE,
-    )
+    base = AttentionConfig(d_head=4, gamma=0.0, mask_kind=MaskKind.CAUSAL, pe_mode=PeMode.DUAL_ROPE)
     q, k, v = (rng.standard_normal((2, t, 4)) for _ in range(3))
     dual = attention_forward(q, k, v, lay, base).output
     rope_only = attention_forward(q, k, v, lay, replace(base, pe_mode=PeMode.ROPE_ONLY)).output
@@ -174,11 +170,7 @@ def _check_attention_oracle():
         t = lay.total_len
         pe = list(PeMode)[case % len(PeMode)]
         mk = list(MaskKind)[case % len(MaskKind)]
-        cfg = AttentionConfig(
-            rope=RopeConfig(d_head=4, gamma=float(rng.uniform(0, 2))),
-            mask_kind=mk,
-            pe_mode=pe,
-        )
+        cfg = AttentionConfig(d_head=4, gamma=float(rng.uniform(0, 2)), mask_kind=mk, pe_mode=pe)
         q, k, v = (rng.standard_normal((2, t, 4)) for _ in range(3))
         bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
         fast = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
@@ -186,7 +178,7 @@ def _check_attention_oracle():
         assert np.max(np.abs(fast - slow)) < 1e-10, "attention oracle disagreement"
     # T=70 runs two query tiles, with frame 4 straddling the tile boundary.
     lay = build_layout(2, 5, 13, 3)
-    cfg = AttentionConfig(rope=RopeConfig(d_head=4, gamma=0.7), mask_kind=MaskKind.FW_BLOCK_CAUSAL)
+    cfg = AttentionConfig(d_head=4, gamma=0.7, mask_kind=MaskKind.FW_BLOCK_CAUSAL)
     q, k, v = (rng.standard_normal((1, lay.total_len, 4)) for _ in range(3))
     fast = attention_forward(q, k, v, lay, cfg).output
     slow = attention_brute_oracle(q, k, v, lay, cfg)

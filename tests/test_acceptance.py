@@ -24,7 +24,7 @@ from frameattn.harness import TrialConfig, gamma_sweep, train_trial
 from frameattn.layout import build_layout, temporal_ids
 from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.numerics import make_rng
-from frameattn.rope import RopeConfig, frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
+from frameattn.rope import frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
 from frameattn.selftest import random_layout, temporal_id_literal
 from frameattn.tasks import Task
 
@@ -53,7 +53,7 @@ def test_criterion_02_rope_oracle_equivalence():
     rng = make_rng(102)
     worst = 0.0
     for d_head in (2, 8, 64, 128):
-        freqs = frequencies(RopeConfig(d_head=d_head))
+        freqs = frequencies(d_head)
         mat = rng.standard_normal((250, d_head))
         positions = rng.uniform(-1000, 1000, 250)
         fast = rotate_rows(mat, rotation_table(positions, freqs))
@@ -72,7 +72,7 @@ def test_criterion_03_relative_position_property():
     worst_attn = 0.0
     for _ in range(100):
         d_head = int(rng.choice([2, 4, 8]))
-        freqs = frequencies(RopeConfig(d_head=d_head))
+        freqs = frequencies(d_head)
         q, k = rng.standard_normal(d_head), rng.standard_normal(d_head)
         pq, pk = rng.uniform(-100, 100, 2)
         s = float(rng.uniform(-100, 100))
@@ -83,7 +83,8 @@ def test_criterion_03_relative_position_property():
         lay = random_layout(rng, max_total=10, max_prefix=3, max_frames=3, max_per_frame=3, max_suffix=3)
         gamma = float(rng.uniform(0, 2))
         cfg = AttentionConfig(
-            rope=RopeConfig(d_head=d_head, gamma=gamma),
+            d_head=d_head,
+            gamma=gamma,
             mask_kind=MaskKind(rng.choice([m.value for m in MaskKind])),
             pe_mode=PeMode.DUAL_ROPE,
         )
@@ -128,7 +129,8 @@ def test_criterion_05_degeneracies():
         shape = (2, t, 4)
         q, k, v = rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
         dual = AttentionConfig(
-            rope=RopeConfig(d_head=4, gamma=0.0),
+            d_head=4,
+            gamma=0.0,
             mask_kind=MaskKind.FW_BLOCK_CAUSAL,
             pe_mode=PeMode.DUAL_ROPE,
         )
@@ -175,7 +177,8 @@ def test_criterion_07_brute_force_attention_oracle():
         t = lay.total_len
         pe = pe_modes[case % len(pe_modes)]
         cfg = AttentionConfig(
-            rope=RopeConfig(d_head=4, gamma=float(rng.uniform(0, 2))),
+            d_head=4,
+            gamma=float(rng.uniform(0, 2)),
             mask_kind=kinds[case % len(kinds)],
             pe_mode=pe,
         )

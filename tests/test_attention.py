@@ -15,13 +15,14 @@ from frameattn.gradcheck import attention_fd_error, relative_error
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
 from frameattn.numerics import NonFiniteError, make_rng, masked_row_softmax
-from frameattn.rope import RopeConfig, rotate_rows, rotation_table
+from frameattn.rope import rotate_rows, rotation_table
 from frameattn.selftest import random_layout
 
 
 def config(d_head=4, gamma=1.0, mask=MaskKind.CAUSAL, pe=PeMode.DUAL_ROPE, **kw):
     return AttentionConfig(
-        rope=RopeConfig(d_head=d_head, gamma=gamma),
+        d_head=d_head,
+        gamma=gamma,
         mask_kind=mask,
         pe_mode=pe,
         **kw,
@@ -249,7 +250,7 @@ def test_joint_shift_invariance_of_output():
     for _ in range(10):
         s = float(rng.uniform(-100, 100))
         c = float(rng.uniform(-10, 10))
-        plan = plan_attention(lay, cfg, positions=pos + (s + cfg.rope.gamma * c))
+        plan = plan_attention(lay, cfg, positions=pos + (s + cfg.gamma * c))
         shifted = attention_forward(q, k, v, lay, cfg, plan=plan)
         assert np.abs(shifted.output - base.output).max() < 1e-9
 

@@ -150,6 +150,30 @@ HEATMAP_CONFIG = json.dumps(
 )
 
 
+@pytest.mark.parametrize("fmt", ["pgm", "csv"])
+def test_heatmap_defaults_match_the_spelled_out_schema_defaults(tmp_path, capsys, fmt):
+    layout = json.loads(LAYOUT_1_2x2_1)
+    spelled = {
+        "layout": layout,
+        "num_heads": 2,
+        "d_head": 8,
+        "base": 10000.0,
+        "gamma": 1.0,
+        "mask_kind": "fw_block_causal",
+        "pe_mode": "dual_rope",
+        "strict_monotonic_suffix": False,
+        "fw_block_causal_within_frame": False,
+    }
+    for name, config in (("bare", {"layout": layout}), ("spelled", spelled)):
+        code, _, _ = run(
+            capsys, "heatmap", "--config", json.dumps(config), "--format", fmt, "--out", str(tmp_path / name)
+        )
+        assert code == 0
+    for h in range(2):
+        bare = (tmp_path / "bare" / f"head_{h}.{fmt}").read_bytes()
+        assert bare == (tmp_path / "spelled" / f"head_{h}.{fmt}").read_bytes()
+
+
 def test_heatmap_single_token_is_white_pixel(tmp_path, capsys):
     config = json.dumps(
         {"layout": {"prefix_len": 1, "num_frames": 0, "tokens_per_frame": 0, "suffix_len": 0}, "num_heads": 1, "d_head": 4}
@@ -234,7 +258,6 @@ def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
     from frameattn.layout import SequenceLayout
     from frameattn.masks import MaskKind
     from frameattn.numerics import make_rng
-    from frameattn.rope import RopeConfig
 
     code, _, _ = run(
         capsys, "heatmap", "--config", HEATMAP_CONFIG, "--seed", "5", "--out", str(tmp_path), "--format", "csv"
@@ -242,7 +265,8 @@ def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
     assert code == 0
     layout = SequenceLayout.from_json(LAYOUT_1_2x2_1)
     cfg = AttentionConfig(
-        rope=RopeConfig(d_head=4, gamma=1.0),
+        d_head=4,
+        gamma=1.0,
         mask_kind=MaskKind.CAUSAL,
         pe_mode=PeMode.DUAL_ROPE,
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import frameattn.harness as harness
 import frameattn.model as model
-from frameattn.attention import PeMode
+from frameattn.attention import AttentionConfig, PeMode
 from frameattn.harness import (
     GRID_COLUMNS,
     REPORT_HEADER,
@@ -39,6 +39,12 @@ TINY = TrialConfig(
     d_head=4,
     layers=1,
 )
+
+
+def test_attention_defaults_agree_with_trial_config_defaults():
+    # The heatmap config takes AttentionConfig's defaults, a trial config its
+    # own: one default trial and one default attention config must agree.
+    assert AttentionConfig() == TrialConfig(task=Task.FRAME_ORDER, layout=build_layout(1, 2, 2, 1)).attention_config()
 
 
 def test_config_rejects_zero_steps():

@@ -1,9 +1,9 @@
 """Every public entry point refuses input it would otherwise have to coerce.
 
-Complex, bool and text arrays, float ids, ids out of range, a string where
-an enum member belongs, and a float or bool count each raise a ValueError
-that names the field, before any numpy conversion can warn, drop information
-or wrap a negative index around.
+Complex, bool, text and object arrays, float ids, ids out of range, a string
+where an enum member belongs, a float or bool count, and a flag that is not
+a bool each raise a ValueError that names the field, before any numpy
+conversion can warn, drop information or wrap a negative index around.
 """
 
 import warnings
@@ -18,22 +18,32 @@ from frameattn.attention import (
     attention_forward,
     plan_attention,
     temporal_bias_matrix,
+    time_ape_embedding,
 )
 from frameattn.harness import TrialConfig
-from frameattn.layout import build_layout
-from frameattn.masks import MaskKind
+from frameattn.layout import adjusted_positions, build_layout, temporal_ids
+from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.model import ModelConfig, TinyModel
 from frameattn.numerics import NonFiniteError, masked_row_softmax, softmax_backward
-from frameattn.rope import RopeConfig, frequencies, rotation_table
+from frameattn.rope import (
+    FrequencyTable,
+    RotationTable,
+    frequencies,
+    pair_score,
+    rotary_oracle,
+    rotate_rows,
+    rotation_table,
+)
 from frameattn.tasks import Task, gen_task, num_classes
 
 LAYOUT = build_layout(1, 2, 2, 1)  # T=6
 T = LAYOUT.total_len
-ROPE = RopeConfig(d_head=4)
+FREQS = frequencies(4)
+TABLE = rotation_table(np.zeros(2), FREQS)
 
 
 def attn(pe=PeMode.DUAL_ROPE, mask=MaskKind.FW_BLOCK_CAUSAL):
-    return AttentionConfig(rope=ROPE, mask_kind=mask, pe_mode=pe)
+    return AttentionConfig(d_head=4, mask_kind=mask, pe_mode=pe)
 
 
 def qkv():
@@ -55,11 +65,12 @@ BAD_ARRAYS = {
     "complex": lambda shape: np.full(shape, 1 + 1j),
     "bool": lambda shape: np.ones(shape, dtype=bool),
     "str": lambda shape: np.full(shape, "1"),
+    "object": lambda shape: np.full(shape, 1.0, dtype=object),
 }
 
 # (field, call taking a maker of bad arrays)
 ARRAY_CASES = [
-    ("positions", lambda bad: rotation_table(bad((T,)), frequencies(ROPE))),
+    ("positions", lambda bad: rotation_table(bad((T,)), FREQS)),
     ("rpe_bias", lambda bad: temporal_bias_matrix(np.arange(T), bad((3,)))),
     ("rpe_bias", lambda bad: plan_attention(LAYOUT, attn(PeMode.TIME_RPE), rpe_bias=bad((3,)))),
     ("positions", lambda bad: plan_attention(LAYOUT, attn(), positions=bad((T,)))),
@@ -71,6 +82,13 @@ ARRAY_CASES = [
     ("mask", lambda bad: masked_row_softmax(np.zeros((2, 3)), bad((2, 3)))),
     ("weights", lambda bad: softmax_backward(bad((2, 3)), np.zeros((2, 3)))),
     ("grad_weights", lambda bad: softmax_backward(np.zeros((2, 3)), bad((2, 3)))),
+    ("mat", lambda bad: rotate_rows(bad((2, 4)), TABLE)),
+    ("vec", lambda bad: rotary_oracle(bad((4,)), 0.0, FREQS)),
+    ("q", lambda bad: pair_score(bad((4,)), np.ones(4), 0.0, 1.0, FREQS)),
+    ("k", lambda bad: pair_score(np.ones(4), bad((4,)), 0.0, 1.0, FREQS)),
+    ("thetas", lambda bad: FrequencyTable(thetas=bad((2,)))),
+    ("cos", lambda bad: RotationTable(bad((2, 2)), np.ones((2, 2)))),
+    ("sin", lambda bad: RotationTable(np.ones((2, 2)), bad((2, 2)))),
 ]
 
 MODEL = TinyModel(ModelConfig(layers=1, num_heads=1, d_head=4, vocab_size=5, num_classes=3), seed=0)
@@ -86,6 +104,7 @@ ID_CASES = [
     ("tokens", lambda bad: MODEL.predict(bad((1, T)), PLAN)),
     ("tokens", lambda bad: MODEL.loss_and_grads(bad((1, T)), LABELS, PLAN)),
     ("labels", lambda bad: MODEL.loss_and_grads(TOKENS, bad((1,)), PLAN)),
+    ("temporal", lambda bad: time_ape_embedding(bad((T,)), FREQS)),
 ]
 
 
@@ -95,8 +114,8 @@ def trial(**kw):
 
 # (field, call) with one bad scalar argument each
 FIELD_CASES = [
-    ("mask_kind", lambda: AttentionConfig(rope=ROPE, mask_kind="causal")),
-    ("pe_mode", lambda: AttentionConfig(rope=ROPE, mask_kind=MaskKind.CAUSAL, pe_mode="dual_rope")),
+    ("mask_kind", lambda: AttentionConfig(d_head=4, mask_kind="causal")),
+    ("pe_mode", lambda: AttentionConfig(d_head=4, mask_kind=MaskKind.CAUSAL, pe_mode="dual_rope")),
     ("task", lambda: trial(task="frame_order")),
     ("pe_mode", lambda: trial(pe_mode="time_rpe")),
     ("mask_kind", lambda: trial(mask_kind="fw_block")),
@@ -107,6 +126,20 @@ FIELD_CASES = [
     ("count", lambda: gen_task(Task.FRAME_ORDER, LAYOUT, 0, True)),
     ("count", lambda: gen_task(Task.FRAME_ORDER, LAYOUT, 0, "3")),
     ("task", lambda: num_classes("moving_count", LAYOUT, 4)),
+]
+
+# (field, call) with a flag that is not a bool: "no" is truthy and would turn the flag on
+FLAG_CASES = [
+    ("fw_block_causal_within_frame", lambda: build_mask(MaskKind.FW_BLOCK, LAYOUT, "no")),
+    ("fw_block_causal_within_frame", lambda: allowed(MaskKind.FW_BLOCK, LAYOUT, 1, 2, "no")),
+    ("strict_monotonic_suffix", lambda: temporal_ids(LAYOUT, "no")),
+    ("strict_monotonic_suffix", lambda: adjusted_positions(LAYOUT, 1.0, 0.0)),
+]
+
+# (field, call) with real thetas that no rotation can use
+THETA_CASES = [
+    ("thetas", lambda: FrequencyTable(thetas=np.array([np.nan, 0.5]))),
+    ("thetas", lambda: FrequencyTable(thetas=np.ones((2, 2)))),
 ]
 
 # (field, call) with ids out of range: numpy would read -1 as the last row or class
@@ -146,4 +179,14 @@ def test_strings_for_enums_and_non_int_counts_are_refused(field, call):
 
 @pytest.mark.parametrize("field, call", RANGE_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(RANGE_CASES)])
 def test_ids_out_of_range_are_refused(field, call):
+    refuses(field, call)
+
+
+@pytest.mark.parametrize("field, call", FLAG_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(FLAG_CASES)])
+def test_flags_that_are_not_bools_are_refused(field, call):
+    refuses(field, call)
+
+
+@pytest.mark.parametrize("field, call", THETA_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(THETA_CASES)])
+def test_thetas_that_are_not_finite_1d_are_refused(field, call):
     refuses(field, call)

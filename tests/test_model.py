@@ -14,13 +14,13 @@ from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
 from frameattn.model import ModelConfig, TinyModel
 from frameattn.numerics import make_rng
-from frameattn.rope import RopeConfig
 from frameattn.tasks import Task, gen_task
 
 LAYOUT = build_layout(1, 2, 2, 3)  # T=8
 MODEL_CFG = ModelConfig(layers=1, num_heads=1, d_head=4, vocab_size=7, num_classes=4)
 ATTN_CFG = AttentionConfig(
-    rope=RopeConfig(d_head=4, gamma=1.0),
+    d_head=4,
+    gamma=1.0,
     mask_kind=MaskKind.FW_BLOCK_CAUSAL,
     pe_mode=PeMode.DUAL_ROPE,
 )
@@ -158,7 +158,7 @@ def test_chunks_do_not_change_results(monkeypatch):
     layout = build_layout(1, 2, 2, 1)
     cfg = ModelConfig(layers=2, num_heads=2, d_head=4, vocab_size=7, num_classes=4)
     attn_cfg = AttentionConfig(
-        rope=RopeConfig(d_head=4, gamma=1.0), mask_kind=MaskKind.FW_BLOCK_CAUSAL, pe_mode=PeMode.TIME_RPE
+        d_head=4, gamma=1.0, mask_kind=MaskKind.FW_BLOCK_CAUSAL, pe_mode=PeMode.TIME_RPE
     )
     plan = plan_attention(layout, attn_cfg, np.linspace(-0.1, 0.1, 5))
     tiny = TinyModel(cfg, seed=8)
@@ -183,7 +183,7 @@ def test_last_layer_query_rows_do_not_change_results(monkeypatch):
     layout = build_layout(1, 2, 2, 3)
     cfg = ModelConfig(layers=2, num_heads=2, d_head=4, vocab_size=7, num_classes=4)
     attn_cfg = AttentionConfig(
-        rope=RopeConfig(d_head=4, gamma=1.0), mask_kind=MaskKind.FW_BLOCK_CAUSAL, pe_mode=PeMode.TIME_APE
+        d_head=4, gamma=1.0, mask_kind=MaskKind.FW_BLOCK_CAUSAL, pe_mode=PeMode.TIME_APE
     )
     plan = plan_attention(layout, attn_cfg)
     tiny = TinyModel(cfg, seed=9)
