@@ -12,17 +12,17 @@ additive mask (and, for time_rpe, a temporal-distance bias), masked row
 softmax, then weights @ V. Rotation touches Q and K only, never V. One mask
 and one position table are shared by all heads.
 
-Everything that depends only on (layout, config, rpe bias, position
-override) lives in an AttentionPlan: rotation positions and their cos/sin
-rotation table, temporal ids, the frequency table, the mask, the APE table,
-the RPE bias matrix and the query tiles. A call's own work is arithmetic on
-Q, K and V: it stacks one (R + T)-row table from the plan's rotation table,
-which turns every head, and takes views of the mask, but computes no
-trigonometry and builds no mask. `plan_attention` builds the plan, and is
-the only way to pass an rpe bias or a position override into attention. A
-plan's arrays are read-only, so a caller that runs many stacks over one
-layout builds it once and passes it to every `attention_forward` call: a
-trial builds one plan, shared by every step, layer and chunk.
+Everything that depends only on (layout, config, rpe bias) lives in an
+AttentionPlan, which holds exactly what the kernels read: the cos/sin
+rotation table of the mode's positions, the mask, the query tiles, the APE
+table and the RPE bias matrix. A call's own work is arithmetic on Q, K and
+V: it stacks one (R + T)-row table from the plan's rotation table, which
+turns every head, and takes views of the mask, but computes no trigonometry
+and builds no mask. `plan_attention` builds the plan, and is the only way to
+pass an rpe bias into attention. A plan's arrays are read-only, so a caller
+that runs many stacks over one layout builds it once and passes it to every
+`attention_forward` call: a trial builds one plan, shared by every step,
+layer and chunk.
 
 Query rows are processed in tiles of _TILE_ROWS rows. Tile [lo, hi) scores,
 normalises and mixes only key columns [0, end), where end is one past the
@@ -63,8 +63,8 @@ table (cos, -sin), bitwise the rotation at the negated positions.
 
 Array arguments go through `numerics.real_array`, temporal ids through
 `numerics.int_array`. Non-finite Q, K or V raise NonFiniteError, which a
-trial reads as divergence; non-finite positions or rpe_bias raise a plain
-ValueError at plan time. grad_output is not checked
+trial reads as divergence; a non-finite rpe_bias raises a plain ValueError
+at plan time. grad_output is not checked
 for finiteness, so a diverged loss still reaches the harness as a loss.
 """
 
@@ -91,6 +91,7 @@ __all__ = [
     "temporal_bias_matrix",
     "attention_forward",
     "attention_backward",
+    "temporal_id_literal",
     "attention_brute_oracle",
 ]
 
@@ -141,18 +142,15 @@ class AttentionConfig:
 class AttentionPlan:
     """Everything attention needs that depends only on plan_attention's inputs.
 
-    `rotation` is the rotation table of `positions`. `tiles` holds one
-    (lo, hi, free, end) per tile of query rows [lo, hi): every key column
-    before `free` is allowed and every column at or past `end` is masked for
-    every row of the tile. `ape` is set only under time_ape, `bias` only
-    under time_rpe with a bias table.
+    `rotation` is the rotation table of the pe mode's positions. `tiles`
+    holds one (lo, hi, free, end) per tile of query rows [lo, hi): every key
+    column before `free` is allowed and every column at or past `end` is
+    masked for every row of the tile. `ape` is set only under time_ape,
+    `bias` only under time_rpe with a bias table.
     """
 
     layout: SequenceLayout
     config: AttentionConfig
-    positions: np.ndarray = field(repr=False)
-    temporal: np.ndarray = field(repr=False)
-    freqs: FrequencyTable = field(repr=False)
     rotation: RotationTable = field(repr=False)
     mask: AttentionMask = field(repr=False)
     tiles: tuple[tuple[int, int, int, int], ...]
@@ -210,24 +208,17 @@ def plan_attention(
     layout: SequenceLayout,
     config: AttentionConfig,
     rpe_bias: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
 ) -> AttentionPlan:
     """The AttentionPlan of `layout` under `config`, its arrays read-only.
 
-    `positions` overrides the mode-derived rotation positions (used for
-    shift-invariance experiments). `rpe_bias` is only accepted in time_rpe
-    mode; omitting it there means a zero bias. Both must be finite integer
-    or real floating numbers.
+    `rpe_bias` is only accepted in time_rpe mode; omitting it there means a
+    zero bias. It must hold finite integer or real floating numbers.
     """
     if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
         raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
     t = layout.total_len
     table = adjusted_positions(layout, config.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix)
-    if positions is not None:
-        pos = real_array("positions", positions).copy()  # the plan's own, made read-only below
-        if pos.shape != (t,):
-            raise ValueError(f"positions must have shape ({t},), got {pos.shape}")
-    elif config.pe_mode is PeMode.TIME_ROPE_ONLY:
+    if config.pe_mode is PeMode.TIME_ROPE_ONLY:
         pos = config.gamma * table.temporal_ids.astype(np.float64)
     elif config.pe_mode is PeMode.DUAL_ROPE:
         pos = table.adjusted
@@ -247,21 +238,10 @@ def plan_attention(
     tiles = tuple(zip(lows, [*lows[1:], t], frees, ends))
     ape = time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None
     bias = None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, rpe_bias)
-    for arr in (pos, table.temporal_ids, freqs.thetas, rotation.cos, rotation.sin, mask.values, ape, bias):
+    for arr in (rotation.cos, rotation.sin, mask.values, ape, bias):
         if arr is not None:
             arr.flags.writeable = False
-    return AttentionPlan(
-        layout=layout,
-        config=config,
-        positions=pos,
-        temporal=table.temporal_ids,
-        freqs=freqs,
-        rotation=rotation,
-        mask=mask,
-        tiles=tiles,
-        ape=ape,
-        bias=bias,
-    )
+    return AttentionPlan(layout=layout, config=config, rotation=rotation, mask=mask, tiles=tiles, ape=ape, bias=bias)
 
 
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
@@ -312,9 +292,8 @@ def attention_forward(
 
     Q holds the last R of the T query rows (R = T for all of them); output
     and weights hold the same R rows. Without `plan`, builds
-    plan_attention(layout, config): no rpe bias and the mode's own
-    positions. A given `plan` must have been built for this layout and
-    config, and carries any rpe bias or position override.
+    plan_attention(layout, config), with no rpe bias. A given `plan` must
+    have been built for this layout and config, and carries any rpe bias.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     if plan is None:
@@ -374,6 +353,22 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     return AttentionGrads(grad_q=grad_qk[:, :r], grad_k=grad_qk[:, r:], grad_v=grad_v)
 
 
+def temporal_id_literal(lay: SequenceLayout, n: int, strict_monotonic_suffix: bool = False) -> int:
+    """Temporal id of position n, from the three-branch definition token by token.
+
+    `strict_monotonic_suffix` adds one on the suffix branch. Independent of
+    layout.temporal_ids, which it checks.
+    """
+    if not lay.has_visual:
+        return n
+    v_s, v_e, m = lay.visual_start, lay.visual_end, lay.tokens_per_frame
+    if n < v_s:
+        return n
+    if v_s <= n <= v_e:
+        return v_s + (n - v_s) // m
+    return n - (v_e - v_s + 1 - (v_e - v_s) // m) + (1 if strict_monotonic_suffix else 0)
+
+
 def attention_brute_oracle(
     Q: np.ndarray,
     K: np.ndarray,
@@ -384,24 +379,31 @@ def attention_brute_oracle(
 ) -> np.ndarray:
     """Scalar-loop re-implementation of the forward output.
 
-    Walks every (head, query, key) triple with per-pair `pair_score` calls,
-    uses the `allowed` predicate instead of a mask matrix, and normalises by
-    hand. Kept deliberately independent of attention_forward so the two can
-    check each other.
+    Derives its own temporal ids (`temporal_id_literal`), per-mode positions,
+    thetas and APE rows, walks every (head, query, key) triple with per-pair
+    `pair_score` calls, uses the `allowed` predicate instead of a mask
+    matrix, and normalises by hand. Kept deliberately independent of
+    plan_attention and attention_forward so the two can check each other.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     t = layout.total_len
     if Q.shape != K.shape:
         raise ValueError(f"the oracle takes all {t} query rows, got Q of shape {Q.shape}")
-    freqs = frequencies(config.d_head, config.base)
-    plan = plan_attention(layout, config)
-    pos, temporal = plan.positions, plan.temporal
+    half = config.d_head // 2
+    thetas = [config.base ** (-p / half) for p in range(half)]
+    freqs = FrequencyTable(np.array(thetas))
+    temporal = [temporal_id_literal(layout, n, config.strict_monotonic_suffix) for n in range(t)]
+    if config.pe_mode is PeMode.TIME_ROPE_ONLY:
+        pos = [config.gamma * tid for tid in temporal]
+    elif config.pe_mode is PeMode.DUAL_ROPE:
+        pos = [n + config.gamma * tid for n, tid in enumerate(temporal)]
+    else:
+        pos = list(range(t))
 
     q_in, k_in = Q, K
     if config.pe_mode is PeMode.TIME_APE:
-        ape = time_ape_embedding(temporal, freqs)
-        q_in = Q + ape[None, :, :]
-        k_in = K + ape[None, :, :]
+        ape = np.array([[f(tid * theta) for theta in thetas for f in (math.sin, math.cos)] for tid in temporal])
+        q_in, k_in = Q + ape, K + ape
     bias_table = None
     radius = 0
     if config.pe_mode is PeMode.TIME_RPE and rpe_bias is not None:
@@ -422,8 +424,7 @@ def attention_brute_oracle(
             for j in cols:
                 s = config.scale * pair_score(q_in[h, i], k_in[h, j], pos[i], pos[j], freqs)
                 if bias_table is not None:
-                    d = int(temporal[i]) - int(temporal[j])
-                    d = max(-radius, min(radius, d))
+                    d = max(-radius, min(radius, temporal[i] - temporal[j]))
                     s += bias_table[radius + d]
                 logits.append(s)
             top = max(logits)

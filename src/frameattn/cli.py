@@ -197,11 +197,11 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, parse) -> list:
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [parse(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ValueError(f"{flag} expects a comma-separated list of numbers: {exc}") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
     if not values:
         raise ValueError(f"{flag} must name at least one value")
     return values
@@ -209,7 +209,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     base = TrialConfig.from_dict(_load_json_arg(args.config))
-    gammas = _parse_float_list(args.gammas, "--gammas") if args.gammas else list(PAPER_GAMMA_GRID)
+    gammas = _parse_list(args.gammas, "--gammas", float)
     out_dir = _resolve_out(args.out, "sweep")
     reports = gamma_sweep(base, gammas, workers=args.workers)
     csv = trials_csv(reports, SWEEP_COLUMNS)
@@ -228,10 +228,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_grid(args) -> int:
     base = TrialConfig.from_dict(_load_json_arg(args.config))
-    tasks = [Task.from_string(t) for t in args.tasks.split(",") if t]
-    masks = [MaskKind.from_string(m) for m in args.masks.split(",") if m]
-    pe_modes = [PeMode.from_string(p) for p in args.pe_modes.split(",") if p]
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    tasks = _parse_list(args.tasks, "--tasks", Task.from_string)
+    masks = _parse_list(args.masks, "--masks", MaskKind.from_string)
+    pe_modes = _parse_list(args.pe_modes, "--pe-modes", PeMode.from_string)
+    seeds = _parse_list(args.seeds, "--seeds", int)
     out_dir = _resolve_out(args.out, "grid")
     reports = ablation_grid(base, tasks, masks, pe_modes, seeds, workers=args.workers)
     os.makedirs(out_dir, exist_ok=True)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run one trial per gamma value")
     p.add_argument("--config", required=True, help="trial config JSON (inline or file path)")
-    p.add_argument("--gammas", help="comma-separated gamma list (default: the standard grid)")
+    p.add_argument("--gammas", default=",".join(map(str, PAPER_GAMMA_GRID)), help="gamma list (default: %(default)s)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)

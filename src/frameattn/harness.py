@@ -252,8 +252,12 @@ def run_trials(configs, workers: int = 1) -> list[TrialReport]:
 
 
 def gamma_sweep(base: TrialConfig, gammas, workers: int = 1) -> list[TrialReport]:
-    """One trial per gamma, sharing everything else including the seed."""
-    return run_trials([replace(base, gamma=float(g)) for g in gammas], workers)
+    """One trial per gamma, sharing everything else including the seed; each gamma must be a finite number."""
+    configs = []
+    for g in gammas:
+        check_float("gamma", g)
+        configs.append(replace(base, gamma=float(g)))
+    return run_trials(configs, workers)
 
 
 def ablation_grid(

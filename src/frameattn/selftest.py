@@ -20,6 +20,7 @@ from .attention import (
     attention_brute_oracle,
     attention_forward,
     plan_attention,
+    temporal_id_literal,
 )
 from .gradcheck import attention_fd_error, model_fd_error
 from .harness import TrialConfig, train_trial
@@ -49,21 +50,6 @@ def random_layout(
         suffix = int(rng.integers(0, max_suffix + 1))
         if 1 <= prefix + frames * per_frame + suffix <= max_total:
             return build_layout(prefix, frames, per_frame, suffix)
-
-
-def temporal_id_literal(lay: SequenceLayout, n: int) -> int:
-    """Temporal id of position n, from the three-branch definition token by token.
-
-    Independent of layout.temporal_ids, which it checks here and in the tests.
-    """
-    if not lay.has_visual:
-        return n
-    v_s, v_e, m = lay.visual_start, lay.visual_end, lay.tokens_per_frame
-    if n < v_s:
-        return n
-    if v_s <= n <= v_e:
-        return v_s + (n - v_s) // m
-    return n - (v_e - v_s + 1 - (v_e - v_s) // m)
 
 
 def _check_temporal_ids():

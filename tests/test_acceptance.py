@@ -21,7 +21,7 @@ from frameattn.attention import (
 from frameattn.cli import main
 from frameattn.gradcheck import attention_fd_error, default_micro_cases, model_fd_error
 from frameattn.harness import TrialConfig, gamma_sweep, train_trial
-from frameattn.layout import build_layout, temporal_ids
+from frameattn.layout import adjusted_positions, build_layout, temporal_ids
 from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.numerics import make_rng
 from frameattn.rope import frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
@@ -91,12 +91,13 @@ def test_criterion_03_relative_position_property():
         t = lay.total_len
         shape = (2, t, d_head)
         qt, kt, vt = rng.standard_normal(shape), rng.standard_normal(shape), rng.standard_normal(shape)
-        out = attention_forward(qt, kt, vt, lay, cfg).output
+        res = attention_forward(qt, kt, vt, lay, cfg)
         shift_s = float(rng.uniform(-100, 100))
         shift_c = float(rng.uniform(-10, 10))
-        pos = plan_attention(lay, cfg).positions + (shift_s + gamma * shift_c)
-        out_shifted = attention_forward(qt, kt, vt, lay, cfg, plan=plan_attention(lay, cfg, positions=pos)).output
-        worst_attn = max(worst_attn, float(np.abs(out - out_shifted).max()))
+        pos = adjusted_positions(lay, gamma).adjusted + (shift_s + gamma * shift_c)
+        shifted = replace(res.plan, rotation=rotation_table(pos, freqs))
+        out_shifted = attention_forward(qt, kt, vt, lay, cfg, plan=shifted).output
+        worst_attn = max(worst_attn, float(np.abs(res.output - out_shifted).max()))
     assert worst_pair < 1e-9
     assert worst_attn < 1e-9
     announce(3, f"joint shifts change pair scores by {worst_pair:.2e}, outputs by {worst_attn:.2e}")

@@ -1,21 +1,27 @@
+import inspect
+import itertools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from frameattn.attention import (
     AttentionConfig,
+    AttentionPlan,
     PeMode,
     attention_backward,
     attention_brute_oracle,
     attention_forward,
     plan_attention,
+    temporal_id_literal,
+    time_ape_embedding,
 )
 from frameattn.gradcheck import attention_fd_error, relative_error
-from frameattn.layout import build_layout
+from frameattn.layout import PositionTable, adjusted_positions, build_layout
 from frameattn.masks import MaskKind
 from frameattn.numerics import NonFiniteError, make_rng, masked_row_softmax
-from frameattn.rope import rotate_rows, rotation_table
+from frameattn.rope import frequencies, rotate_rows, rotation_table
 from frameattn.selftest import random_layout
 
 
@@ -158,9 +164,19 @@ def test_brute_oracle_agreement(pe):
     assert brute_force_case(rng, pe, list(MaskKind)[list(PeMode).index(pe) % 4], TILED) < 1e-10
 
 
+# The fast path's names the brute-force oracle must not call, by module.
+FAST_PATH = {
+    "frameattn.rope": ("rotate_rows", "frequencies"),
+    "frameattn.layout": ("adjusted_positions", "temporal_ids"),
+    "frameattn.attention": ("rotate_rows", "frequencies", "adjusted_positions", "plan_attention", "time_ape_embedding"),
+}
+
+
 def test_brute_oracle_never_calls_rotate_rows(monkeypatch):
-    # The oracle rotates through rotary_oracle only, so it still agrees with
-    # outputs computed before the fast rotation kernel was made to raise.
+    # The oracle rotates through rotary_oracle only and derives its own
+    # temporal ids, positions, thetas and APE rows, so it still agrees with
+    # outputs computed before the fast rotation kernel and the fast position
+    # rules were made to raise.
     rng = make_rng(23)
     cases = []
     for i, pe in enumerate(PeMode):
@@ -168,18 +184,91 @@ def test_brute_oracle_never_calls_rotate_rows(monkeypatch):
         cfg = config(pe=pe, mask=list(MaskKind)[i % 4], gamma=float(rng.uniform(0, 2)))
         q, k, v = random_qkv(rng, 2, lay.total_len, 4)
         bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
-        fast = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
-        cases.append((q, k, v, lay, cfg, bias, fast))
+        plan = plan_attention(lay, cfg, bias)
+        cases.append((q, k, v, lay, cfg, bias, attention_forward(q, k, v, lay, cfg, plan=plan).output))
 
-    def fail(*args, **kwargs):
-        raise AssertionError("rotate_rows called")
+    def raiser(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr("frameattn.rope.rotate_rows", fail)
-    monkeypatch.setattr("frameattn.attention.rotate_rows", fail)
+        return fail
+
+    for module, names in FAST_PATH.items():
+        for name in names:
+            monkeypatch.setattr(f"{module}.{name}", raiser(name))
     with pytest.raises(AssertionError, match="rotate_rows called"):
-        attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias))
+        attention_forward(q, k, v, lay, cfg, plan=plan)
+    with pytest.raises(AssertionError, match="plan_attention called"):
+        attention_forward(q, k, v, lay, cfg)
     for q, k, v, lay, cfg, bias, fast in cases:
         assert np.abs(attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias) - fast).max() < 1e-10
+
+
+# Layouts with a suffix after the frames, so the suffix rule shows.
+GATE_LAYOUTS = (build_layout(2, 3, 2, 2), build_layout(1, 2, 3, 3))
+# Every mask, fw_block with and without causal order within a frame.
+GATE_MASKS = [(mask, False) for mask in MaskKind] + [(MaskKind.FW_BLOCK, True)]
+
+
+def oracle_errors():
+    """Max |fast - brute oracle| per pe mode, over GATE_LAYOUTS x GATE_MASKS x both suffix rules."""
+    rng = make_rng(50)
+    errs = {}
+    for pe in PeMode:
+        worst = 0.0
+        for lay in GATE_LAYOUTS:
+            for (mask, within), strict in itertools.product(GATE_MASKS, (False, True)):
+                cfg = config(
+                    pe=pe, mask=mask, gamma=0.7, strict_monotonic_suffix=strict, fw_block_causal_within_frame=within
+                )
+                q, k, v = random_qkv(rng, 2, lay.total_len, 4)
+                bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
+                fast = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, bias)).output
+                slow = attention_brute_oracle(q, k, v, lay, cfg, rpe_bias=bias)
+                worst = max(worst, np.abs(fast - slow).max())
+        errs[pe] = worst
+    return errs
+
+
+def test_brute_oracle_agrees_with_both_flags_set():
+    assert max(oracle_errors().values()) < 1e-10
+
+
+def doubled_temporal_ids(layout, gamma, strict_monotonic_suffix=False):
+    table = adjusted_positions(layout, gamma, strict_monotonic_suffix)
+    temporal = 2 * table.temporal_ids
+    return PositionTable(table.global_ids, temporal, table.global_ids + gamma * temporal)
+
+
+def inverted_suffix_rule(layout, gamma, strict_monotonic_suffix=False):
+    return adjusted_positions(layout, gamma, not strict_monotonic_suffix)
+
+
+def swapped_sin_cos(temporal, freqs):
+    emb = time_ape_embedding(temporal, freqs)
+    return emb.reshape(len(emb), -1, 2)[:, :, ::-1].reshape(emb.shape)
+
+
+TEMPORAL_MODES = {PeMode.TIME_ROPE_ONLY, PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE}
+# (name patched in frameattn.attention, its wrong version, the pe modes it changes)
+RULE_CHANGES = {
+    "temporal_ids_doubled": ("adjusted_positions", doubled_temporal_ids, TEMPORAL_MODES),
+    "suffix_rule_inverted": ("adjusted_positions", inverted_suffix_rule, TEMPORAL_MODES),
+    "ape_sin_cos_swapped": ("time_ape_embedding", swapped_sin_cos, {PeMode.TIME_APE}),
+}
+
+
+@pytest.mark.parametrize("change", RULE_CHANGES)
+def test_brute_oracle_catches_a_changed_position_rule(monkeypatch, change):
+    # The oracle reads none of the fast path's position rules, so a wrong
+    # rule there shows as a disagreement in exactly the modes that use it.
+    name, wrong, affected = RULE_CHANGES[change]
+    monkeypatch.setattr(f"frameattn.attention.{name}", wrong)
+    for pe, err in oracle_errors().items():
+        if pe in affected:
+            assert err > 1e-3, pe
+        else:
+            assert err < 1e-10, pe
 
 
 @pytest.mark.parametrize("mask", list(MaskKind))
@@ -246,11 +335,11 @@ def test_joint_shift_invariance_of_output():
     cfg = config(gamma=0.7, pe=PeMode.DUAL_ROPE, mask=MaskKind.FW_BLOCK_CAUSAL)
     q, k, v = random_qkv(rng, 2, t, 4)
     base = attention_forward(q, k, v, lay, cfg)
-    pos = plan_attention(lay, cfg).positions
+    pos = adjusted_positions(lay, cfg.gamma).adjusted
     for _ in range(10):
         s = float(rng.uniform(-100, 100))
         c = float(rng.uniform(-10, 10))
-        plan = plan_attention(lay, cfg, positions=pos + (s + cfg.gamma * c))
+        plan = replace(base.plan, rotation=rotation_table(pos + (s + cfg.gamma * c), frequencies(4)))
         shifted = attention_forward(q, k, v, lay, cfg, plan=plan)
         assert np.abs(shifted.output - base.output).max() < 1e-9
 
@@ -258,19 +347,68 @@ def test_joint_shift_invariance_of_output():
 def test_intra_frame_permutation_equivariance():
     # With time_rope_only all tokens of a frame share one rotation position,
     # so jointly permuting that frame's Q/K/V rows permutes exactly that
-    # frame's output rows under the frame-block-causal mask.
+    # frame's output rows under every mask that lets a frame's tokens see each
+    # other. Causal order within the frame, or a position that grows with n,
+    # breaks it.
     rng = make_rng(10)
     lay = build_layout(1, 2, 3, 1)
     t = lay.total_len
-    cfg = config(pe=PeMode.TIME_ROPE_ONLY, mask=MaskKind.FW_BLOCK_CAUSAL, gamma=1.5)
     q, k, v = random_qkv(rng, 2, t, 4)
-    base = attention_forward(q, k, v, lay, cfg).output
-
     frame = lay.frame_slice(1)
     perm = np.arange(t)
     perm[frame] = np.array([5, 6, 4])  # cycle the three rows of frame 1
-    out = attention_forward(q[:, perm], k[:, perm], v[:, perm], lay, cfg).output
-    assert np.abs(out - base[:, perm]).max() < 1e-12
+    cells = [(PeMode.TIME_ROPE_ONLY, mask) for mask in MaskKind] + [(PeMode.DUAL_ROPE, MaskKind.FW_BLOCK_CAUSAL)]
+    for pe, mask in cells:
+        cfg = config(pe=pe, mask=mask, gamma=1.5)
+        base = attention_forward(q, k, v, lay, cfg).output
+        out = attention_forward(q[:, perm], k[:, perm], v[:, perm], lay, cfg).output
+        err = np.abs(out - base[:, perm]).max()
+        if pe is PeMode.TIME_ROPE_ONLY and mask is not MaskKind.CAUSAL:
+            assert err < 1e-12, (pe, mask)
+        else:
+            assert err > 0.1, (pe, mask)
+
+
+CUT_PREFIX, CUT_FRAMES, CUT_PER_FRAME = 3, 5, 4
+
+
+def cut_errors(mask, within=False):
+    """Per pe mode and cut frame f, how far the run on the first P + f * m tokens is from the full run's rows."""
+    lay = build_layout(CUT_PREFIX, CUT_FRAMES, CUT_PER_FRAME, 2)
+    rng = make_rng(60)
+    q, k, v = random_qkv(rng, 2, lay.total_len, 8)
+    bias = 0.3 * rng.standard_normal(5)
+    errs = {}
+    for pe in PeMode:
+        cfg = config(d_head=8, gamma=0.7, pe=pe, mask=mask, fw_block_causal_within_frame=within)
+        b = bias if pe is PeMode.TIME_RPE else None
+        full = attention_forward(q, k, v, lay, cfg, plan=plan_attention(lay, cfg, b)).output
+        for f in range(1, CUT_FRAMES + 1):
+            cut = build_layout(CUT_PREFIX, f, CUT_PER_FRAME, 0)
+            n = cut.total_len
+            out = attention_forward(q[:, :n], k[:, :n], v[:, :n], cut, cfg, plan=plan_attention(cut, cfg, b))
+            errs[pe, f] = np.abs(out.output - full[:, :n]).max()
+    return errs
+
+
+@pytest.mark.parametrize(
+    "mask, within",
+    [(MaskKind.CAUSAL, False), (MaskKind.FW_BLOCK, False), (MaskKind.FW_BLOCK, True), (MaskKind.FW_BLOCK_CAUSAL, False)],
+)
+def test_no_token_sees_a_later_frame(mask, within):
+    # The frame-block masks keep causal inference at frame granularity: the
+    # rows up to frame f do not depend on any later token, so a sequence cut
+    # after frame f gives those rows as the whole sequence does.
+    errs = cut_errors(mask, within)
+    assert max(errs.values()) < 1e-14
+
+
+def test_full_visual_lets_frames_see_later_frames():
+    # The negative control: under full_visual every visual row reads later
+    # frames, so every cut before the last frame changes the kept rows.
+    errs = cut_errors(MaskKind.FULL_VISUAL)
+    assert min(err for (_, f), err in errs.items() if f < CUT_FRAMES) > 0.5
+    assert max(err for (_, f), err in errs.items() if f == CUT_FRAMES) < 1e-14
 
 
 def test_time_rpe_without_bias_matches_rope_only():
@@ -346,41 +484,43 @@ def test_forward_rejects_tensors_that_are_not_real_numbers(dtype):
     assert np.array_equal(ints.output, attention_forward(good, good, good, lay, config()).output)
 
 
-@pytest.mark.parametrize(
-    "kwargs, match",
-    [
-        ({"positions": np.zeros(3)}, "positions must have shape"),
-        ({"positions": np.array([0.0, np.nan])}, "positions must be finite"),
-        ({"positions": np.array([np.inf, 1.0])}, "positions must be finite"),
-        ({"positions": np.array([True, False])}, "positions must hold integer or real floating numbers"),
-        ({"rpe_bias": np.zeros(3)}, "only meaningful"),
-        ({"rpe_bias": np.zeros(2), "pe": PeMode.TIME_RPE}, "odd-length"),
-        ({"rpe_bias": [np.nan, 0.0, 0.0], "pe": PeMode.TIME_RPE}, "rpe_bias must be finite"),
-        ({"rpe_bias": [np.inf, 0.0, 0.0], "pe": PeMode.TIME_RPE}, "rpe_bias must be finite"),
-        ({"rpe_bias": [True, False, True], "pe": PeMode.TIME_RPE}, "rpe_bias must hold integer or real floating numbers"),
-    ],
-)
-def test_plan_rejects_bad_bias_and_positions(kwargs, match):
-    # A bad override is a caller's error at plan time, never a NonFiniteError
-    # (which a trial reads as divergence) from a later forward.
-    kwargs = dict(kwargs)
+# Explicit ids keep each case's test name when a case is added or removed.
+BAD_PLAN_INPUTS = {
+    "kwargs4-only meaningful": {"rpe_bias": np.zeros(3)},
+    "kwargs5-odd-length": {"rpe_bias": np.zeros(2), "pe": PeMode.TIME_RPE},
+    "kwargs6-rpe_bias must be finite": {"rpe_bias": [np.nan, 0.0, 0.0], "pe": PeMode.TIME_RPE},
+    "kwargs7-rpe_bias must be finite": {"rpe_bias": [np.inf, 0.0, 0.0], "pe": PeMode.TIME_RPE},
+    "kwargs8-rpe_bias must hold integer or real floating numbers": {"rpe_bias": [True, False, True], "pe": PeMode.TIME_RPE},
+}
+
+
+@pytest.mark.parametrize("case", BAD_PLAN_INPUTS)
+def test_plan_rejects_bad_bias_and_positions(case):
+    # A bad bias is a caller's error at plan time, never a NonFiniteError
+    # (which a trial reads as divergence) from a later forward. Positions
+    # are the pe mode's own: the plan takes no override of them.
+    kwargs = dict(BAD_PLAN_INPUTS[case])
     cfg = config(pe=kwargs.pop("pe", PeMode.DUAL_ROPE))
-    with pytest.raises(ValueError, match=match) as info:
+    with pytest.raises(ValueError, match=case.split("-", 1)[1]) as info:
         plan_attention(build_layout(2, 0, 0, 0), cfg, **kwargs)
     assert not isinstance(info.value, NonFiniteError)
 
 
+def test_plan_holds_only_what_the_kernels_read():
+    assert list(inspect.signature(plan_attention).parameters) == ["layout", "config", "rpe_bias"]
+    assert [f.name for f in fields(AttentionPlan)] == ["layout", "config", "rotation", "mask", "tiles", "ape", "bias"]
+
+
 def test_plan_arrays_are_read_only():
     bias = np.linspace(-0.2, 0.2, 5)
-    positions = np.arange(7, dtype=np.float64)
-    plan = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_RPE), bias, positions)
-    for arr in (plan.positions, plan.temporal, plan.freqs.thetas, plan.rotation.cos, plan.rotation.sin,
-                plan.mask.values, plan.bias):
+    plan = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_RPE), bias)
+    for arr in (plan.rotation.cos, plan.rotation.sin, plan.mask.values, plan.bias):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
-    # The caller's arrays are copied, not frozen.
-    positions[0] = 1.0
-    assert plan.positions[0] == 0.0
+    # The caller's table stays writable, and the plan keeps its own.
+    before = plan.bias.copy()
+    bias[:] = 9.0
+    assert np.array_equal(plan.bias, before)
     ape = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_APE)).ape
     with pytest.raises(ValueError, match="read-only"):
         ape[0] = 1.0
@@ -465,15 +605,30 @@ def test_gradients_match_finite_differences_last_rows(mask):
     assert attention_fd_error(PeMode.DUAL_ROPE, mask, seed=34 + i, layout=TILED, num_heads=1, query_rows=9) < 1e-4
 
 
+def literal_positions(lay, cfg):
+    """Each token's rotation position by the pe mode's rule, from the literal temporal ids."""
+    temporal = [temporal_id_literal(lay, n, cfg.strict_monotonic_suffix) for n in range(lay.total_len)]
+    if cfg.pe_mode is PeMode.TIME_ROPE_ONLY:
+        return np.array([cfg.gamma * tid for tid in temporal])
+    if cfg.pe_mode is PeMode.DUAL_ROPE:
+        return np.array([n + cfg.gamma * tid for n, tid in enumerate(temporal)])
+    return np.arange(lay.total_len, dtype=np.float64)
+
+
 @pytest.mark.parametrize("pe", list(PeMode))
 def test_inverse_table_is_the_table_at_negated_positions(pe):
     # The backward pass turns rows back with the plan's table inverted,
     # (cos, -sin); that must be bitwise the rotation at -positions.
     rng = make_rng(40)
     for lay in (TILED, TILE_INVARIANCE, random_layout(rng, 120, 10, 8, 12, 10)):
-        for gamma in (0.0, 0.7, 1.0, 3.5):
-            plan = plan_attention(lay, config(d_head=16, gamma=gamma, pe=pe))
-            negated = rotation_table(-plan.positions, plan.freqs)
+        for gamma, strict in itertools.product((0.0, 0.7, 1.0, 3.5), (False, True)):
+            cfg = config(d_head=16, gamma=gamma, pe=pe, strict_monotonic_suffix=strict)
+            plan = plan_attention(lay, cfg)
+            positions = literal_positions(lay, cfg)
+            # The plan turns each row at the pe mode's literal position, bitwise.
+            table = rotation_table(positions, frequencies(16))
+            assert np.array_equal(plan.rotation.cos, table.cos) and np.array_equal(plan.rotation.sin, table.sin)
+            negated = rotation_table(-positions, frequencies(16))
             inverse = plan.rotation.inverse()
             assert np.array_equal(inverse.cos, negated.cos) and np.array_equal(inverse.sin, negated.sin)
             mat = rng.standard_normal((lay.total_len, 16))

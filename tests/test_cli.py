@@ -5,7 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frameattn.attention import PeMode
 from frameattn.cli import main
+from frameattn.harness import PAPER_GAMMA_GRID
+from frameattn.masks import MaskKind
+from frameattn.tasks import Task
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -254,9 +258,8 @@ def test_heatmap_pixels_match_direct_quantisation():
 
 
 def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
-    from frameattn.attention import AttentionConfig, PeMode, attention_forward
+    from frameattn.attention import AttentionConfig, attention_forward
     from frameattn.layout import SequenceLayout
-    from frameattn.masks import MaskKind
     from frameattn.numerics import make_rng
 
     code, _, _ = run(
@@ -395,6 +398,46 @@ def test_grid_writes_summary_and_csv(tmp_path, capsys):
 
 def test_grid_bad_axis_exits_2(tmp_path, capsys):
     assert run(capsys, "grid", "--config", TRIAL_CONFIG, "--tasks", "bogus", "--out", str(tmp_path))[0] == 2
+
+
+# (command, flag, bad value, what the error says after the flag)
+BAD_LISTS = [
+    ("sweep", "--gammas", "", "must name at least one value"),
+    ("sweep", "--gammas", ",", "must name at least one value"),
+    ("sweep", "--gammas", "0,abc", "could not convert"),
+    ("grid", "--tasks", "", "must name at least one value"),
+    ("grid", "--tasks", "bogus", "unknown Task"),
+    ("grid", "--masks", " , ", "must name at least one value"),
+    ("grid", "--masks", "causal,fancy", "unknown MaskKind"),
+    ("grid", "--pe-modes", "", "must name at least one value"),
+    ("grid", "--pe-modes", "dual", "unknown PeMode"),
+    ("grid", "--seeds", "", "must name at least one value"),
+    ("grid", "--seeds", "1.5", "invalid literal"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, says", BAD_LISTS)
+def test_bad_list_flag_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, command, flag, value, says):
+    monkeypatch.setattr("frameattn.harness.train_trial", lambda cfg: pytest.fail("a trial ran"))
+    code, _, err = run(capsys, command, "--config", TRIAL_CONFIG, flag, value, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"error: {flag}") and says in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_list_flags_skip_empty_entries_and_sweep_defaults_to_the_paper_grid(tmp_path, capsys, monkeypatch):
+    seen = {}
+    monkeypatch.setattr("frameattn.cli.gamma_sweep", lambda base, gammas, workers: seen.update(gammas=gammas) or [])
+    monkeypatch.setattr("frameattn.cli.ablation_grid", lambda base, *axes, workers: seen.update(axes=axes) or [])
+    monkeypatch.setattr("frameattn.cli.grid_summary", lambda reports: "")
+    out = ["--config", TRIAL_CONFIG, "--out", str(tmp_path)]
+    assert run(capsys, "sweep", *out)[0] == 0
+    assert seen["gammas"] == list(PAPER_GAMMA_GRID)
+    assert run(capsys, "sweep", *out, "--gammas", "0.5,,2")[0] == 0
+    assert seen["gammas"] == [0.5, 2.0]
+    axes = ["--tasks", "frame_order,", "--masks", ", causal", "--pe-modes", "rope_only, ,dual_rope ", "--seeds", "3, 4"]
+    assert run(capsys, "grid", *out, *axes)[0] == 0
+    assert seen["axes"] == ([Task.FRAME_ORDER], [MaskKind.CAUSAL], [PeMode.ROPE_ONLY, PeMode.DUAL_ROPE], [3, 4])
 
 
 @pytest.mark.parametrize("command", ["sweep", "grid"])

@@ -90,9 +90,10 @@ def test_temporal_ids_strict_monotonic_suffix():
 @given(layouts)
 @settings(max_examples=200, deadline=None)
 def test_temporal_ids_match_literal_branches(lay):
-    ids = temporal_ids(lay)
-    for n in range(lay.total_len):
-        assert ids[n] == temporal_id_literal(lay, n)
+    for strict in (False, True):
+        ids = temporal_ids(lay, strict_monotonic_suffix=strict)
+        for n in range(lay.total_len):
+            assert ids[n] == temporal_id_literal(lay, n, strict)
 
 
 @given(layouts)

@@ -20,7 +20,7 @@ from frameattn.attention import (
     temporal_bias_matrix,
     time_ape_embedding,
 )
-from frameattn.harness import TrialConfig
+from frameattn.harness import TrialConfig, gamma_sweep
 from frameattn.layout import adjusted_positions, build_layout, temporal_ids
 from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.model import ModelConfig, TinyModel
@@ -68,12 +68,12 @@ BAD_ARRAYS = {
     "object": lambda shape: np.full(shape, 1.0, dtype=object),
 }
 
-# (field, call taking a maker of bad arrays)
+# (field, call taking a maker of bad arrays). Test ids number the cases; 3 is
+# retired, so that each case keeps its test name.
 ARRAY_CASES = [
     ("positions", lambda bad: rotation_table(bad((T,)), FREQS)),
     ("rpe_bias", lambda bad: temporal_bias_matrix(np.arange(T), bad((3,)))),
     ("rpe_bias", lambda bad: plan_attention(LAYOUT, attn(PeMode.TIME_RPE), rpe_bias=bad((3,)))),
-    ("positions", lambda bad: plan_attention(LAYOUT, attn(), positions=bad((T,)))),
     ("Q", lambda bad: forward_with(0, bad)),
     ("K", lambda bad: forward_with(1, bad)),
     ("V", lambda bad: forward_with(2, bad)),
@@ -126,6 +126,8 @@ FIELD_CASES = [
     ("count", lambda: gen_task(Task.FRAME_ORDER, LAYOUT, 0, True)),
     ("count", lambda: gen_task(Task.FRAME_ORDER, LAYOUT, 0, "3")),
     ("task", lambda: num_classes("moving_count", LAYOUT, 4)),
+    ("gamma", lambda: gamma_sweep(trial(), [0.5, True])),
+    ("gamma", lambda: gamma_sweep(trial(), ["0.5"])),
 ]
 
 # (field, call) with a flag that is not a bool: "no" is truthy and would turn the flag on
@@ -161,7 +163,9 @@ def refuses(field, call):
 
 
 @pytest.mark.parametrize("kind", BAD_ARRAYS)
-@pytest.mark.parametrize("field, call", ARRAY_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(ARRAY_CASES)])
+@pytest.mark.parametrize(
+    "field, call", ARRAY_CASES, ids=[f"{i + (i >= 3)}-{f}" for i, (f, _) in enumerate(ARRAY_CASES)]
+)
 def test_array_inputs_that_are_not_real_numbers_are_refused(field, call, kind):
     refuses(field, lambda: call(BAD_ARRAYS[kind]))
 
