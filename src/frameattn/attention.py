@@ -14,29 +14,34 @@ and one position table are shared by all heads.
 
 Everything that depends only on (layout, config, rpe bias) lives in an
 AttentionPlan, which holds exactly what the kernels read: the cos/sin
-rotation table of the mode's positions, the mask, the query tiles, the APE
-table and the RPE bias matrix. A call's own work is arithmetic on Q, K and
-V: it stacks one (R + T)-row table from the plan's rotation table, which
-turns every head, and takes views of the mask, but computes no trigonometry
-and builds no mask. `plan_attention` builds the plan, and is the only way to
+rotation table of the mode's positions, the query tiles with their key
+columns and mask slabs, the APE table and the RPE bias matrix. Only the
+bias is T x T; the plan holds no dense mask. A call's own work is
+arithmetic on Q, K and V: it stacks one (R + T)-row table from the plan's
+rotation table, which turns every head, but computes no trigonometry and
+builds no mask. `plan_attention` builds the plan, and is the only way to
 pass an rpe bias into attention. A plan's arrays are read-only, so a caller
 that runs many stacks over one layout builds it once and passes it to every
 `attention_forward` call: a trial builds one plan, shared by every step,
 layer and chunk.
 
-Query rows are processed in tiles of _TILE_ROWS rows. Tile [lo, hi) scores,
-normalises and mixes only key columns [0, end), where end is one past the
-last column any row of the tile may attend to. Every column past end is
-masked for every row of the tile, so its weight is exactly 0 and skipping it
-is exact for every mask kind; under the frame-block masks about half of a
-long sequence's columns are skipped. Every column before the tile's `free`
-is allowed for every row of the tile, so the softmax gets only the mask's
-columns [free, end), a view about one frame wide under causal,
-fw_block_causal and full_visual, and treats the leading columns as allowed.
-A sequence of at most _TILE_ROWS tokens is one tile over all T columns. With
-R < T the tiles are clipped to the last R rows; a clipped tile keeps its free
-and end, which stay exact. The returned weights
-stay one dense (heads, R, T) array with exact zeros at masked entries.
+Query rows are processed in tiles of _TILE_ROWS rows. The plan derives each
+tile [lo, hi) from the mask's per-row intervals as (lo, hi, cols, mask):
+`cols` holds every key column that any row of the tile may attend to, and
+the tile scores, normalises and mixes only those. Every other column is
+masked for every row of the tile, so its weight is exactly 0 and skipping
+it is exact for every mask kind. Under causal, fw_block_causal and
+full_visual the columns form a prefix and `cols` is slice(0, end); under
+fw_block a tile of visual rows gathers the text prefix and its own frames,
+an index array that skips every other frame. The columns of `cols` before
+the tile's `free`, the first column masked for some row, are allowed for
+every row, so the tile's `mask` is a small additive slab over the rest,
+about one frame wide, and the softmax treats the leading columns as
+allowed. A sequence of at most _TILE_ROWS tokens is one tile over all T
+columns, since every key is open to its own row. With R < T the tiles are
+clipped to the last R rows; a clipped tile keeps its `cols`, which stay
+exact, and the remaining rows of its mask. The returned weights stay one
+dense (heads, R, T) array with exact zeros at masked entries.
 
 Position-encoding modes:
 
@@ -143,17 +148,18 @@ class AttentionPlan:
     """Everything attention needs that depends only on plan_attention's inputs.
 
     `rotation` is the rotation table of the pe mode's positions. `tiles`
-    holds one (lo, hi, free, end) per tile of query rows [lo, hi): every key
-    column before `free` is allowed and every column at or past `end` is
-    masked for every row of the tile. `ape` is set only under time_ape,
-    `bias` only under time_rpe with a bias table.
+    holds one (lo, hi, cols, mask) per tile of query rows [lo, hi): `cols`
+    (a slice or a sorted index array) holds every key column any row of the
+    tile may see, `mask` is the additive mask of those rows over the
+    trailing columns of `cols`, and the columns of `cols` before it are
+    allowed for every row. `ape` is set only under time_ape, `bias` only
+    under time_rpe with a bias table.
     """
 
     layout: SequenceLayout
     config: AttentionConfig
     rotation: RotationTable = field(repr=False)
-    mask: AttentionMask = field(repr=False)
-    tiles: tuple[tuple[int, int, int, int], ...]
+    tiles: tuple[tuple[int, int, slice | np.ndarray, np.ndarray], ...] = field(repr=False)
     ape: np.ndarray | None = field(default=None, repr=False)
     bias: np.ndarray | None = field(default=None, repr=False)
 
@@ -186,6 +192,25 @@ def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarra
     return emb
 
 
+def _bias_table(rpe_bias) -> np.ndarray:
+    """`rpe_bias` as float64, refused unless it is a finite 1-D odd-length table."""
+    b = real_array("rpe_bias", rpe_bias)
+    if b.ndim != 1 or len(b) % 2 != 1:
+        raise ValueError(f"rpe bias must be a 1-D odd-length table, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rpe_bias must be finite")
+    return b
+
+
+def _checked_bias(config: AttentionConfig, rpe_bias) -> np.ndarray | None:
+    """`rpe_bias` checked as `_bias_table` does, and refused outside time_rpe; None stays None."""
+    if rpe_bias is None:
+        return None
+    if config.pe_mode is not PeMode.TIME_RPE:
+        raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
+    return _bias_table(rpe_bias)
+
+
 def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarray:
     """Bias[i, j] = rpe_bias[R + clip(temporal[i] - temporal[j], -R, R)].
 
@@ -193,11 +218,7 @@ def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarr
     `rpe_bias` must be finite with odd length 2R + 1; its middle entry is
     the zero-distance bias.
     """
-    b = real_array("rpe_bias", rpe_bias)
-    if b.ndim != 1 or len(b) % 2 != 1:
-        raise ValueError(f"rpe bias must be a 1-D odd-length table, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("rpe_bias must be finite")
+    b = _bias_table(rpe_bias)
     radius = len(b) // 2
     t = int_array("temporal", temporal).astype(np.int64, copy=False)
     delta = np.clip(t[:, None] - t[None, :], -radius, radius)
@@ -214,8 +235,7 @@ def plan_attention(
     `rpe_bias` is only accepted in time_rpe mode; omitting it there means a
     zero bias. It must hold finite integer or real floating numbers.
     """
-    if rpe_bias is not None and config.pe_mode is not PeMode.TIME_RPE:
-        raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
+    rpe_bias = _checked_bias(config, rpe_bias)
     t = layout.total_len
     table = adjusted_positions(layout, config.gamma, strict_monotonic_suffix=config.strict_monotonic_suffix)
     if config.pe_mode is PeMode.TIME_ROPE_ONLY:
@@ -227,21 +247,35 @@ def plan_attention(
     freqs = frequencies(config.d_head, config.base)
     rotation = rotation_table(pos, freqs)
     mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
-    open_ = mask.values == 0.0
-    # Each row's first masked column (t if none), and one past its last allowed
-    # column (the diagonal is always allowed).
-    row_frees = np.where(open_.all(axis=1), t, (~open_).argmax(axis=1))
-    row_ends = t - open_[:, ::-1].argmax(axis=1)
-    lows = range(0, t, _TILE_ROWS)
-    frees = np.minimum.reduceat(row_frees, lows).tolist()
-    ends = np.maximum.reduceat(row_ends, lows).tolist()
-    tiles = tuple(zip(lows, [*lows[1:], t], frees, ends))
+    tiles = tuple(_tile(mask, lo, min(lo + _TILE_ROWS, t)) for lo in range(0, t, _TILE_ROWS))
     ape = time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None
     bias = None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, rpe_bias)
-    for arr in (rotation.cos, rotation.sin, mask.values, ape, bias):
+    for arr in (rotation.cos, rotation.sin, ape, bias):
         if arr is not None:
             arr.flags.writeable = False
-    return AttentionPlan(layout=layout, config=config, rotation=rotation, mask=mask, tiles=tiles, ape=ape, bias=bias)
+    return AttentionPlan(layout=layout, config=config, rotation=rotation, tiles=tiles, ape=ape, bias=bias)
+
+
+def _tile(mask: AttentionMask, lo: int, hi: int) -> tuple[int, int, slice | np.ndarray, np.ndarray]:
+    """The (lo, hi, cols, mask) tile of query rows [lo, hi), its arrays read-only.
+
+    `cols` is the union of the rows' intervals: slice(0, end) when it is a
+    prefix, else its sorted index array. Every column before `free`, the
+    first column masked for some row, is allowed for every row and so is
+    among the first `free` entries of `cols`; the tile's mask covers the rest.
+    """
+    head, start, stop = mask.head[lo:hi], mask.lo[lo:hi], mask.hi[lo:hi]
+    end = int(stop.max())  # head <= lo <= hi: one past the last allowed column
+    # Columns inside some row's [lo, hi), plus the widest [0, head).
+    seen = np.cumsum(np.bincount(start, minlength=end + 1) - np.bincount(stop, minlength=end + 1))[:end] > 0
+    seen[: head.max()] = True
+    cols = slice(0, end) if seen.all() else np.flatnonzero(seen)
+    free = int(np.where(start == head, stop, head).min())
+    slab = mask.dense(slice(lo, hi), np.arange(end)[cols][free:])
+    for arr in (cols, slab):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return lo, hi, cols, slab
 
 
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
@@ -271,13 +305,15 @@ def _rotate_qk(qk: np.ndarray, table: RotationTable, offset: int) -> np.ndarray:
     return rotate_rows(qk.reshape(n * rows, d), qk_table).reshape(qk.shape)
 
 
-def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple[int, int, int, int]]:
-    """The plan's (lo, hi, free, end) tiles clipped to query rows >= offset.
+def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple[int, int, slice | np.ndarray, np.ndarray]]:
+    """The plan's (lo, hi, cols, mask) tiles clipped to query rows >= offset.
 
-    A clipped tile keeps its `free` and `end`: a minimum and a maximum over a
-    superset of its rows, so they still hold for every remaining row.
+    A clipped tile keeps its `cols`, a union over a superset of its rows,
+    and the remaining rows of its mask.
     """
-    return [(max(lo, offset), hi, free, end) for lo, hi, free, end in plan.tiles if hi > offset]
+    return [
+        (max(lo, offset), hi, cols, mask[max(offset - lo, 0) :]) for lo, hi, cols, mask in plan.tiles if hi > offset
+    ]
 
 
 def attention_forward(
@@ -311,15 +347,15 @@ def attention_forward(
 
     weights = np.zeros((n, r, layout.total_len))
     output = np.empty(Q.shape)
-    for lo, hi, free, end in _query_tiles(plan, offset):
+    for lo, hi, cols, mask in _query_tiles(plan, offset):
         rows = slice(lo - offset, hi - offset)
-        scores = q_rot[:, rows] @ k_rot[:, :end].transpose(0, 2, 1)
+        scores = q_rot[:, rows] @ k_rot[:, cols].transpose(0, 2, 1)
         scores *= config.scale
         if plan.bias is not None:
-            scores += plan.bias[lo:hi, :end]
-        w = masked_row_softmax(scores, plan.mask.values[lo:hi, free:end])
-        weights[:, rows, :end] = w
-        np.matmul(w, V[:, :end], out=output[:, rows])
+            scores += plan.bias[lo:hi, cols]
+        w = masked_row_softmax(scores, mask)
+        weights[:, rows, cols] = w
+        np.matmul(w, V[:, cols], out=output[:, rows])
     return AttentionResult(output=output, weights=weights, plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
 
 
@@ -329,7 +365,7 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     Positions, mask, APE rows, and RPE bias are constants of the forward
     map, so additive encodings pass gradients straight through. grad_q has
     the R rows of Q, grad_k and grad_v all T rows. Each tile writes its
-    grad_q rows and adds into the first `end` rows of grad_k and grad_v.
+    grad_q rows and adds into the `cols` rows of grad_k and grad_v.
     """
     g = real_array("grad_output", grad_output)
     if g.shape != state.output.shape:
@@ -340,14 +376,14 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     grad_qk = np.zeros((n, r + plan.layout.total_len, g.shape[2]))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)
-    for lo, hi, _, end in _query_tiles(plan, offset):
+    for lo, hi, cols, _ in _query_tiles(plan, offset):
         rows = slice(lo - offset, hi - offset)
-        w = state.weights[:, rows, :end]
+        w = state.weights[:, rows, cols]
         g_tile = g[:, rows]
-        grad_scores = softmax_backward(w, g_tile @ state.v[:, :end].transpose(0, 2, 1))
-        np.matmul(grad_scores, state.k_rot[:, :end], out=grad_qr[:, rows])
-        grad_kr[:, :end] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, rows]
-        grad_v[:, :end] += w.transpose(0, 2, 1) @ g_tile
+        grad_scores = softmax_backward(w, g_tile @ state.v[:, cols].transpose(0, 2, 1))
+        np.matmul(grad_scores, state.k_rot[:, cols], out=grad_qr[:, rows])
+        grad_kr[:, cols] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, rows]
+        grad_v[:, cols] += w.transpose(0, 2, 1) @ g_tile
     grad_qk *= plan.config.scale
     grad_qk = _rotate_qk(grad_qk, plan.rotation.inverse(), offset)
     return AttentionGrads(grad_q=grad_qk[:, :r], grad_k=grad_qk[:, r:], grad_v=grad_v)
@@ -383,7 +419,8 @@ def attention_brute_oracle(
     thetas and APE rows, walks every (head, query, key) triple with per-pair
     `pair_score` calls, uses the `allowed` predicate instead of a mask
     matrix, and normalises by hand. Kept deliberately independent of
-    plan_attention and attention_forward so the two can check each other.
+    plan_attention and attention_forward so the two can check each other;
+    only the rpe_bias checks are shared, so both refuse the same tables.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     t = layout.total_len
@@ -404,11 +441,9 @@ def attention_brute_oracle(
     if config.pe_mode is PeMode.TIME_APE:
         ape = np.array([[f(tid * theta) for theta in thetas for f in (math.sin, math.cos)] for tid in temporal])
         q_in, k_in = Q + ape, K + ape
-    bias_table = None
-    radius = 0
-    if config.pe_mode is PeMode.TIME_RPE and rpe_bias is not None:
-        bias_table = [float(b) for b in real_array("rpe_bias", rpe_bias)]
-        radius = len(bias_table) // 2
+    checked = _checked_bias(config, rpe_bias)
+    bias_table = None if checked is None else checked.tolist()
+    radius = 0 if bias_table is None else len(bias_table) // 2
 
     out = np.zeros_like(V)
     for h in range(len(Q)):

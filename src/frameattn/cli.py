@@ -13,6 +13,7 @@ variable supplies the default output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -253,7 +254,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use; nothing in it depends on the environment."""
     parser = argparse.ArgumentParser(
         prog="frameattn",
         description="Temporal-aware rotary attention with frame-block masks: "

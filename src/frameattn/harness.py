@@ -181,7 +181,7 @@ def _make_rpe_bias(config: TrialConfig) -> np.ndarray | None:
 def train_trial(config: TrialConfig) -> TrialReport:
     """Run one deterministic SGD trial and report its curve and accuracy.
 
-    The trial builds one AttentionPlan (positions, mask, tiles, the rpe bias)
+    The trial builds one AttentionPlan (rotation table, tiles, the rpe bias)
     and passes it to every training step and to the eval, so nothing that
     depends only on the layout and config is rebuilt per step.
 

@@ -1,8 +1,11 @@
-"""The four additive attention masks over a multimodal layout.
+"""The four attention masks over a multimodal layout.
 
-All masks are dense T x T matrices whose entries are exactly 0 (allowed) or
--inf (forbidden). The diagonal is allowed in every variant. Variants differ
-only on visual-visual pairs:
+A mask is held as per-row intervals: query row i may attend to key columns
+[0, head[i]) and [lo[i], hi[i]), which `build_mask` derives in O(T) from the
+frame arithmetic. The dense T x T additive form, exactly 0 (allowed) or -inf
+(forbidden), is built only on request: `values` for the whole matrix,
+`dense` for some rows and columns. The diagonal is allowed in every
+variant. Variants differ only on visual-visual pairs:
 
   * causal            -- i >= j, nothing else.
   * full_visual       -- causal, plus every visual token sees every other.
@@ -43,11 +46,28 @@ class MaskKind(NamedEnum):
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """Additive T x T mask; values are exactly 0 or -inf."""
+    """Row i may attend to key columns [0, head[i]) and [lo[i], hi[i]).
+
+    The three read-only int arrays have one entry per row, with
+    head <= lo <= hi; lo == hi == head where a row has no second interval.
+    """
 
     kind: MaskKind
     size: int
-    values: np.ndarray = field(repr=False)
+    head: np.ndarray = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+
+    def dense(self, rows: slice = slice(None), cols: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """Additive 0/-inf values of query rows `rows` at key columns `cols` (a slice or index array)."""
+        j = np.arange(self.size)[cols]
+        head, lo, hi = (a[rows, None] for a in (self.head, self.lo, self.hi))
+        return np.where((j < head) | ((j >= lo) & (j < hi)), 0.0, -np.inf)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense T x T additive mask, built on each read."""
+        return self.dense()
 
 
 def allowed(
@@ -80,51 +100,44 @@ def allowed(
     raise ValueError(f"unhandled mask kind {kind!r}")
 
 
-def _allowed_bool(
-    kind: MaskKind, layout: SequenceLayout, fw_block_causal_within_frame: bool
-) -> np.ndarray:
-    t = layout.total_len
-    n = np.arange(t)
-    causal = n[:, None] >= n[None, :]
-    frame = np.full(t, -1, dtype=np.int64)
-    if layout.has_visual:
-        vis = slice(layout.visual_start, layout.visual_end + 1)
-        frame[vis] = (n[vis] - layout.visual_start) // layout.tokens_per_frame
-    visual = frame >= 0
-    both_visual = visual[:, None] & visual[None, :]
-    same_frame = both_visual & (frame[:, None] == frame[None, :])
-    if kind is MaskKind.CAUSAL:
-        return causal
-    if kind is MaskKind.FULL_VISUAL:
-        return causal | both_visual
-    if kind is MaskKind.FW_BLOCK:
-        block = same_frame & causal if fw_block_causal_within_frame else same_frame
-        return np.where(both_visual, block, causal)
-    if kind is MaskKind.FW_BLOCK_CAUSAL:
-        return causal | same_frame
-    raise ValueError(f"unhandled mask kind {kind!r}")
-
-
 def build_mask(
     kind: MaskKind,
     layout: SequenceLayout,
     fw_block_causal_within_frame: bool = False,
 ) -> AttentionMask:
-    """Dense additive mask; 0 where `allowed`, -inf elsewhere."""
+    """The rows' intervals under `kind`, from frame arithmetic in O(T)."""
     check_flag("fw_block_causal_within_frame", fw_block_causal_within_frame)
-    ok = _allowed_bool(kind, layout, fw_block_causal_within_frame)
-    values = np.where(ok, 0.0, -np.inf)
-    return AttentionMask(kind=kind, size=layout.total_len, values=values)
+    if not isinstance(kind, MaskKind):
+        raise ValueError(f"unhandled mask kind {kind!r}")
+    head = np.arange(1, layout.total_len + 1)  # causal: row i sees [0, i]
+    lo = hi = head  # one array: the kinds below that only widen head keep lo == hi == head
+    if layout.has_visual and kind is not MaskKind.CAUSAL:
+        vis = slice(layout.visual_start, layout.visual_end + 1)
+        rows = np.arange(layout.visual_start, layout.visual_end + 1)
+        frame_start = rows - (rows - layout.visual_start) % layout.tokens_per_frame
+        frame_end = frame_start + layout.tokens_per_frame
+        if kind is MaskKind.FULL_VISUAL:
+            head[vis] = layout.visual_end + 1
+        elif kind is MaskKind.FW_BLOCK_CAUSAL:
+            head[vis] = frame_end
+        else:  # fw_block: a visual row sees the text prefix, then its own frame
+            lo, hi = head.copy(), head.copy()
+            head[vis] = layout.visual_start
+            lo[vis] = frame_start
+            hi[vis] = rows + 1 if fw_block_causal_within_frame else frame_end
+    for arr in (head, lo, hi):
+        arr.flags.writeable = False
+    return AttentionMask(kind=kind, size=layout.total_len, head=head, lo=lo, hi=hi)
 
 
 def mask_stats(mask: AttentionMask) -> dict:
-    """Exact counts of allowed (0) entries."""
-    ok = mask.values == 0.0
-    count = int(ok.sum())
+    """Exact counts of allowed (0) entries, from the intervals."""
+    per_row = mask.head + (mask.hi - mask.lo)
+    count = int(per_row.sum())
     return {
         "allowed_count": count,
         "allowed_fraction": count / mask.size**2,
-        "per_row_allowed": ok.sum(axis=1).astype(int).tolist(),
+        "per_row_allowed": per_row.tolist(),
     }
 
 

@@ -9,7 +9,7 @@ A (B, T) batch runs in chunks of whole sequences whose (chunk * heads, T, T)
 scores fit in _SCORE_BUDGET entries (at least one sequence); a chunk's heads
 form one (chunk * heads, T, d_head) attention stack. Activations stay (B, T, d)
 stacks, so every product rounds exactly as in a one-sequence pass.
-predict and loss_and_grads take the AttentionPlan (mask, positions, tiles,
+predict and loss_and_grads take the AttentionPlan (rotation table, tiles,
 any rpe bias) from the caller, who builds it once with plan_attention; a
 trial shares one plan across every step, layer and chunk.
 

@@ -5,7 +5,7 @@ rows by C key columns, square (T, T) or one tile of query rows over a
 leading block of key columns. Any leading axes stack independent matrices.
 An additive attention mask may cover only the trailing C' <= C columns of
 its scores: the columns before it count as allowed, so a caller that knows
-a leading block is open for every row passes a narrower view of its mask.
+a leading block is open for every row passes only the rest of its mask.
 The only non-finite value ever allowed is -inf, and only inside additive
 attention masks. Everything here is a pure function, so
 concurrent callers are safe.

@@ -96,10 +96,11 @@ def _check_masks():
         lay = random_layout(rng, 24, 4, 4, 4, 4)
         built = {kind: build_mask(kind, lay) for kind in MaskKind}
         for kind, mask in built.items():
+            values = mask.values  # built on each read
             for i in range(lay.total_len):
                 for j in range(lay.total_len):
                     want = 0.0 if allowed(kind, lay, i, j) else -math.inf
-                    assert mask.values[i, j] == want, f"{kind.value} mask/predicate mismatch"
+                    assert values[i, j] == want, f"{kind.value} mask/predicate mismatch"
         causal = built[MaskKind.CAUSAL].values == 0
         fwbc = built[MaskKind.FW_BLOCK_CAUSAL].values == 0
         full = built[MaskKind.FULL_VISUAL].values == 0
@@ -172,6 +173,20 @@ def _check_attention_oracle():
     # The last 9 query rows alone: rows 61..69, so tile 0 is clipped to its last 3 rows.
     fast = attention_forward(q[:, -9:], k, v, lay, cfg).output
     assert np.max(np.abs(fast - slow[:, -9:])) < 1e-10, "last-rows attention oracle disagreement"
+    # T=134 under fw_block: tile 1 (rows 64..127, frames 2..4) gathers the
+    # prefix and its own frames, skipping frames 0 and 1.
+    lay = build_layout(2, 5, 26, 2)
+    q, k, v = (rng.standard_normal((1, lay.total_len, 4)) for _ in range(3))
+    for within in (False, True):
+        cfg = AttentionConfig(d_head=4, gamma=0.7, mask_kind=MaskKind.FW_BLOCK, fw_block_causal_within_frame=within)
+        cols = plan_attention(lay, cfg).tiles[1][2]
+        assert not isinstance(cols, slice) and cols[2] > 2, "fw_block tile 1 must skip a frame block"
+        slow = attention_brute_oracle(q, k, v, lay, cfg)
+        fast = attention_forward(q, k, v, lay, cfg).output
+        assert np.max(np.abs(fast - slow)) < 1e-10, "gathered fw_block attention oracle disagreement"
+        # Rows 100..133: tile 1 clipped to its last 28 rows.
+        fast = attention_forward(q[:, -34:], k, v, lay, cfg).output
+        assert np.max(np.abs(fast - slow[:, -34:])) < 1e-10, "gathered last-rows attention oracle disagreement"
 
 
 def _check_gradients():

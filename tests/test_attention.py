@@ -19,7 +19,7 @@ from frameattn.attention import (
 )
 from frameattn.gradcheck import attention_fd_error, relative_error
 from frameattn.layout import PositionTable, adjusted_positions, build_layout
-from frameattn.masks import MaskKind
+from frameattn.masks import MaskKind, build_mask
 from frameattn.numerics import NonFiniteError, make_rng, masked_row_softmax
 from frameattn.rope import frequencies, rotate_rows, rotation_table
 from frameattn.selftest import random_layout
@@ -44,6 +44,9 @@ def random_qkv(rng, heads, t, d_head):
 # (rows 54..66) straddles the tile boundary, so tile 0 reaches past its rows.
 TILED = build_layout(2, 5, 13, 3)  # T=70
 TILE_INVARIANCE = build_layout(4, 6, 14, 4)  # T=92
+# Under fw_block, tile 1 of GATHERED (rows 64..127, frames 2..4) sees the
+# prefix and its own frames only: its columns skip frames 0 and 1.
+GATHERED = build_layout(2, 5, 26, 2)  # T=134
 
 
 def test_config_validation():
@@ -119,7 +122,7 @@ def test_weights_row_stochastic_and_masked_zero():
         cfg = config(mask=MaskKind.FW_BLOCK_CAUSAL, gamma=float(rng.uniform(0, 2)))
         q, k, v = random_qkv(rng, 2, t, 4)
         res = attention_forward(q, k, v, lay, cfg)
-        masked = np.isneginf(res.plan.mask.values)
+        masked = np.isneginf(build_mask(cfg.mask_kind, lay).values)
         for h in range(2):
             assert np.all(res.weights[h][masked] == 0.0)
             assert np.abs(res.weights[h].sum(axis=1) - 1.0).max() <= 1e-12
@@ -506,15 +509,32 @@ def test_plan_rejects_bad_bias_and_positions(case):
     assert not isinstance(info.value, NonFiniteError)
 
 
+def plan_arrays(plan):
+    """Every array the plan holds, through its fields, tiles and rotation table."""
+    values = [getattr(plan, f.name) for f in fields(plan)]
+    values += [plan.rotation.cos, plan.rotation.sin, *(x for tile in plan.tiles for x in tile)]
+    return [x for x in values if isinstance(x, np.ndarray)]
+
+
 def test_plan_holds_only_what_the_kernels_read():
     assert list(inspect.signature(plan_attention).parameters) == ["layout", "config", "rpe_bias"]
-    assert [f.name for f in fields(AttentionPlan)] == ["layout", "config", "rotation", "mask", "tiles", "ape", "bias"]
+    assert [f.name for f in fields(AttentionPlan)] == ["layout", "config", "rotation", "tiles", "ape", "bias"]
+    # No dense mask: without an rpe bias nothing in the plan is T x T.
+    lay = build_layout(8, 32, 32, 8)
+    t = lay.total_len
+    for mask, pe in itertools.product(MaskKind, PeMode):
+        shapes = [x.shape for x in plan_arrays(plan_attention(lay, config(mask=mask, pe=pe)))]
+        assert (t, t) not in shapes
+    bias = plan_attention(lay, config(pe=PeMode.TIME_RPE), np.zeros(3)).bias
+    assert bias.shape == (t, t)
 
 
 def test_plan_arrays_are_read_only():
     bias = np.linspace(-0.2, 0.2, 5)
-    plan = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_RPE), bias)
-    for arr in (plan.rotation.cos, plan.rotation.sin, plan.mask.values, plan.bias):
+    plan = plan_attention(GATHERED, config(pe=PeMode.TIME_RPE, mask=MaskKind.FW_BLOCK), bias)
+    arrays = plan_arrays(plan)
+    assert any(cols is a for _, _, cols, _ in plan.tiles for a in arrays)
+    for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     # The caller's table stays writable, and the plan keeps its own.
@@ -581,8 +601,12 @@ def test_tile_size_does_not_change_results(monkeypatch, mask):
         monkeypatch.setattr("frameattn.attention._TILE_ROWS", 4)
         tiled, small = forward_backward(TILE_INVARIANCE, cfg, bias, 20)
         assert len(one.plan.tiles) == 1 and len(tiled.plan.tiles) == 23
-        # Some tile must skip key columns, or the comparison proves nothing.
-        assert any(end < TILE_INVARIANCE.total_len for _, _, _, end in tiled.plan.tiles)
+        # Some tile must skip key columns, or the comparison proves nothing;
+        # under fw_block some tile must gather them (an index array).
+        t = TILE_INVARIANCE.total_len
+        assert any(len(np.arange(t)[cols]) < t for _, _, cols, _ in tiled.plan.tiles)
+        gathered = any(isinstance(cols, np.ndarray) for _, _, cols, _ in tiled.plan.tiles)
+        assert gathered == (mask is MaskKind.FW_BLOCK)
         # Tiles change the length of each sum, so entries round apart by an ulp of
         # the array's scale; relative to that scale (not entry by entry, where a
         # cancelling 1e-4 entry reads 2e-12) the results must agree.
@@ -638,30 +662,95 @@ def test_inverse_table_is_the_table_at_negated_positions(pe):
 
 def tile_mask_cases():
     rng = make_rng(41)
-    layouts = [TILED, TILE_INVARIANCE] + [random_layout(rng, 150, 12, 8, 14, 12) for _ in range(8)]
+    layouts = [TILED, TILE_INVARIANCE, GATHERED] + [random_layout(rng, 150, 12, 8, 14, 12) for _ in range(8)]
     for lay in layouts:
-        for mask in MaskKind:
-            yield lay, config(mask=mask)
-        yield lay, config(mask=MaskKind.FW_BLOCK_CAUSAL, fw_block_causal_within_frame=True)
+        for mask, within in itertools.product(MaskKind, (False, True)):
+            yield lay, config(mask=mask, fw_block_causal_within_frame=within)
 
 
 @pytest.mark.parametrize("tile_rows", [64, 5])
 def test_tile_free_columns_are_open_and_the_trailing_mask_is_exact(monkeypatch, tile_rows):
+    # Each tile is (lo, hi, cols, mask): columns outside cols are masked for
+    # every row, the leading columns of cols are open, and mask is the exact
+    # dense mask over the rest.
     monkeypatch.setattr("frameattn.attention._TILE_ROWS", tile_rows)
     rng = make_rng(42)
-    narrowed = 0
+    narrowed = gathered = 0
     for lay, cfg in tile_mask_cases():
+        t = lay.total_len
         plan = plan_attention(lay, cfg)
-        values = plan.mask.values
-        assert plan.tiles[-1][1] == lay.total_len
-        for lo, hi, free, end in plan.tiles:
-            assert 0 <= free <= end <= lay.total_len
+        values = build_mask(cfg.mask_kind, lay, cfg.fw_block_causal_within_frame).values
+        assert [(lo, hi) for lo, hi, _, _ in plan.tiles] == [(lo, min(lo + tile_rows, t)) for lo in range(0, t, tile_rows)]
+        for lo, hi, cols, mask in plan.tiles:
+            keys = np.arange(t)[cols]
+            prefix = np.array_equal(keys, np.arange(len(keys)))
+            assert isinstance(cols, slice) == prefix
+            assert prefix or cfg.mask_kind is MaskKind.FW_BLOCK
+            assert np.all(np.isneginf(np.delete(values[lo:hi], keys, axis=1)))
+            free = len(keys) - mask.shape[1]
+            assert mask.shape[0] == hi - lo and 0 <= free
+            assert np.array_equal(keys[:free], np.arange(free))
             assert np.all(values[lo:hi, :free] == 0.0)
-            assert np.all(np.isneginf(values[lo:hi, end:]))
-            trailing = values[lo:hi, free:end]
-            assert trailing.base is not None  # a view of the plan's mask, not a copy
-            scores = rng.standard_normal((3, hi - lo, end))
-            full = masked_row_softmax(scores, values[lo:hi, :end])
-            assert np.array_equal(masked_row_softmax(scores, trailing), full)
+            assert np.array_equal(mask, values[lo:hi][:, keys[free:]])
+            scores = rng.standard_normal((3, hi - lo, len(keys)))
+            full = masked_row_softmax(scores, values[lo:hi][:, keys])
+            assert np.array_equal(masked_row_softmax(scores, mask), full)
             narrowed += free > 0
+            gathered += not prefix
     assert narrowed  # some tile must hand the softmax a narrower mask
+    assert gathered  # and some fw_block tile must gather its columns
+
+
+def test_fw_block_tiles_of_a_long_layout_gather_the_prefix_and_their_frames():
+    # T=1040: prefix 8, 32 frames of 32, suffix 8. Tile 3 holds rows
+    # 192..255: the end of frame 5 (168..199), frame 6 and the start of
+    # frame 7 (232..263), which it sees whole, or up to row 255 when the
+    # frame block is causal.
+    lay = build_layout(8, 32, 32, 8)
+    for within, last in ((False, 264), (True, 256)):
+        plan = plan_attention(lay, config(mask=MaskKind.FW_BLOCK, fw_block_causal_within_frame=within))
+        lo, hi, cols, mask = plan.tiles[3]
+        assert (lo, hi) == (192, 256)
+        assert np.array_equal(cols, np.r_[0:8, 168:last])
+        assert mask.shape == (64, last - 168)
+        assert isinstance(plan.tiles[0][2], slice) and isinstance(plan.tiles[-1][2], slice)
+        assert all(isinstance(cols, np.ndarray) for _, _, cols, _ in plan.tiles[1:-1])
+
+
+def softmax_entries(monkeypatch, lay, cfg):
+    """Score entries that one all-rows forward pass hands to the softmax."""
+    seen = []
+
+    def counted(scores, mask):
+        seen.append(scores.size)
+        return masked_row_softmax(scores, mask)
+
+    monkeypatch.setattr("frameattn.attention.masked_row_softmax", counted)
+    q, k, v = random_qkv(make_rng(43), 1, lay.total_len, 4)
+    attention_forward(q, k, v, lay, cfg)
+    return sum(seen)
+
+
+def test_softmax_work_counts_at_t1040(monkeypatch):
+    # fw_block scores only the prefix and each tile's frames; the other
+    # kinds keep their prefix tiles, so their counts stay where they were.
+    lay = build_layout(8, 32, 32, 8)
+    want = {
+        MaskKind.CAUSAL: 573_696,
+        MaskKind.FULL_VISUAL: 1_073_408,
+        MaskKind.FW_BLOCK: 121_088,
+        MaskKind.FW_BLOCK_CAUSAL: 581_888,
+    }
+    assert {mask: softmax_entries(monkeypatch, lay, config(mask=mask)) for mask in MaskKind} == want
+
+
+@pytest.mark.parametrize("pe", list(PeMode))
+def test_gradients_match_finite_differences_on_gathered_tiles(monkeypatch, pe):
+    # Tiles of 3 rows over T=11 (1, 3 frames of 3, 1): tile [6, 9) sees the
+    # prefix, frame 1 and frame 2 but not frame 0.
+    monkeypatch.setattr("frameattn.attention._TILE_ROWS", 3)
+    lay = build_layout(1, 3, 3, 1)
+    assert np.array_equal(plan_attention(lay, config(mask=MaskKind.FW_BLOCK)).tiles[2][2], [0, 4, 5, 6, 7, 8, 9])
+    seed = 50 + list(PeMode).index(pe)
+    assert attention_fd_error(pe, MaskKind.FW_BLOCK, seed=seed, layout=lay) < 1e-4
+    assert attention_fd_error(pe, MaskKind.FW_BLOCK, seed=seed, layout=lay, query_rows=4) < 1e-4

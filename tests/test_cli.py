@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frameattn.attention import PeMode
-from frameattn.cli import main
+from frameattn.cli import build_parser, main
 from frameattn.harness import PAPER_GAMMA_GRID
 from frameattn.masks import MaskKind
 from frameattn.tasks import Task
@@ -464,3 +464,27 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "selftest passed" in stdout
     assert stdout.count("ok ") >= 10
+
+
+def test_back_to_back_calls_share_one_parser_and_behave_as_fresh_ones(tmp_path, capsys):
+    calls = [
+        ("heatmap", "--config", HEATMAP_CONFIG, "--seed", "4", "--format", "csv", "--out", "OUT/heat"),
+        ("render-mask", "--layout", LAYOUT_1_2x2_1, "--kind", "fw_block", "--out", "OUT/mask.pgm"),
+        ("render-mask", "--layout", LAYOUT_1_2x2_1, "--kind", "fancy", "--out", "OUT/bad.pgm"),
+    ]
+
+    def run_all(out, fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code, stdout, err = run(capsys, *(arg.replace("OUT", str(out)) for arg in argv))
+            results.append((code, stdout.replace(str(out), "OUT"), err))
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return results, files
+
+    fresh = run_all(tmp_path / "fresh", fresh=True)
+    assert build_parser() is build_parser()
+    assert run_all(tmp_path / "shared", fresh=False) == fresh
+    assert [code for code, _, _ in fresh[0]] == [0, 0, 2]
+    assert sorted(fresh[1]) == ["heat/head_0.csv", "heat/head_1.csv", "mask.pgm"]

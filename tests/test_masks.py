@@ -12,6 +12,8 @@ from frameattn.masks import (
     mask_to_csv,
     mask_to_pgm,
 )
+from frameattn.numerics import make_rng
+from frameattn.selftest import random_layout
 
 layouts = (
     st.tuples(st.integers(0, 6), st.integers(0, 5), st.integers(1, 5), st.integers(0, 6))
@@ -156,3 +158,45 @@ def test_mask_pgm_export():
 def test_mask_csv_export():
     mask = build_mask(MaskKind.CAUSAL, build_layout(2, 0, 0, 0))
     assert mask_to_csv(mask) == "1,0\n1,1\n"
+
+
+def interval_rows(mask):
+    """Each row's allowed key columns, read from the intervals alone."""
+    return [
+        set(range(h)) | set(range(lo, hi))
+        for h, lo, hi in zip(mask.head.tolist(), mask.lo.tolist(), mask.hi.tolist())
+    ]
+
+
+@pytest.mark.parametrize("within", [False, True])
+@pytest.mark.parametrize("kind", list(MaskKind))
+def test_intervals_match_the_predicate_on_random_layouts(kind, within):
+    rng = make_rng(60, list(MaskKind).index(kind), int(within))
+    for _ in range(40):
+        lay = random_layout(rng, 40, 6, 6, 6, 6)
+        mask = build_mask(kind, lay, fw_block_causal_within_frame=within)
+        assert np.all(mask.head <= mask.lo) and np.all(mask.lo <= mask.hi)
+        want = predicate_matrix(kind, lay, fw_block_causal_within_frame=within)
+        assert interval_rows(mask) == [set(np.flatnonzero(row).tolist()) for row in want]
+        assert np.array_equal(mask.values == 0.0, want)
+        stats = mask_stats(mask)
+        assert stats["per_row_allowed"] == want.sum(axis=1).tolist()
+        assert stats["allowed_count"] == int(want.sum())
+        assert stats["allowed_fraction"] == want.sum() / lay.total_len**2
+
+
+def test_dense_rows_and_columns_are_the_matching_part_of_values():
+    mask = build_mask(MaskKind.FW_BLOCK, build_layout(2, 4, 3, 2))
+    cols = np.array([0, 1, 5, 6, 7, 13])
+    assert np.array_equal(mask.dense(slice(4, 9), cols), mask.values[4:9][:, cols])
+    assert np.array_equal(mask.dense(slice(3, 5), slice(2, 8)), mask.values[3:5, 2:8])
+
+
+def test_intervals_are_read_only_and_values_are_built_on_each_read():
+    mask = build_mask(MaskKind.FW_BLOCK, build_layout(1, 2, 2, 1))
+    for arr in (mask.head, mask.lo, mask.hi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    first = mask.values
+    first[0, 0] = -np.inf
+    assert mask.values[0, 0] == 0.0

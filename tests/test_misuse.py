@@ -15,6 +15,7 @@ from frameattn.attention import (
     AttentionConfig,
     PeMode,
     attention_backward,
+    attention_brute_oracle,
     attention_forward,
     plan_attention,
     temporal_bias_matrix,
@@ -144,6 +145,13 @@ THETA_CASES = [
     ("thetas", lambda: FrequencyTable(thetas=np.ones((2, 2)))),
 ]
 
+# (message, pe mode, rpe bias) that plan_attention and the brute-force oracle both refuse
+BIAS_CASES = [
+    ("rpe bias must be a 1-D odd-length table, got shape (4,)", PeMode.TIME_RPE, np.zeros(4)),
+    ("rpe bias must be a 1-D odd-length table, got shape (3, 1)", PeMode.TIME_RPE, np.zeros((3, 1))),
+    ("rpe_bias is only meaningful with pe_mode=time_rpe", PeMode.DUAL_ROPE, np.zeros(3)),
+]
+
 # (field, call) with ids out of range: numpy would read -1 as the last row or class
 RANGE_CASES = [
     ("tokens", lambda: MODEL.predict(np.full((1, T), -1), PLAN)),
@@ -194,3 +202,14 @@ def test_flags_that_are_not_bools_are_refused(field, call):
 @pytest.mark.parametrize("field, call", THETA_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(THETA_CASES)])
 def test_thetas_that_are_not_finite_1d_are_refused(field, call):
     refuses(field, call)
+
+
+@pytest.mark.parametrize("message, pe, bias", BIAS_CASES, ids=[f"{i}-{pe.value}" for i, (_, pe, _) in enumerate(BIAS_CASES)])
+def test_plan_and_oracle_refuse_the_same_rpe_bias(message, pe, bias):
+    for call in (
+        lambda: plan_attention(LAYOUT, attn(pe), rpe_bias=bias),
+        lambda: attention_brute_oracle(*qkv(), LAYOUT, attn(pe), rpe_bias=bias),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
