@@ -15,8 +15,8 @@ and one position table are shared by all heads.
 Everything that depends only on (layout, config, rpe bias) lives in an
 AttentionPlan, which holds exactly what the kernels read: the cos/sin
 rotation table of the mode's positions, the query tiles with their key
-columns and mask slabs, the APE table and the RPE bias matrix. Only the
-bias is T x T; the plan holds no dense mask. A call's own work is
+columns, mask slabs and RPE bias blocks, and the APE table. No plan array
+is T x T: there is no dense mask or bias matrix. A call's own work is
 arithmetic on Q, K and V: it stacks one (R + T)-row table from the plan's
 rotation table, which turns every head, but computes no trigonometry and
 builds no mask. `plan_attention` builds the plan, and is the only way to
@@ -26,7 +26,7 @@ that runs many stacks over one layout builds it once and passes it to every
 layer and chunk.
 
 Query rows are processed in tiles of _TILE_ROWS rows. The plan derives each
-tile [lo, hi) from the mask's per-row intervals as (lo, hi, cols, mask):
+tile [lo, hi) from the mask's per-row intervals as (lo, hi, cols, mask, bias):
 `cols` holds every key column that any row of the tile may attend to, and
 the tile scores, normalises and mixes only those. Every other column is
 masked for every row of the tile, so its weight is exactly 0 and skipping
@@ -37,11 +37,12 @@ an index array that skips every other frame. The columns of `cols` before
 the tile's `free`, the first column masked for some row, are allowed for
 every row, so the tile's `mask` is a small additive slab over the rest,
 about one frame wide, and the softmax treats the leading columns as
-allowed. A sequence of at most _TILE_ROWS tokens is one tile over all T
-columns, since every key is open to its own row. With R < T the tiles are
-clipped to the last R rows; a clipped tile keeps its `cols`, which stay
-exact, and the remaining rows of its mask. The returned weights stay one
-dense (heads, R, T) array with exact zeros at masked entries.
+allowed; a time_rpe `bias` covers the tile's rows and `cols`. A sequence
+of at most _TILE_ROWS tokens is one tile over all T columns, since every
+key is open to its own row. With R < T the tiles are clipped to the last R
+rows; a clipped tile keeps its `cols`, which stay exact, and the remaining
+rows of its mask and bias. The returned weights stay one dense
+(heads, R, T) array with exact zeros at masked entries.
 
 Position-encoding modes:
 
@@ -148,20 +149,19 @@ class AttentionPlan:
     """Everything attention needs that depends only on plan_attention's inputs.
 
     `rotation` is the rotation table of the pe mode's positions. `tiles`
-    holds one (lo, hi, cols, mask) per tile of query rows [lo, hi): `cols`
-    (a slice or a sorted index array) holds every key column any row of the
-    tile may see, `mask` is the additive mask of those rows over the
+    holds one (lo, hi, cols, mask, bias) per tile of query rows [lo, hi):
+    `cols` (a slice or a sorted index array) holds every key column any row
+    of the tile may see, `mask` is the additive mask of those rows over the
     trailing columns of `cols`, and the columns of `cols` before it are
-    allowed for every row. `ape` is set only under time_ape, `bias` only
-    under time_rpe with a bias table.
+    allowed for every row. `bias`, the rows' RPE bias over `cols`, is set
+    only under time_rpe with a bias table, and `ape` only under time_ape.
     """
 
     layout: SequenceLayout
     config: AttentionConfig
     rotation: RotationTable = field(repr=False)
-    tiles: tuple[tuple[int, int, slice | np.ndarray, np.ndarray], ...] = field(repr=False)
+    tiles: tuple[tuple[int, int, slice | np.ndarray, np.ndarray, np.ndarray | None], ...] = field(repr=False)
     ape: np.ndarray | None = field(default=None, repr=False)
-    bias: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -218,11 +218,14 @@ def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarr
     `rpe_bias` must be finite with odd length 2R + 1; its middle entry is
     the zero-distance bias.
     """
-    b = _bias_table(rpe_bias)
-    radius = len(b) // 2
     t = int_array("temporal", temporal).astype(np.int64, copy=False)
-    delta = np.clip(t[:, None] - t[None, :], -radius, radius)
-    return b[radius + delta]
+    return _bias_block(_bias_table(rpe_bias), t, t)
+
+
+def _bias_block(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """table[R + clip(rows[i] - cols[j], -R, R)] for a checked table of length 2R + 1 and int64 ids."""
+    radius = len(table) // 2
+    return table[radius + np.clip(rows[:, None] - cols[None, :], -radius, radius)]
 
 
 def plan_attention(
@@ -247,23 +250,24 @@ def plan_attention(
     freqs = frequencies(config.d_head, config.base)
     rotation = rotation_table(pos, freqs)
     mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
-    tiles = tuple(_tile(mask, lo, min(lo + _TILE_ROWS, t)) for lo in range(0, t, _TILE_ROWS))
+    tiles = tuple(_tile(mask, lo, table.temporal_ids, rpe_bias) for lo in range(0, t, _TILE_ROWS))
     ape = time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None
-    bias = None if rpe_bias is None else temporal_bias_matrix(table.temporal_ids, rpe_bias)
-    for arr in (rotation.cos, rotation.sin, ape, bias):
+    for arr in (rotation.cos, rotation.sin, ape):
         if arr is not None:
             arr.flags.writeable = False
-    return AttentionPlan(layout=layout, config=config, rotation=rotation, tiles=tiles, ape=ape, bias=bias)
+    return AttentionPlan(layout=layout, config=config, rotation=rotation, tiles=tiles, ape=ape)
 
 
-def _tile(mask: AttentionMask, lo: int, hi: int) -> tuple[int, int, slice | np.ndarray, np.ndarray]:
-    """The (lo, hi, cols, mask) tile of query rows [lo, hi), its arrays read-only.
+def _tile(mask: AttentionMask, lo: int, temporal: np.ndarray, rpe_bias: np.ndarray | None) -> tuple:
+    """The (lo, hi, cols, mask, bias) tile of query rows [lo, hi), hi = min(lo + _TILE_ROWS, T), arrays read-only.
 
     `cols` is the union of the rows' intervals: slice(0, end) when it is a
     prefix, else its sorted index array. Every column before `free`, the
     first column masked for some row, is allowed for every row and so is
     among the first `free` entries of `cols`; the tile's mask covers the rest.
+    `bias` is the rows' temporal bias over `cols`, None without a bias table.
     """
+    hi = min(lo + _TILE_ROWS, mask.size)
     head, start, stop = mask.head[lo:hi], mask.lo[lo:hi], mask.hi[lo:hi]
     end = int(stop.max())  # head <= lo <= hi: one past the last allowed column
     # Columns inside some row's [lo, hi), plus the widest [0, head).
@@ -271,11 +275,13 @@ def _tile(mask: AttentionMask, lo: int, hi: int) -> tuple[int, int, slice | np.n
     seen[: head.max()] = True
     cols = slice(0, end) if seen.all() else np.flatnonzero(seen)
     free = int(np.where(start == head, stop, head).min())
-    slab = mask.dense(slice(lo, hi), np.arange(end)[cols][free:])
-    for arr in (cols, slab):
+    keys = np.arange(end)[cols]
+    slab = mask.dense(slice(lo, hi), keys[free:])
+    bias = None if rpe_bias is None else _bias_block(rpe_bias, temporal[lo:hi], temporal[keys])
+    for arr in (cols, slab, bias):
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
-    return lo, hi, cols, slab
+    return lo, hi, cols, slab, bias
 
 
 def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> list[np.ndarray]:
@@ -305,15 +311,18 @@ def _rotate_qk(qk: np.ndarray, table: RotationTable, offset: int) -> np.ndarray:
     return rotate_rows(qk.reshape(n * rows, d), qk_table).reshape(qk.shape)
 
 
-def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple[int, int, slice | np.ndarray, np.ndarray]]:
-    """The plan's (lo, hi, cols, mask) tiles clipped to query rows >= offset.
+def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple]:
+    """The plan's (lo, hi, cols, mask, bias) tiles clipped to query rows >= offset.
 
     A clipped tile keeps its `cols`, a union over a superset of its rows,
-    and the remaining rows of its mask.
+    and the remaining rows of its mask and bias.
     """
-    return [
-        (max(lo, offset), hi, cols, mask[max(offset - lo, 0) :]) for lo, hi, cols, mask in plan.tiles if hi > offset
-    ]
+    tiles = []
+    for lo, hi, cols, mask, bias in plan.tiles:
+        if hi > offset:
+            cut = max(offset - lo, 0)
+            tiles.append((lo + cut, hi, cols, mask[cut:], None if bias is None else bias[cut:]))
+    return tiles
 
 
 def attention_forward(
@@ -347,12 +356,12 @@ def attention_forward(
 
     weights = np.zeros((n, r, layout.total_len))
     output = np.empty(Q.shape)
-    for lo, hi, cols, mask in _query_tiles(plan, offset):
+    for lo, hi, cols, mask, bias in _query_tiles(plan, offset):
         rows = slice(lo - offset, hi - offset)
         scores = q_rot[:, rows] @ k_rot[:, cols].transpose(0, 2, 1)
         scores *= config.scale
-        if plan.bias is not None:
-            scores += plan.bias[lo:hi, cols]
+        if bias is not None:
+            scores += bias
         w = masked_row_softmax(scores, mask)
         weights[:, rows, cols] = w
         np.matmul(w, V[:, cols], out=output[:, rows])
@@ -376,7 +385,7 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     grad_qk = np.zeros((n, r + plan.layout.total_len, g.shape[2]))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)
-    for lo, hi, cols, _ in _query_tiles(plan, offset):
+    for lo, hi, cols, _, _ in _query_tiles(plan, offset):
         rows = slice(lo - offset, hi - offset)
         w = state.weights[:, rows, cols]
         g_tile = g[:, rows]

@@ -3,7 +3,8 @@
 Subcommands: render-mask, positions, heatmap, gradcheck, sweep, grid,
 selftest. Exit statuses are a stable contract: 0 success, 1 check failure,
 2 bad input, 3 I/O error. Everything is deterministic given flags and
-seeds; files are written atomically (temp + rename).
+seeds. Output locations are checked before any work; files are written
+atomically (temp + rename), into directories made once the work is done.
 
 JSON arguments (--layout, --config) accept either inline JSON text or a
 path to a JSON file. When --out is omitted, the FRAMEATTN_OUT environment
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from .attention import AttentionConfig, PeMode, attention_forward
-from .gradcheck import attention_fd_error, default_micro_cases, model_fd_error
+from .gradcheck import ATTENTION_TOLERANCE, MODEL_TOLERANCE, attention_fd_error, default_micro_cases, model_fd_error
 from .harness import (
     GRID_COLUMNS,
     PAPER_GAMMA_GRID,
@@ -64,13 +65,31 @@ def _load_json_arg(value: str) -> dict:
         raise ValueError(f"invalid JSON: {exc}") from exc
 
 
-def _resolve_out(path: str | None, default_name: str) -> str:
-    if path:
-        return path
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return os.path.join(env, default_name)
-    raise ValueError(f"--out not given and {OUT_DIR_ENV} is not set")
+def _resolve_out(path: str | None, default_name: str, file: bool = False) -> str:
+    """`path`, else `default_name` in $FRAMEATTN_OUT, once it is known to be writable; creates nothing."""
+    if not path:
+        env = os.environ.get(OUT_DIR_ENV)
+        if not env:
+            raise ValueError(f"--out not given and {OUT_DIR_ENV} is not set")
+        path = os.path.join(env, default_name)
+    if file and os.path.isdir(path):
+        raise IsADirectoryError(f"is a directory: {path}")
+    # The nearest existing ancestor of its directory (the parent of a `file`) must be a writable directory.
+    ancestor = os.path.abspath(os.path.dirname(path) if file else path)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"not a directory: {ancestor}")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise PermissionError(f"cannot write in {ancestor}")
+    return path
+
+
+def _write(path: str, text: str) -> None:
+    """Make the directory of `path`, write `text` to it atomically and report it."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_text_atomic(path, text)
+    print(f"wrote {path}")
 
 
 ATTENTION_FIELDS = ("layout", "num_heads", *AttentionConfig.__dataclass_fields__)
@@ -97,17 +116,12 @@ def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig, tuple[
 def cmd_render_mask(args) -> int:
     layout = SequenceLayout.from_dict(_load_json_arg(args.layout))
     kind = MaskKind.from_string(args.kind)
+    if args.out and not args.out.endswith((".pgm", ".csv")):
+        raise ValueError(f"output path must end in .pgm or .csv, got {args.out!r}")
+    out = _resolve_out(args.out, f"mask_{kind.value}.pgm", file=True)
     mask = build_mask(kind, layout, fw_block_causal_within_frame=args.fw_block_causal_within_frame)
-    out = _resolve_out(args.out, f"mask_{kind.value}.pgm")
-    if out.endswith(".pgm"):
-        text = mask_to_pgm(mask)
-    elif out.endswith(".csv"):
-        text = mask_to_csv(mask)
-    else:
-        raise ValueError(f"output path must end in .pgm or .csv, got {out!r}")
-    write_text_atomic(out, text)
     print(f"allowed_count={mask_stats(mask)['allowed_count']}")
-    print(f"wrote {out}")
+    _write(out, mask_to_pgm(mask) if out.endswith(".pgm") else mask_to_csv(mask))
     return EXIT_OK
 
 
@@ -115,12 +129,7 @@ def cmd_positions(args) -> int:
     layout = SequenceLayout.from_dict(_load_json_arg(args.layout))
     table = adjusted_positions(layout, args.gamma, strict_monotonic_suffix=args.strict_monotonic_suffix)
     rows = [
-        (
-            int(n),
-            layout.role_of(int(n)).value,
-            int(table.temporal_ids[n]),
-            repr(float(table.adjusted[n])),
-        )
+        (int(n), layout.role_of(int(n)).value, int(table.temporal_ids[n]), repr(float(table.adjusted[n])))
         for n in table.global_ids
     ]
     if args.csv:
@@ -167,23 +176,16 @@ def cmd_heatmap(args) -> int:
     else:
         rng = make_rng(args.seed, 200)
         q, k, v = (rng.standard_normal(shape) for _ in range(3))
-    result = attention_forward(q, k, v, layout, config)
     out_dir = _resolve_out(args.out, "heatmap")
-    os.makedirs(out_dir, exist_ok=True)
+    result = attention_forward(q, k, v, layout, config)
     for h, weights in enumerate(result.weights):
-        if args.format == "csv":
-            path = os.path.join(out_dir, f"head_{h}.csv")
-            write_text_atomic(path, csv_text(weights))
-        else:
-            path = os.path.join(out_dir, f"head_{h}.pgm")
-            write_text_atomic(path, pgm_text(_heatmap_pixels(weights)))
-        print(f"wrote {path}")
+        path = os.path.join(out_dir, f"head_{h}.{args.format}")
+        _write(path, csv_text(weights) if args.format == "csv" else pgm_text(_heatmap_pixels(weights)))
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    worst = 0.0
-    worst_name = ""
+    worst, worst_name = 0.0, ""
     for pe, mk in default_micro_cases():
         err = attention_fd_error(pe, mk, seed=args.seed)
         if err > worst:
@@ -191,7 +193,7 @@ def cmd_gradcheck(args) -> int:
     print(f"attention max_rel_err={worst:.3e} ({worst_name})")
     model_err = model_fd_error(seed=args.seed)
     print(f"model max_rel_err={model_err:.3e}")
-    if worst >= 1e-4 or model_err >= 1e-3:
+    if worst >= ATTENTION_TOLERANCE or model_err >= MODEL_TOLERANCE:
         print("gradcheck FAILED")
         return EXIT_CHECK_FAILED
     print("gradcheck passed")
@@ -214,16 +216,9 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args.out, "sweep")
     reports = gamma_sweep(base, gammas, workers=args.workers)
     csv = trials_csv(reports, SWEEP_COLUMNS)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    write_text_atomic(csv_path, csv)
-    reports_path = os.path.join(out_dir, "reports.json")
-    write_text_atomic(
-        reports_path, json.dumps([r.result_dict() for r in reports], sort_keys=True) + "\n"
-    )
     sys.stdout.write(csv)
-    print(f"wrote {csv_path}")
-    print(f"wrote {reports_path}")
+    _write(os.path.join(out_dir, "sweep.csv"), csv)
+    _write(os.path.join(out_dir, "reports.json"), json.dumps([r.result_dict() for r in reports], sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -235,22 +230,16 @@ def cmd_grid(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     out_dir = _resolve_out(args.out, "grid")
     reports = ablation_grid(base, tasks, masks, pe_modes, seeds, workers=args.workers)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "grid.csv")
-    write_text_atomic(csv_path, trials_csv(reports, GRID_COLUMNS))
     summary = grid_summary(reports)
-    summary_path = os.path.join(out_dir, "summary.txt")
-    write_text_atomic(summary_path, summary)
     sys.stdout.write(summary)
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
+    _write(os.path.join(out_dir, "grid.csv"), trials_csv(reports, GRID_COLUMNS))
+    _write(os.path.join(out_dir, "summary.txt"), summary)
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     ok, lines = run_selftest()
-    for line in lines:
-        print(line)
+    print(*lines, sep="\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-4
+# Largest relative errors the attention kernel's and the model's gradients may show.
+ATTENTION_TOLERANCE, MODEL_TOLERANCE = 1e-4, 1e-3
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ERROR_FLOOR) -> float:

@@ -22,7 +22,7 @@ from .attention import (
     plan_attention,
     temporal_id_literal,
 )
-from .gradcheck import attention_fd_error, model_fd_error
+from .gradcheck import ATTENTION_TOLERANCE, MODEL_TOLERANCE, attention_fd_error, model_fd_error
 from .harness import TrialConfig, train_trial
 from .layout import SequenceLayout, build_layout, temporal_ids
 from .masks import MaskKind, allowed, build_mask
@@ -193,9 +193,9 @@ def _check_gradients():
     for i, pe in enumerate(PeMode):
         mk = list(MaskKind)[i % len(MaskKind)]
         err = attention_fd_error(pe, mk, seed=7100 + i)
-        assert err < 1e-4, f"attention gradient error {err:.2e} for {pe.value}/{mk.value}"
+        assert err < ATTENTION_TOLERANCE, f"attention gradient error {err:.2e} for {pe.value}/{mk.value}"
     err = model_fd_error(seed=7200)
-    assert err < 1e-3, f"model gradient error {err:.2e}"
+    assert err < MODEL_TOLERANCE, f"model gradient error {err:.2e}"
 
 
 def _check_task_determinism():

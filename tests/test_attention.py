@@ -14,6 +14,7 @@ from frameattn.attention import (
     attention_brute_oracle,
     attention_forward,
     plan_attention,
+    temporal_bias_matrix,
     temporal_id_literal,
     time_ape_embedding,
 )
@@ -518,29 +519,29 @@ def plan_arrays(plan):
 
 def test_plan_holds_only_what_the_kernels_read():
     assert list(inspect.signature(plan_attention).parameters) == ["layout", "config", "rpe_bias"]
-    assert [f.name for f in fields(AttentionPlan)] == ["layout", "config", "rotation", "tiles", "ape", "bias"]
-    # No dense mask: without an rpe bias nothing in the plan is T x T.
+    assert [f.name for f in fields(AttentionPlan)] == ["layout", "config", "rotation", "tiles", "ape"]
+    # No dense mask and no bias matrix: nothing in any plan is T x T.
     lay = build_layout(8, 32, 32, 8)
     t = lay.total_len
     for mask, pe in itertools.product(MaskKind, PeMode):
-        shapes = [x.shape for x in plan_arrays(plan_attention(lay, config(mask=mask, pe=pe)))]
+        bias = np.zeros(3) if pe is PeMode.TIME_RPE else None
+        shapes = [x.shape for x in plan_arrays(plan_attention(lay, config(mask=mask, pe=pe), bias))]
         assert (t, t) not in shapes
-    bias = plan_attention(lay, config(pe=PeMode.TIME_RPE), np.zeros(3)).bias
-    assert bias.shape == (t, t)
 
 
 def test_plan_arrays_are_read_only():
     bias = np.linspace(-0.2, 0.2, 5)
     plan = plan_attention(GATHERED, config(pe=PeMode.TIME_RPE, mask=MaskKind.FW_BLOCK), bias)
     arrays = plan_arrays(plan)
-    assert any(cols is a for _, _, cols, _ in plan.tiles for a in arrays)
+    assert any(cols is a for _, _, cols, _, _ in plan.tiles for a in arrays)
+    assert all(any(b is a for a in arrays) for *_, b in plan.tiles)
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     # The caller's table stays writable, and the plan keeps its own.
-    before = plan.bias.copy()
+    before = [b.copy() for *_, b in plan.tiles]
     bias[:] = 9.0
-    assert np.array_equal(plan.bias, before)
+    assert all(np.array_equal(b, c) for (*_, b), c in zip(plan.tiles, before))
     ape = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_APE)).ape
     with pytest.raises(ValueError, match="read-only"):
         ape[0] = 1.0
@@ -604,8 +605,8 @@ def test_tile_size_does_not_change_results(monkeypatch, mask):
         # Some tile must skip key columns, or the comparison proves nothing;
         # under fw_block some tile must gather them (an index array).
         t = TILE_INVARIANCE.total_len
-        assert any(len(np.arange(t)[cols]) < t for _, _, cols, _ in tiled.plan.tiles)
-        gathered = any(isinstance(cols, np.ndarray) for _, _, cols, _ in tiled.plan.tiles)
+        assert any(len(np.arange(t)[cols]) < t for _, _, cols, _, _ in tiled.plan.tiles)
+        gathered = any(isinstance(cols, np.ndarray) for _, _, cols, _, _ in tiled.plan.tiles)
         assert gathered == (mask is MaskKind.FW_BLOCK)
         # Tiles change the length of each sum, so entries round apart by an ulp of
         # the array's scale; relative to that scale (not entry by entry, where a
@@ -680,8 +681,9 @@ def test_tile_free_columns_are_open_and_the_trailing_mask_is_exact(monkeypatch, 
         t = lay.total_len
         plan = plan_attention(lay, cfg)
         values = build_mask(cfg.mask_kind, lay, cfg.fw_block_causal_within_frame).values
-        assert [(lo, hi) for lo, hi, _, _ in plan.tiles] == [(lo, min(lo + tile_rows, t)) for lo in range(0, t, tile_rows)]
-        for lo, hi, cols, mask in plan.tiles:
+        assert [(lo, hi) for lo, hi, *_ in plan.tiles] == [(lo, min(lo + tile_rows, t)) for lo in range(0, t, tile_rows)]
+        for lo, hi, cols, mask, bias in plan.tiles:
+            assert bias is None
             keys = np.arange(t)[cols]
             prefix = np.array_equal(keys, np.arange(len(keys)))
             assert isinstance(cols, slice) == prefix
@@ -701,6 +703,16 @@ def test_tile_free_columns_are_open_and_the_trailing_mask_is_exact(monkeypatch, 
     assert gathered  # and some fw_block tile must gather its columns
 
 
+def test_tile_bias_is_the_bias_matrix_over_the_tile_rows_and_columns(monkeypatch):
+    monkeypatch.setattr("frameattn.attention._TILE_ROWS", 16)
+    table = np.linspace(-0.4, 0.3, 7)
+    for lay, mask in itertools.product((TILED, GATHERED), MaskKind):
+        plan = plan_attention(lay, config(mask=mask, pe=PeMode.TIME_RPE), table)
+        full = temporal_bias_matrix(adjusted_positions(lay, 1.0).temporal_ids, table)
+        for lo, hi, cols, _, bias in plan.tiles:
+            assert np.array_equal(bias, full[lo:hi, cols])
+
+
 def test_fw_block_tiles_of_a_long_layout_gather_the_prefix_and_their_frames():
     # T=1040: prefix 8, 32 frames of 32, suffix 8. Tile 3 holds rows
     # 192..255: the end of frame 5 (168..199), frame 6 and the start of
@@ -709,12 +721,12 @@ def test_fw_block_tiles_of_a_long_layout_gather_the_prefix_and_their_frames():
     lay = build_layout(8, 32, 32, 8)
     for within, last in ((False, 264), (True, 256)):
         plan = plan_attention(lay, config(mask=MaskKind.FW_BLOCK, fw_block_causal_within_frame=within))
-        lo, hi, cols, mask = plan.tiles[3]
+        lo, hi, cols, mask, _ = plan.tiles[3]
         assert (lo, hi) == (192, 256)
         assert np.array_equal(cols, np.r_[0:8, 168:last])
         assert mask.shape == (64, last - 168)
         assert isinstance(plan.tiles[0][2], slice) and isinstance(plan.tiles[-1][2], slice)
-        assert all(isinstance(cols, np.ndarray) for _, _, cols, _ in plan.tiles[1:-1])
+        assert all(isinstance(cols, np.ndarray) for _, _, cols, _, _ in plan.tiles[1:-1])
 
 
 def softmax_entries(monkeypatch, lay, cfg):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frameattn import selftest
 from frameattn.attention import PeMode
 from frameattn.cli import build_parser, main
 from frameattn.harness import PAPER_GAMMA_GRID
@@ -70,11 +71,32 @@ def test_render_mask_bad_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_render_mask_unwritable_path_exits_3(capsys):
-    code, _, _ = run(
-        capsys, "render-mask", "--layout", LAYOUT_T3_TEXT, "--kind", "causal", "--out", "/nonexistent-dir/m.pgm"
-    )
+def test_render_mask_unwritable_path_exits_3(tmp_path, capsys):
+    # A path under a regular file can never be created.
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "m.pgm"
+    code, _, _ = run(capsys, "render-mask", "--layout", LAYOUT_T3_TEXT, "--kind", "causal", "--out", str(out))
     assert code == 3
+
+
+def test_render_mask_onto_a_directory_exits_3_before_the_mask_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("frameattn.cli.build_mask", lambda *a, **kw: pytest.fail("the mask was built"))
+    out = tmp_path / "m.pgm"
+    out.mkdir()
+    code, stdout, err = run(capsys, "render-mask", "--layout", LAYOUT_T3_TEXT, "--kind", "causal", "--out", str(out))
+    assert code == 3
+    assert stdout == "" and err == f"i/o error: is a directory: {out}\n"
+    assert not list(out.iterdir())
+
+
+def test_render_mask_into_a_directory_it_cannot_write_exits_3(tmp_path, capsys, monkeypatch):
+    # Root may write anywhere, so the refusal is simulated where the check asks for it.
+    monkeypatch.setattr("frameattn.cli.os.access", lambda path, mode: False)
+    out = tmp_path / "new" / "m.pgm"
+    code, stdout, err = run(capsys, "render-mask", "--layout", LAYOUT_T3_TEXT, "--kind", "causal", "--out", str(out))
+    assert code == 3
+    assert stdout == "" and err == f"i/o error: cannot write in {tmp_path}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_render_mask_bad_extension_exits_2(tmp_path, capsys):
@@ -87,6 +109,15 @@ def test_out_defaults_to_env_dir(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "render-mask", "--layout", LAYOUT_T3_TEXT, "--kind", "causal")
     assert code == 0
     assert (tmp_path / "mask_causal.pgm").exists()
+
+
+def test_env_dir_that_does_not_exist_yet_is_made(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FRAMEATTN_OUT", str(tmp_path / "new" / "dir"))
+    code, stdout, _ = run(capsys, "render-mask", "--layout", LAYOUT_T3_TEXT, "--kind", "fw_block")
+    assert code == 0
+    out = tmp_path / "new" / "dir" / "mask_fw_block.pgm"
+    assert out.read_text().startswith("P2\n3 3\n255\n")
+    assert stdout == f"allowed_count=6\nwrote {out}\n"
 
 
 def test_out_missing_without_env_exits_2(capsys, monkeypatch):
@@ -451,6 +482,34 @@ def test_config_that_cannot_run_exits_2_before_any_trial(tmp_path, capsys, monke
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "grid", "heatmap"])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_a_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, under):
+    # --out names a regular file, or a directory under one: no trial (or attention) may run first.
+    monkeypatch.setattr("frameattn.harness.train_trial", lambda cfg: pytest.fail("a trial ran"))
+    monkeypatch.setattr("frameattn.cli.attention_forward", lambda *a: pytest.fail("attention ran"))
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path / "file" / "out" if under else tmp_path / "file"
+    config = HEATMAP_CONFIG if command == "heatmap" else TRIAL_CONFIG
+    code, stdout, err = run(capsys, command, "--config", config, "--out", str(out))
+    assert code == 3
+    assert stdout == "" and err == f"i/o error: not a directory: {tmp_path / 'file'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+# Values that parse but that the run refuses: (command, flag, value, what the error says).
+BAD_RUN_VALUES = [("grid", "--seeds", "-1", "seed"), ("sweep", "--gammas", "1e308", "overflows")]
+
+
+@pytest.mark.parametrize("command, flag, value, says", BAD_RUN_VALUES)
+def test_bad_run_value_exits_2_and_makes_no_directory(tmp_path, capsys, command, flag, value, says):
+    code, stdout, err = run(capsys, command, "--config", TRIAL_CONFIG, flag, value, "--out", str(tmp_path / "a" / "b"))
+    assert code == 2
+    assert stdout == "" and err.startswith("error: ") and says in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -464,6 +523,41 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "selftest passed" in stdout
     assert stdout.count("ok ") >= 10
+
+
+def test_gradcheck_passes_at_seed_0(capsys):
+    code, stdout, _ = run(capsys, "gradcheck", "--seed", "0")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert [line.split(" max_rel_err=")[0] for line in lines[:2]] == ["attention", "model"]
+    assert lines[2:] == ["gradcheck passed"]
+
+
+def test_gradcheck_fails_when_an_error_reaches_the_tolerance(capsys, monkeypatch):
+    monkeypatch.setattr("frameattn.cli.attention_fd_error", lambda pe, mk, seed: 1.0)
+    code, stdout, _ = run(capsys, "gradcheck")
+    assert code == 1
+    assert stdout.splitlines()[0].startswith("attention max_rel_err=1.000e+00 (")
+    assert stdout.endswith("gradcheck FAILED\n")
+
+
+def test_selftest_stops_at_the_first_failing_check(capsys, monkeypatch):
+    # The first check runs as it is, the second fails, and the rest only record that they ran.
+    def broken():
+        raise AssertionError("planted failure")
+
+    ran = []
+    checks = list(selftest.CHECKS)
+    first, second = checks[0][0], checks[1][0]
+    checks[1] = (second, broken)
+    checks[2:] = [(name, lambda name=name: ran.append(name)) for name, _ in checks[2:]]
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    report = [f"ok {first}", f"FAIL {second}: planted failure"]
+    assert selftest.run_selftest() == (False, report)
+    code, stdout, _ = run(capsys, "selftest")
+    assert code == 1
+    assert stdout.splitlines() == report
+    assert ran == []
 
 
 def test_back_to_back_calls_share_one_parser_and_behave_as_fresh_ones(tmp_path, capsys):
