@@ -94,7 +94,6 @@ __all__ = [
     "AttentionGrads",
     "plan_attention",
     "time_ape_embedding",
-    "temporal_bias_matrix",
     "attention_forward",
     "attention_backward",
     "temporal_id_literal",
@@ -192,40 +191,18 @@ def time_ape_embedding(temporal: np.ndarray, freqs: FrequencyTable) -> np.ndarra
     return emb
 
 
-def _bias_table(rpe_bias) -> np.ndarray:
-    """`rpe_bias` as float64, refused unless it is a finite 1-D odd-length table."""
+def _checked_bias(config: AttentionConfig, rpe_bias) -> np.ndarray | None:
+    """`rpe_bias` as float64, refused outside time_rpe or unless a finite 1-D odd-length table; None stays None."""
+    if rpe_bias is None:
+        return None
+    if config.pe_mode is not PeMode.TIME_RPE:
+        raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
     b = real_array("rpe_bias", rpe_bias)
     if b.ndim != 1 or len(b) % 2 != 1:
         raise ValueError(f"rpe bias must be a 1-D odd-length table, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rpe_bias must be finite")
     return b
-
-
-def _checked_bias(config: AttentionConfig, rpe_bias) -> np.ndarray | None:
-    """`rpe_bias` checked as `_bias_table` does, and refused outside time_rpe; None stays None."""
-    if rpe_bias is None:
-        return None
-    if config.pe_mode is not PeMode.TIME_RPE:
-        raise ValueError("rpe_bias is only meaningful with pe_mode=time_rpe")
-    return _bias_table(rpe_bias)
-
-
-def temporal_bias_matrix(temporal: np.ndarray, rpe_bias: np.ndarray) -> np.ndarray:
-    """Bias[i, j] = rpe_bias[R + clip(temporal[i] - temporal[j], -R, R)].
-
-    `temporal` must be of integer kind: a float id is refused, not truncated.
-    `rpe_bias` must be finite with odd length 2R + 1; its middle entry is
-    the zero-distance bias.
-    """
-    t = int_array("temporal", temporal).astype(np.int64, copy=False)
-    return _bias_block(_bias_table(rpe_bias), t, t)
-
-
-def _bias_block(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """table[R + clip(rows[i] - cols[j], -R, R)] for a checked table of length 2R + 1 and int64 ids."""
-    radius = len(table) // 2
-    return table[radius + np.clip(rows[:, None] - cols[None, :], -radius, radius)]
 
 
 def plan_attention(
@@ -277,7 +254,10 @@ def _tile(mask: AttentionMask, lo: int, temporal: np.ndarray, rpe_bias: np.ndarr
     free = int(np.where(start == head, stop, head).min())
     keys = np.arange(end)[cols]
     slab = mask.dense(slice(lo, hi), keys[free:])
-    bias = None if rpe_bias is None else _bias_block(rpe_bias, temporal[lo:hi], temporal[keys])
+    bias = None
+    if rpe_bias is not None:  # table[R + clip(t_i - t_j, -R, R)] for a table of length 2R + 1
+        radius = len(rpe_bias) // 2
+        bias = rpe_bias[radius + np.clip(temporal[lo:hi, None] - temporal[keys], -radius, radius)]
     for arr in (cols, slab, bias):
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False

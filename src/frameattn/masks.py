@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import NamedEnum, SequenceLayout, check_flag
+from .layout import NamedEnum, SequenceLayout, check_enum, check_flag
 from .pgmio import csv_text, pgm_text
 
 __all__ = [
@@ -52,7 +52,6 @@ class AttentionMask:
     head <= lo <= hi; lo == hi == head where a row has no second interval.
     """
 
-    kind: MaskKind
     size: int
     head: np.ndarray = field(repr=False)
     lo: np.ndarray = field(repr=False)
@@ -78,6 +77,7 @@ def allowed(
     fw_block_causal_within_frame: bool = False,
 ) -> bool:
     """May query position i attend to key position j under `kind`?"""
+    check_enum("kind", kind, MaskKind)
     check_flag("fw_block_causal_within_frame", fw_block_causal_within_frame)
     t = layout.total_len
     for name, idx in (("i", i), ("j", j)):
@@ -95,9 +95,7 @@ def allowed(
         if both_visual:
             return same_frame and (i >= j if fw_block_causal_within_frame else True)
         return i >= j
-    if kind is MaskKind.FW_BLOCK_CAUSAL:
-        return i >= j or same_frame
-    raise ValueError(f"unhandled mask kind {kind!r}")
+    return i >= j or same_frame  # fw_block_causal
 
 
 def build_mask(
@@ -106,9 +104,8 @@ def build_mask(
     fw_block_causal_within_frame: bool = False,
 ) -> AttentionMask:
     """The rows' intervals under `kind`, from frame arithmetic in O(T)."""
+    check_enum("kind", kind, MaskKind)
     check_flag("fw_block_causal_within_frame", fw_block_causal_within_frame)
-    if not isinstance(kind, MaskKind):
-        raise ValueError(f"unhandled mask kind {kind!r}")
     head = np.arange(1, layout.total_len + 1)  # causal: row i sees [0, i]
     lo = hi = head  # one array: the kinds below that only widen head keep lo == hi == head
     if layout.has_visual and kind is not MaskKind.CAUSAL:
@@ -127,7 +124,7 @@ def build_mask(
             hi[vis] = rows + 1 if fw_block_causal_within_frame else frame_end
     for arr in (head, lo, hi):
         arr.flags.writeable = False
-    return AttentionMask(kind=kind, size=layout.total_len, head=head, lo=lo, hi=hi)
+    return AttentionMask(size=layout.total_len, head=head, lo=lo, hi=hi)
 
 
 def mask_stats(mask: AttentionMask) -> dict:

@@ -119,9 +119,22 @@ class TinyModel:
         x = x.reshape(-1, self.config.num_heads, t, d_head).transpose(0, 2, 1, 3)
         return np.ascontiguousarray(x).reshape(-1, t, self.config.embed_dim)
 
+    def _checked(self, tokens, labels, plan) -> tuple[np.ndarray, np.ndarray | None]:
+        """A (B, T) token batch, B >= 1 and T the plan's, and its B labels unless None.
+
+        Ids out of range are refused: numpy would read -1 as the last row.
+        """
+        tokens = int_array("tokens", tokens, self.config.vocab_size)
+        t = plan.layout.total_len
+        if tokens.ndim != 2 or len(tokens) == 0 or tokens.shape[1] != t:
+            raise ValueError(f"tokens must be a (batch, {t}) array with batch >= 1, got shape {tokens.shape}")
+        if labels is not None:
+            labels = int_array("labels", labels, self.config.num_classes)
+            if labels.shape != (len(tokens),):
+                raise ValueError(f"labels must be one per sequence, shape ({len(tokens)},), got shape {labels.shape}")
+        return tokens, labels
+
     def _chunks(self, tokens: np.ndarray) -> list[slice]:
-        if tokens.ndim != 2:
-            raise ValueError(f"tokens must be a (batch, T) array, got shape {tokens.shape}")
         n, t = tokens.shape
         size = max(1, _SCORE_BUDGET // (self.config.num_heads * t * t))
         return [slice(lo, lo + size) for lo in range(0, n, size)]
@@ -146,18 +159,14 @@ class TinyModel:
         return (x[:, -1:] @ p["w_out"])[:, 0], x, caches
 
     def predict(self, tokens, plan) -> np.ndarray:
-        """Class index of each sequence of a (B, T) token batch under `plan`."""
-        tokens = int_array("tokens", tokens, self.config.vocab_size)
+        """Class index of each sequence of a (B, T) token batch under `plan`, B >= 1."""
+        tokens, _ = self._checked(tokens, None, plan)
         logits = [self._forward(tokens[c], plan)[0] for c in self._chunks(tokens)]
         return np.argmax(np.concatenate(logits), axis=-1)
 
     def loss_and_grads(self, tokens_batch, labels, plan):
-        """Mean cross-entropy over the batch under `plan`, and its flat gradient laid out like model.flat.
-
-        Here and in predict, ids out of range are refused: numpy would read -1 as the last row.
-        """
-        tokens_batch = int_array("tokens", tokens_batch, self.config.vocab_size)
-        labels = int_array("labels", labels, self.config.num_classes)
+        """Mean cross-entropy of a (B, T) batch with B labels under `plan`, and its gradient in model.flat's layout."""
+        tokens_batch, labels = self._checked(tokens_batch, labels, plan)
         chunks = self._chunks(tokens_batch)
         flat_grad = np.zeros_like(self.flat)
         grads = self.views(flat_grad)

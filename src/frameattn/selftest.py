@@ -30,7 +30,7 @@ from .numerics import make_rng, masked_row_softmax
 from .rope import frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
 from .tasks import Task, gen_task
 
-__all__ = ["random_layout", "run_selftest", "temporal_id_literal"]
+__all__ = ["random_layout", "run_selftest"]
 
 
 def random_layout(

@@ -17,6 +17,7 @@ from frameattn.attention import (
     attention_brute_oracle,
     attention_forward,
     plan_attention,
+    temporal_id_literal,
 )
 from frameattn.cli import main
 from frameattn.gradcheck import attention_fd_error, default_micro_cases, model_fd_error
@@ -25,7 +26,7 @@ from frameattn.layout import adjusted_positions, build_layout, temporal_ids
 from frameattn.masks import MaskKind, allowed, build_mask
 from frameattn.numerics import make_rng
 from frameattn.rope import frequencies, pair_score, rotary_oracle, rotate_rows, rotation_table
-from frameattn.selftest import random_layout, temporal_id_literal
+from frameattn.selftest import random_layout
 from frameattn.tasks import Task
 
 PAPER_GAMMAS = [0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0]

@@ -14,7 +14,6 @@ from frameattn.attention import (
     attention_brute_oracle,
     attention_forward,
     plan_attention,
-    temporal_bias_matrix,
     temporal_id_literal,
     time_ape_embedding,
 )
@@ -703,14 +702,17 @@ def test_tile_free_columns_are_open_and_the_trailing_mask_is_exact(monkeypatch, 
     assert gathered  # and some fw_block tile must gather its columns
 
 
-def test_tile_bias_is_the_bias_matrix_over_the_tile_rows_and_columns(monkeypatch):
+def test_tile_bias_is_the_table_at_the_clipped_temporal_distance(monkeypatch):
+    # Entry by entry, from the literal temporal ids; radius 2 clips, radius 40 exceeds every distance.
     monkeypatch.setattr("frameattn.attention._TILE_ROWS", 16)
-    table = np.linspace(-0.4, 0.3, 7)
-    for lay, mask in itertools.product((TILED, GATHERED), MaskKind):
-        plan = plan_attention(lay, config(mask=mask, pe=PeMode.TIME_RPE), table)
-        full = temporal_bias_matrix(adjusted_positions(lay, 1.0).temporal_ids, table)
+    for lay, mask, strict, radius in itertools.product((TILED, GATHERED), MaskKind, (False, True), (2, 40)):
+        table = np.linspace(-0.4, 0.3, 2 * radius + 1)
+        plan = plan_attention(lay, config(mask=mask, pe=PeMode.TIME_RPE, strict_monotonic_suffix=strict), table)
+        tid = [temporal_id_literal(lay, n, strict) for n in range(lay.total_len)]
         for lo, hi, cols, _, bias in plan.tiles:
-            assert np.array_equal(bias, full[lo:hi, cols])
+            keys = np.arange(lay.total_len)[cols].tolist()
+            expected = [[table[radius + max(-radius, min(radius, tid[i] - tid[j]))] for j in keys] for i in range(lo, hi)]
+            assert np.array_equal(bias, expected)
 
 
 def test_fw_block_tiles_of_a_long_layout_gather_the_prefix_and_their_frames():

@@ -276,6 +276,24 @@ def test_heatmap_rejects_tensors_that_are_not_real_numbers(tmp_path, capsys, dty
     assert not (tmp_path / "hm").exists()
 
 
+# Inputs that cannot be read: case -> (heatmap arguments under tmp_path, what the error says).
+UNREADABLE_INPUTS = {
+    "config": (lambda tmp: ["--config", str(tmp / "missing.json")], "cannot read"),
+    "qkv": (lambda tmp: ["--config", HEATMAP_CONFIG, "--qkv", str(tmp / "missing.npz")], "cannot read tensors"),
+    "qkv_without_v": (lambda tmp: ["--config", HEATMAP_CONFIG, "--qkv", str(tmp / "qk.npz")], "must contain arrays Q, K, V"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_heatmap_input_that_cannot_be_read_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    argv, says = UNREADABLE_INPUTS[case]
+    np.savez(tmp_path / "qk.npz", Q=np.zeros((2, 6, 4)), K=np.zeros((2, 6, 4)))
+    code, stdout, err = run(capsys, "heatmap", *argv(tmp_path), "--out", str(tmp_path / "hm"))
+    assert code == 2
+    assert stdout == "" and err.startswith("error: ") and says in err
+    assert [p.name for p in tmp_path.iterdir()] == ["qk.npz"]
+
+
 def test_heatmap_pixels_match_direct_quantisation():
     from frameattn.cli import _heatmap_pixels
 

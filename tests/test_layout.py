@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameattn.attention import temporal_id_literal
 from frameattn.layout import (
     SequenceLayout,
     TokenRole,
@@ -12,7 +13,6 @@ from frameattn.layout import (
     build_layout,
     temporal_ids,
 )
-from frameattn.selftest import temporal_id_literal
 
 
 layouts = (

@@ -1,9 +1,10 @@
 """Every public entry point refuses input it would otherwise have to coerce.
 
 Complex, bool, text and object arrays, float ids, ids out of range, a string
-where an enum member belongs, a float or bool count, and a flag that is not
-a bool each raise a ValueError that names the field, before any numpy
-conversion can warn, drop information or wrap a negative index around.
+where an enum member belongs, a float or bool count, a flag that is not a
+bool, and a model batch whose shape does not fit each raise a ValueError that
+names the field, before any numpy conversion can warn, drop information,
+broadcast or wrap a negative index around.
 """
 
 import warnings
@@ -18,7 +19,6 @@ from frameattn.attention import (
     attention_brute_oracle,
     attention_forward,
     plan_attention,
-    temporal_bias_matrix,
     time_ape_embedding,
 )
 from frameattn.harness import TrialConfig, gamma_sweep
@@ -73,7 +73,7 @@ BAD_ARRAYS = {
 # retired, so that each case keeps its test name.
 ARRAY_CASES = [
     ("positions", lambda bad: rotation_table(bad((T,)), FREQS)),
-    ("rpe_bias", lambda bad: temporal_bias_matrix(np.arange(T), bad((3,)))),
+    ("rpe_bias", lambda bad: attention_brute_oracle(*qkv(), LAYOUT, attn(PeMode.TIME_RPE), rpe_bias=bad((3,)))),
     ("rpe_bias", lambda bad: plan_attention(LAYOUT, attn(PeMode.TIME_RPE), rpe_bias=bad((3,)))),
     ("Q", lambda bad: forward_with(0, bad)),
     ("K", lambda bad: forward_with(1, bad)),
@@ -99,9 +99,9 @@ TOKENS, LABELS = np.zeros((1, T), dtype=int), np.zeros(1, dtype=int)
 # Ids and indices must be of integer kind: floats are refused as well.
 BAD_IDS = {**BAD_ARRAYS, "float": lambda shape: np.full(shape, 1.5)}
 
-# (field, call taking a maker of bad id arrays)
+# (field, call taking a maker of bad id arrays). Test ids number the cases; 0 is
+# retired, so that each case keeps its test name.
 ID_CASES = [
-    ("temporal", lambda bad: temporal_bias_matrix(bad((T,)), np.zeros(3))),
     ("tokens", lambda bad: MODEL.predict(bad((1, T)), PLAN)),
     ("tokens", lambda bad: MODEL.loss_and_grads(bad((1, T)), LABELS, PLAN)),
     ("labels", lambda bad: MODEL.loss_and_grads(TOKENS, bad((1,)), PLAN)),
@@ -129,6 +129,8 @@ FIELD_CASES = [
     ("task", lambda: num_classes("moving_count", LAYOUT, 4)),
     ("gamma", lambda: gamma_sweep(trial(), [0.5, True])),
     ("gamma", lambda: gamma_sweep(trial(), ["0.5"])),
+    ("kind", lambda: build_mask("causal", LAYOUT)),
+    ("kind", lambda: allowed("causal", LAYOUT, 1, 0)),
 ]
 
 # (field, call) with a flag that is not a bool: "no" is truthy and would turn the flag on
@@ -162,6 +164,19 @@ RANGE_CASES = [
 ]
 
 
+# (field, call) with a batch that does not fit the plan's T or one label per sequence
+BATCH_CASES = [
+    ("labels", lambda: MODEL.loss_and_grads(np.zeros((2, T), dtype=int), np.zeros((2, 1), dtype=int), PLAN)),
+    ("labels", lambda: MODEL.loss_and_grads(TOKENS, np.zeros(2, dtype=int), PLAN)),
+    ("labels", lambda: MODEL.loss_and_grads(TOKENS, np.int64(0), PLAN)),
+    ("tokens", lambda: MODEL.loss_and_grads(np.zeros((0, T), dtype=int), np.zeros(0, dtype=int), PLAN)),
+    ("tokens", lambda: MODEL.predict(np.zeros((0, T), dtype=int), PLAN)),
+    ("tokens", lambda: MODEL.predict(np.zeros((1, T - 1), dtype=int), PLAN)),
+    ("tokens", lambda: MODEL.loss_and_grads(np.zeros((1, T + 1), dtype=int), LABELS, PLAN)),
+    ("tokens", lambda: MODEL.predict(np.zeros(T, dtype=int), PLAN)),
+]
+
+
 def refuses(field, call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a ComplexWarning on the way would fail the test
@@ -179,7 +194,7 @@ def test_array_inputs_that_are_not_real_numbers_are_refused(field, call, kind):
 
 
 @pytest.mark.parametrize("kind", BAD_IDS)
-@pytest.mark.parametrize("field, call", ID_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(ID_CASES)])
+@pytest.mark.parametrize("field, call", ID_CASES, ids=[f"{i + 1}-{f}" for i, (f, _) in enumerate(ID_CASES)])
 def test_id_arrays_that_are_not_integers_are_refused(field, call, kind):
     refuses(field, lambda: call(BAD_IDS[kind]))
 
@@ -191,6 +206,11 @@ def test_strings_for_enums_and_non_int_counts_are_refused(field, call):
 
 @pytest.mark.parametrize("field, call", RANGE_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(RANGE_CASES)])
 def test_ids_out_of_range_are_refused(field, call):
+    refuses(field, call)
+
+
+@pytest.mark.parametrize("field, call", BATCH_CASES, ids=[f"{i}-{f}" for i, (f, _) in enumerate(BATCH_CASES)])
+def test_batches_that_do_not_fit_the_plan_or_their_labels_are_refused(field, call):
     refuses(field, call)
 
 
