@@ -16,14 +16,14 @@ Everything that depends only on (layout, config, rpe bias) lives in an
 AttentionPlan, which holds exactly what the kernels read: the cos/sin
 rotation table of the mode's positions, the query tiles with their key
 columns, mask slabs and RPE bias blocks, and the APE table. No plan array
-is T x T: there is no dense mask or bias matrix. A call's own work is
-arithmetic on Q, K and V: it stacks one (R + T)-row table from the plan's
-rotation table, which turns every head, but computes no trigonometry and
-builds no mask. `plan_attention` builds the plan, and is the only way to
-pass an rpe bias into attention. A plan's arrays are read-only, so a caller
-that runs many stacks over one layout builds it once and passes it to every
-`attention_forward` call: a trial builds one plan, shared by every step,
-layer and chunk.
+is T x T: there is no dense mask or bias matrix. The first call with R
+query rows adds to the plan an (R + T)-row table, which turns every head,
+its inverse and the tiles clipped to those rows; every later call's own
+work is arithmetic on Q, K and V. `plan_attention` builds the plan, and is
+the only way to pass an rpe bias into attention. A plan's arrays are
+read-only, so a caller that runs many stacks over one layout builds it once
+and passes it to every `attention_forward` call: a trial builds one plan,
+shared by every step, layer and chunk.
 
 Query rows are processed in tiles of _TILE_ROWS rows. The plan derives each
 tile [lo, hi) from the mask's per-row intervals as (lo, hi, cols, mask, bias):
@@ -76,6 +76,7 @@ for finiteness, so a diverged loss still reaches the harness as a loss.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -138,7 +139,7 @@ class AttentionConfig:
         check_flag("strict_monotonic_suffix", self.strict_monotonic_suffix)
         check_flag("fw_block_causal_within_frame", self.fw_block_causal_within_frame)
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.d_head)
 
@@ -154,6 +155,8 @@ class AttentionPlan:
     trailing columns of `cols`, and the columns of `cols` before it are
     allowed for every row. `bias`, the rows' RPE bias over `cols`, is set
     only under time_rpe with a bias table, and `ape` only under time_ape.
+    `by_rows` maps R to what a call with the last R query rows reads,
+    (rotation, inverse, tiles), filled by `_query_rows` on the first such call.
     """
 
     layout: SequenceLayout
@@ -161,6 +164,7 @@ class AttentionPlan:
     rotation: RotationTable = field(repr=False)
     tiles: tuple[tuple[int, int, slice | np.ndarray, np.ndarray, np.ndarray | None], ...] = field(repr=False)
     ape: np.ndarray | None = field(default=None, repr=False)
+    by_rows: dict[int, tuple[RotationTable, RotationTable, tuple]] = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass
@@ -275,34 +279,35 @@ def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> 
         if arr.shape != (q_shape[0], t, d):
             raise ValueError(f"{name} has shape {arr.shape}, expected {(q_shape[0], t, d)} for Q of shape {q_shape}")
     for name, arr in zip("QKV", arrays):
-        if not np.all(np.isfinite(arr)):
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise NonFiniteError(f"{name} contains non-finite values")
     return arrays
 
 
-def _rotate_qk(qk: np.ndarray, table: RotationTable, offset: int) -> np.ndarray:
-    """Rotate an (N, R + T, D) stack of R query rows then T key rows per head as one matrix.
+def _query_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTable, tuple]:
+    """`plan.by_rows[r]`, built on the first call with `r`: (rotation, inverse, tiles) of the last r query rows.
 
-    Query row i turns by table row offset + i, key row j by table row j: one
-    (R + T)-row table serves every head.
+    The (r + T)-row `rotation` turns query row i by plan row T - r + i and key
+    row j by row j, so one table serves each head's stacked Q and K rows;
+    `inverse` is its (cos, -sin). `tiles` are the plan's tiles clipped to
+    query rows >= T - r: a clipped tile keeps its `cols`, a union over a
+    superset of its rows, and the remaining rows of its mask and bias. Two
+    threads that miss at once build equal entries, and either may be kept.
     """
-    n, rows, d = qk.shape
-    qk_table = RotationTable(*(np.concatenate((part[offset:], part)) for part in (table.cos, table.sin)))
-    return rotate_rows(qk.reshape(n * rows, d), qk_table).reshape(qk.shape)
-
-
-def _query_tiles(plan: AttentionPlan, offset: int) -> list[tuple]:
-    """The plan's (lo, hi, cols, mask, bias) tiles clipped to query rows >= offset.
-
-    A clipped tile keeps its `cols`, a union over a superset of its rows,
-    and the remaining rows of its mask and bias.
-    """
-    tiles = []
-    for lo, hi, cols, mask, bias in plan.tiles:
-        if hi > offset:
-            cut = max(offset - lo, 0)
-            tiles.append((lo + cut, hi, cols, mask[cut:], None if bias is None else bias[cut:]))
-    return tiles
+    found = plan.by_rows.get(r)
+    if found is None:
+        offset = plan.layout.total_len - r
+        cos, sin = (np.concatenate((part[offset:], part)) for part in (plan.rotation.cos, plan.rotation.sin))
+        tiles = []
+        for lo, hi, cols, mask, bias in plan.tiles:
+            if hi > offset:
+                cut = max(offset - lo, 0)
+                tiles.append((lo + cut, hi, cols, mask[cut:], None if bias is None else bias[cut:]))
+        table = RotationTable(cos, sin)
+        found = plan.by_rows[r] = (table, table.inverse(), tuple(tiles))
+        for arr in (cos, sin, found[1].sin):
+            arr.flags.writeable = False
+    return found
 
 
 def attention_forward(
@@ -326,17 +331,18 @@ def attention_forward(
     elif (plan.layout, plan.config) != (layout, config):
         raise ValueError("plan was built for another layout or config")
 
-    n, r, _ = Q.shape
+    n, r, d = Q.shape
     offset = layout.total_len - r
+    rotation, _, tiles = _query_rows(plan, r)
     qk = np.concatenate((Q, K), axis=1)  # each head's R query rows, then its T key rows
     if plan.ape is not None:
         qk += np.concatenate((plan.ape[offset:], plan.ape))
-    qk = _rotate_qk(qk, plan.rotation, offset)
+    qk = rotate_rows(qk.reshape(-1, d), rotation).reshape(qk.shape)
     q_rot, k_rot = qk[:, :r], qk[:, r:]
 
     weights = np.zeros((n, r, layout.total_len))
     output = np.empty(Q.shape)
-    for lo, hi, cols, mask, bias in _query_tiles(plan, offset):
+    for lo, hi, cols, mask, bias in tiles:
         rows = slice(lo - offset, hi - offset)
         scores = q_rot[:, rows] @ k_rot[:, cols].transpose(0, 2, 1)
         scores *= config.scale
@@ -360,12 +366,13 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
     plan = state.plan
-    n, r, _ = g.shape
+    n, r, d = g.shape
     offset = plan.layout.total_len - r
-    grad_qk = np.zeros((n, r + plan.layout.total_len, g.shape[2]))  # grad of the rotated Q rows, then of K
+    _, inverse, tiles = _query_rows(plan, r)
+    grad_qk = np.zeros((n, r + plan.layout.total_len, d))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)
-    for lo, hi, cols, _, _ in _query_tiles(plan, offset):
+    for lo, hi, cols, _, _ in tiles:
         rows = slice(lo - offset, hi - offset)
         w = state.weights[:, rows, cols]
         g_tile = g[:, rows]
@@ -374,7 +381,7 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
         grad_kr[:, cols] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, rows]
         grad_v[:, cols] += w.transpose(0, 2, 1) @ g_tile
     grad_qk *= plan.config.scale
-    grad_qk = _rotate_qk(grad_qk, plan.rotation.inverse(), offset)
+    grad_qk = rotate_rows(grad_qk.reshape(-1, d), inverse).reshape(grad_qk.shape)
     return AttentionGrads(grad_q=grad_qk[:, :r], grad_k=grad_qk[:, r:], grad_v=grad_v)
 
 

@@ -217,7 +217,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
                 # Parameters blew up badly enough that a kernel rejected them.
                 loss, grad = float("nan"), None
             curve.append(float(loss))
-            if grad is None or not math.isfinite(loss) or not np.isfinite(grad).all():
+            if grad is None or not math.isfinite(loss) or not np.logical_and.reduce(np.isfinite(grad)):
                 diverged = True
                 break
             velocity *= config.momentum

@@ -24,6 +24,7 @@ strings, and nothing is coerced. Flags are checked where they are read.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -121,11 +122,12 @@ class SequenceLayout:
         if self.total_len < 1:
             raise ValueError("layout must contain at least one token")
 
-    @property
+    # Kept after the first read: the fields are frozen, and a training step reads these a dozen times.
+    @functools.cached_property
     def visual_len(self) -> int:
         return self.num_frames * self.tokens_per_frame
 
-    @property
+    @functools.cached_property
     def total_len(self) -> int:
         return self.prefix_len + self.visual_len + self.suffix_len
 

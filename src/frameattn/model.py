@@ -34,6 +34,7 @@ model.views(grad) names its blocks, so an SGD step is one array operation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ class ModelConfig:
         if self.ff_hidden == 0:
             object.__setattr__(self, "ff_hidden", 2 * self.embed_dim)
 
-    @property
+    @functools.cached_property
     def embed_dim(self) -> int:
         return self.num_heads * self.d_head
 
@@ -80,7 +81,7 @@ def _init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.n
 
 def _add_weight_grad(grad: np.ndarray, inputs: np.ndarray, grad_out: np.ndarray) -> None:
     """grad += inputs[s]^T grad_out[s] for each sequence s of two (B, T, .) stacks, in order."""
-    grad += np.sum(inputs.transpose(0, 2, 1) @ grad_out, axis=0)
+    grad += np.add.reduce(inputs.transpose(0, 2, 1) @ grad_out, axis=0)
 
 
 class TinyModel:
@@ -88,24 +89,28 @@ class TinyModel:
         self.config = config
         d, h = config.embed_dim, config.ff_hidden
         # (name, fan_in, shape) of every parameter, in init and storage order.
-        self._specs = [("embed", d, (config.vocab_size, d))]
+        specs = [("embed", d, (config.vocab_size, d))]
         for layer in range(config.layers):
-            self._specs += [(f"layer{layer}.{name}", d, (d, d)) for name in ("w_q", "w_k", "w_v", "w_o")]
-            self._specs += [(f"layer{layer}.w_ff1", d, (d, h)), (f"layer{layer}.w_ff2", h, (h, d))]
-        self._specs.append(("w_out", d, (d, config.num_classes)))
+            specs += [(f"layer{layer}.{name}", d, (d, d)) for name in ("w_q", "w_k", "w_v", "w_o")]
+            specs += [(f"layer{layer}.w_ff1", d, (d, h)), (f"layer{layer}.w_ff2", h, (h, d))]
+        specs.append(("w_out", d, (d, config.num_classes)))
         rng = make_rng(seed, 0)
-        self.flat = np.concatenate([_init(rng, fan_in, shape).ravel() for _, fan_in, shape in self._specs])
+        self.flat = np.concatenate([_init(rng, fan_in, shape).ravel() for _, fan_in, shape in specs])
+        # (name, span of model.flat, shape) of every parameter, found once.
+        ends = np.cumsum([math.prod(shape) for *_, shape in specs]).tolist()
+        self._blocks = [(name, slice(end - math.prod(shape), end), shape) for (name, _, shape), end in zip(specs, ends)]
+        self._weights = self._split(self.flat)
         self.params = self.views(self.flat)
+
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Parameter-shaped views into a vector laid out like model.flat: embed, six per layer, w_out."""
+        return [flat[span].reshape(shape) for _, span, shape in self._blocks]
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named, parameter-shaped views into a vector laid out like model.flat."""
         if flat.shape != self.flat.shape:
             raise ValueError(f"expected a flat vector of shape {self.flat.shape}, got {flat.shape}")
-        out, lo = {}, 0
-        for name, _, shape in self._specs:
-            out[name] = flat[lo : lo + math.prod(shape)].reshape(shape)
-            lo += out[name].size
-        return out
+        return {name: view for (name, *_), view in zip(self._blocks, self._split(flat))}
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         """(B, T, embed_dim) -> (B * heads, T, d_head), sequence-major."""
@@ -141,72 +146,74 @@ class TinyModel:
 
     def _forward(self, tokens, plan):
         """(B, C) logits of a (B, T) chunk, the last layer's output rows and per-layer caches."""
-        p = self.params
-        x = p["embed"][tokens]
+        weights = self._weights
+        x = weights[0][tokens]
         caches = []
         for layer in range(self.config.layers):
-            w = {name: p[f"layer{layer}.{name}"] for name in ("w_q", "w_k", "w_v", "w_o", "w_ff1", "w_ff2")}
+            w_q, w_k, w_v, w_o, w_ff1, w_ff2 = weights[1 + 6 * layer : 7 + 6 * layer]
             x_q = x[:, -_QUERY_ROWS:] if layer == self.config.layers - 1 else x
-            q = self._split_heads(x_q @ w["w_q"])
-            k, v = (self._split_heads(x @ w[name]) for name in ("w_k", "w_v"))
+            q, k, v = self._split_heads(x_q @ w_q), self._split_heads(x @ w_k), self._split_heads(x @ w_v)
             attn = attention_forward(q, k, v, plan.layout, plan.config, plan=plan)
             attn_cat = self._merge_heads(attn.output)
-            x_mid = x_q + attn_cat @ w["w_o"]
-            hidden = np.tanh(x_mid @ w["w_ff1"])
-            caches.append((w, x, attn, attn_cat, x_mid, hidden))
-            x = x_mid + hidden @ w["w_ff2"]
+            x_mid = x_q + attn_cat @ w_o
+            hidden = np.tanh(x_mid @ w_ff1)
+            caches.append((x, attn, attn_cat, x_mid, hidden))
+            x = x_mid + hidden @ w_ff2
         # x[:, -1:] keeps one (1, d) product per sequence, which rounds as a one-sequence pass.
-        return (x[:, -1:] @ p["w_out"])[:, 0], x, caches
+        return (x[:, -1:] @ weights[-1])[:, 0], x, caches
 
     def predict(self, tokens, plan) -> np.ndarray:
         """Class index of each sequence of a (B, T) token batch under `plan`, B >= 1."""
         tokens, _ = self._checked(tokens, None, plan)
         logits = [self._forward(tokens[c], plan)[0] for c in self._chunks(tokens)]
-        return np.argmax(np.concatenate(logits), axis=-1)
+        return np.concatenate(logits).argmax(axis=-1)
 
     def loss_and_grads(self, tokens_batch, labels, plan):
         """Mean cross-entropy of a (B, T) batch with B labels under `plan`, and its gradient in model.flat's layout."""
         tokens_batch, labels = self._checked(tokens_batch, labels, plan)
-        chunks = self._chunks(tokens_batch)
-        flat_grad = np.zeros_like(self.flat)
-        grads = self.views(flat_grad)
-        total_loss = sum(self._chunk_loss(tokens_batch[c], labels[c], plan, grads) for c in chunks)
+        flat_grad = np.zeros(self.flat.shape)
+        grads = self._split(flat_grad)
+        total_loss = 0.0
+        for c in self._chunks(tokens_batch):
+            total_loss += self._chunk_loss(tokens_batch[c], labels[c], plan, grads)
         flat_grad /= len(tokens_batch)
         return total_loss / len(tokens_batch), flat_grad
 
     def _chunk_loss(self, tokens, labels, plan, grads) -> float:
-        """Summed cross-entropy of one chunk; adds its unaveraged gradients into the named views `grads`."""
-        p = self.params
+        """Summed cross-entropy of one chunk; adds its unaveraged gradients into the _split views `grads`."""
+        weights = self._weights
         logits, x_final, caches = self._forward(tokens, plan)
         rows = np.arange(len(labels))
-        exps = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        probs = exps / exps.sum(axis=-1, keepdims=True)
-        loss = float(-np.sum(np.log(np.maximum(probs[rows, labels], 1e-300))))
+        exps = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+        probs = exps / np.add.reduce(exps, axis=-1, keepdims=True)
+        loss = float(-np.add.reduce(np.log(np.maximum(probs[rows, labels], 1e-300))))
         dlogits = probs
         dlogits[rows, labels] -= 1.0
-        _add_weight_grad(grads["w_out"], x_final[:, -1:], dlogits[:, None])
-        dx = np.zeros_like(x_final)
-        dx[:, -1] = (p["w_out"] @ dlogits[:, :, None])[:, :, 0]
+        _add_weight_grad(grads[-1], x_final[:, -1:], dlogits[:, None])
+        dx = np.zeros(x_final.shape)
+        dx[:, -1] = (weights[-1] @ dlogits[:, :, None])[:, :, 0]
         for layer in reversed(range(self.config.layers)):
-            w, x_in, attn, attn_cat, x_mid, hidden = caches.pop()
+            w_q, w_k, w_v, w_o, w_ff1, w_ff2 = weights[1 + 6 * layer : 7 + 6 * layer]
+            g_q, g_k, g_v, g_o, g_ff1, g_ff2 = grads[1 + 6 * layer : 7 + 6 * layer]
+            x_in, attn, attn_cat, x_mid, hidden = caches.pop()
             # x_out = x_mid + tanh(x_mid w_ff1) w_ff2
-            _add_weight_grad(grads[f"layer{layer}.w_ff2"], hidden, dx)
-            dpre = (dx @ w["w_ff2"].T) * (1.0 - hidden**2)
-            _add_weight_grad(grads[f"layer{layer}.w_ff1"], x_mid, dpre)
-            dx_mid = dx + dpre @ w["w_ff1"].T
+            _add_weight_grad(g_ff2, hidden, dx)
+            dpre = (dx @ w_ff2.T) * (1.0 - hidden**2)
+            _add_weight_grad(g_ff1, x_mid, dpre)
+            dx_mid = dx + dpre @ w_ff1.T
             # x_mid = x_in + attn_cat w_o
-            _add_weight_grad(grads[f"layer{layer}.w_o"], attn_cat, dx_mid)
-            attn_grads = attention_backward(attn, self._split_heads(dx_mid @ w["w_o"].T))
+            _add_weight_grad(g_o, attn_cat, dx_mid)
+            attn_grads = attention_backward(attn, self._split_heads(dx_mid @ w_o.T))
             # The query rows' residual and Q terms land in the last rows of a
             # full-length dx; the K and V terms reach every row.
             rows = dx_mid.shape[1]
             d_q = self._merge_heads(attn_grads.grad_q)
-            _add_weight_grad(grads[f"layer{layer}.w_q"], x_in[:, -rows:], d_q)
-            dx = np.zeros_like(x_in)
-            dx[:, -rows:] = dx_mid + d_q @ w["w_q"].T
-            for name, grad in zip(("w_k", "w_v"), (attn_grads.grad_k, attn_grads.grad_v)):
-                d_proj = self._merge_heads(grad)
-                _add_weight_grad(grads[f"layer{layer}.{name}"], x_in, d_proj)
-                dx += d_proj @ w[name].T
-        np.add.at(grads["embed"], tokens, dx)
+            _add_weight_grad(g_q, x_in[:, -rows:], d_q)
+            dx = np.zeros(x_in.shape)
+            dx[:, -rows:] = dx_mid + d_q @ w_q.T
+            for grad, w, d_attn in ((g_k, w_k, attn_grads.grad_k), (g_v, w_v, attn_grads.grad_v)):
+                d_proj = self._merge_heads(d_attn)
+                _add_weight_grad(grad, x_in, d_proj)
+                dx += d_proj @ w.T
+        np.add.at(grads[0], tokens, dx)
         return loss

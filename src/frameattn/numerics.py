@@ -10,6 +10,13 @@ The only non-finite value ever allowed is -inf, and only inside additive
 attention masks. Everything here is a pure function, so
 concurrent callers are safe.
 
+Reductions on the training-step path, here and in attention, model and
+harness, call ufunc methods (`np.add.reduce`, `np.maximum.reduce`,
+`np.logical_and.reduce`) instead of `np.sum`, `np.max`, `np.all` or
+`ndarray.all`. The method runs the same loop in the same order, so results
+are bitwise equal, while on the T <= 36 arrays of a small trial a wrapper's
+Python layer costs about as much as the reduction itself.
+
 `real_array` is the package's one conversion of array input: integer and
 real floating arrays become float64; complex, bool, text and object arrays
 raise a ValueError naming the argument. `int_array` is its counterpart for
@@ -64,7 +71,7 @@ def int_array(name: str, values, stop: int | None = None) -> np.ndarray:
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
     # Cast to uint64, a negative entry exceeds any stop: one reduction checks both ends.
-    if stop is not None and arr.size and arr.astype(np.uint64, copy=False).max() >= stop:
+    if stop is not None and arr.size and np.maximum.reduce(arr.astype(np.uint64, copy=False), axis=None) >= stop:
         raise ValueError(f"{name} must lie in 0..{stop - 1}, got values from {arr.min()} to {arr.max()}")
     return arr
 
@@ -83,21 +90,21 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     scores, mask = real_array("scores", scores), real_array("mask", mask)
     if mask.ndim != 2 or scores.ndim < 2 or scores.shape[-2] != mask.shape[0] or mask.shape[1] > scores.shape[-1]:
         raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
-    if not np.isfinite(scores).all():
+    if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise NonFiniteError("scores contain NaN or inf")
-    if not ((mask == 0.0) | (mask == -np.inf)).all():
+    if not np.logical_and.reduce((mask == 0.0) | (mask == -np.inf), axis=None):
         raise ValueError("mask entries must be exactly 0 or -inf")
 
     # The one scratch buffer, a copy of the scores; the mask makes its
     # trailing masked entries -inf.
     out = scores.copy()
     out[..., out.shape[-1] - mask.shape[1] :] += mask
-    row_max = np.max(out, axis=-1, keepdims=True, initial=-np.inf)
+    row_max = np.maximum.reduce(out, axis=-1, keepdims=True, initial=-np.inf)
     # Fully masked rows have row_max == -inf; shift by 0 there to avoid inf-inf.
     row_max[row_max == -np.inf] = 0.0
     out -= row_max
     np.exp(out, out=out)  # exp(-inf) is exactly 0
-    denom = out.sum(axis=-1, keepdims=True)
+    denom = np.add.reduce(out, axis=-1, keepdims=True)
     denom[denom == 0.0] = 1.0
     out /= denom
     return out
@@ -114,7 +121,7 @@ def softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarra
     if weights.shape != grad_weights.shape:
         raise ValueError(f"shape mismatch: {weights.shape} vs {grad_weights.shape}")
     out = weights * grad_weights  # scratch buffer, reused for the result
-    inner = np.sum(out, axis=-1, keepdims=True)
+    inner = np.add.reduce(out, axis=-1, keepdims=True)
     np.subtract(grad_weights, inner, out=out)
     out *= weights
     return out

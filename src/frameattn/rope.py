@@ -22,6 +22,7 @@ must be finite. Float32 matrices and vectors come back float32.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,7 @@ class RotationTable:
         if self.cos.ndim != 2 or self.cos.shape != self.sin.shape:
             raise ValueError(f"cos {self.cos.shape} and sin {self.sin.shape} must be one (rows, pairs) shape")
 
-    @property
+    @functools.cached_property
     def d_head(self) -> int:
         return 2 * self.cos.shape[1]
 

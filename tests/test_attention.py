@@ -510,27 +510,42 @@ def test_plan_rejects_bad_bias_and_positions(case):
 
 
 def plan_arrays(plan):
-    """Every array the plan holds, through its fields, tiles and rotation table."""
+    """Every array the plan holds, through its fields, tiles, rotation table and per-R entries."""
     values = [getattr(plan, f.name) for f in fields(plan)]
     values += [plan.rotation.cos, plan.rotation.sin, *(x for tile in plan.tiles for x in tile)]
+    for rotation, inverse, tiles in plan.by_rows.values():
+        values += [rotation.cos, rotation.sin, inverse.cos, inverse.sin, *(x for tile in tiles for x in tile)]
     return [x for x in values if isinstance(x, np.ndarray)]
+
+
+def run_rows(plan, *query_rows):
+    """One forward and backward with each count of query rows, which fills the plan's per-R entries."""
+    t = plan.layout.total_len
+    k = np.ones((1, t, plan.config.d_head))
+    for r in query_rows:
+        res = attention_forward(k[:, t - r :], k, k, plan.layout, plan.config, plan=plan)
+        attention_backward(res, res.output)
 
 
 def test_plan_holds_only_what_the_kernels_read():
     assert list(inspect.signature(plan_attention).parameters) == ["layout", "config", "rpe_bias"]
-    assert [f.name for f in fields(AttentionPlan)] == ["layout", "config", "rotation", "tiles", "ape"]
-    # No dense mask and no bias matrix: nothing in any plan is T x T.
+    assert [f.name for f in fields(AttentionPlan)] == ["layout", "config", "rotation", "tiles", "ape", "by_rows"]
+    # No dense mask and no bias matrix: nothing in any plan is T x T, before or after calls fill its per-R entries.
     lay = build_layout(8, 32, 32, 8)
     t = lay.total_len
     for mask, pe in itertools.product(MaskKind, PeMode):
         bias = np.zeros(3) if pe is PeMode.TIME_RPE else None
-        shapes = [x.shape for x in plan_arrays(plan_attention(lay, config(mask=mask, pe=pe), bias))]
-        assert (t, t) not in shapes
+        plan = plan_attention(lay, config(mask=mask, pe=pe), bias)
+        assert plan.by_rows == {}
+        run_rows(plan, t, 2)
+        assert sorted(plan.by_rows) == [2, t]
+        assert (t, t) not in [x.shape for x in plan_arrays(plan)]
 
 
 def test_plan_arrays_are_read_only():
     bias = np.linspace(-0.2, 0.2, 5)
     plan = plan_attention(GATHERED, config(pe=PeMode.TIME_RPE, mask=MaskKind.FW_BLOCK), bias)
+    run_rows(plan, GATHERED.total_len, 70)
     arrays = plan_arrays(plan)
     assert any(cols is a for _, _, cols, _, _ in plan.tiles for a in arrays)
     assert all(any(b is a for a in arrays) for *_, b in plan.tiles)
@@ -658,6 +673,13 @@ def test_inverse_table_is_the_table_at_negated_positions(pe):
             mat = rng.standard_normal((lay.total_len, 16))
             assert np.array_equal(rotate_rows(mat, inverse), rotate_rows(mat, negated))
             assert np.abs(rotate_rows(rotate_rows(mat, plan.rotation), inverse) - mat).max() < 1e-12
+            # The kernels' (R + T)-row tables: the last R rows' positions, then every row's.
+            t = lay.total_len
+            run_rows(plan, t, 2)
+            for r, (rotation, inverse, _) in plan.by_rows.items():
+                for got, want in ((rotation, table), (inverse, negated)):
+                    assert np.array_equal(got.cos, np.concatenate([want.cos[t - r :], want.cos]))
+                    assert np.array_equal(got.sin, np.concatenate([want.sin[t - r :], want.sin]))
 
 
 def tile_mask_cases():

@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -261,3 +263,40 @@ def test_plan_must_match_layout_and_config():
         attention_forward(q, q, q, LAYOUT, ATTN_CFG, plan=plan_attention(build_layout(2, 2, 1, 2), ATTN_CFG))
     with pytest.raises(ValueError, match="plan"):
         attention_forward(q, q, q, LAYOUT, replace(ATTN_CFG, mask_kind=MaskKind.CAUSAL), plan=PLAN)
+
+
+# The grid_t6 benchmark's trials (T=6, one layer, batch 8) and the
+# criterion-08 dual_rope + fw_block_causal arm (T=20, two layers, batch 16).
+GRID_T6 = TrialConfig(
+    task=Task.FRAME_ORDER, layout=build_layout(1, 2, 2, 1), steps=25, train_size=32, eval_size=32,
+    batch_size=8, num_symbols=4, d_head=4, layers=1,
+)
+CRITERION_08 = TrialConfig(task=Task.FRAME_ORDER, layout=build_layout(2, 4, 4, 2), steps=600)
+
+
+# Before reductions called ufunc methods and the model, layout and plan
+# lookups were built once, a step made 169 calls on GRID_T6 and 304 on
+# CRITERION_08; now 48 and 85 (numpy 2.4).
+@pytest.mark.parametrize(("cfg", "bound"), [(GRID_T6, 55), (CRITERION_08, 95)], ids=["grid_t6", "criterion_08"])
+def test_python_calls_per_training_step(cfg, bound):
+    # A deterministic count of Python-level calls in one loss_and_grads step
+    # gates per-call overhead, which timing noise hides at these sizes.
+    assert (cfg.pe_mode, cfg.mask_kind) == (PeMode.DUAL_ROPE, MaskKind.FW_BLOCK_CAUSAL)
+    train = gen_task(cfg.task, cfg.layout, cfg.seed, cfg.batch_size, cfg.num_symbols)
+    model = TinyModel(cfg.model_config(), seed=cfg.seed)
+    plan = plan_attention(cfg.layout, cfg.attention_config())
+    model.loss_and_grads(train.tokens, train.labels, plan)  # the first step fills what later steps reuse
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.disable()  # no finalizer may run inside the count
+    sys.setprofile(count)
+    try:
+        model.loss_and_grads(train.tokens, train.labels, plan)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert 0 < calls <= bound
