@@ -156,7 +156,7 @@ class AttentionPlan:
     allowed for every row. `bias`, the rows' RPE bias over `cols`, is set
     only under time_rpe with a bias table, and `ape` only under time_ape.
     `by_rows` maps R to what a call with the last R query rows reads,
-    (rotation, inverse, tiles), filled by `_query_rows` on the first such call.
+    (rotation, inverse, tiles, ape), filled by `_query_rows` on the first such call.
     """
 
     layout: SequenceLayout
@@ -164,7 +164,7 @@ class AttentionPlan:
     rotation: RotationTable = field(repr=False)
     tiles: tuple[tuple[int, int, slice | np.ndarray, np.ndarray, np.ndarray | None], ...] = field(repr=False)
     ape: np.ndarray | None = field(default=None, repr=False)
-    by_rows: dict[int, tuple[RotationTable, RotationTable, tuple]] = field(default_factory=dict, init=False, repr=False)
+    by_rows: dict[int, tuple[RotationTable, RotationTable, tuple, np.ndarray | None]] = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass
@@ -284,12 +284,13 @@ def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> 
     return arrays
 
 
-def _query_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTable, tuple]:
-    """`plan.by_rows[r]`, built on the first call with `r`: (rotation, inverse, tiles) of the last r query rows.
+def _query_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTable, tuple, np.ndarray | None]:
+    """`plan.by_rows[r]`, built on the first call with `r`: (rotation, inverse, tiles, ape) of the last r query rows.
 
     The (r + T)-row `rotation` turns query row i by plan row T - r + i and key
     row j by row j, so one table serves each head's stacked Q and K rows;
-    `inverse` is its (cos, -sin). `tiles` are the plan's tiles clipped to
+    `inverse` is its (cos, -sin), and `ape` (time_ape only) the APE rows of
+    the same stacked rows. `tiles` are the plan's tiles clipped to
     query rows >= T - r: a clipped tile keeps its `cols`, a union over a
     superset of its rows, and the remaining rows of its mask and bias. Two
     threads that miss at once build equal entries, and either may be kept.
@@ -297,16 +298,18 @@ def _query_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTab
     found = plan.by_rows.get(r)
     if found is None:
         offset = plan.layout.total_len - r
-        cos, sin = (np.concatenate((part[offset:], part)) for part in (plan.rotation.cos, plan.rotation.sin))
+        cos, sin, ape = (None if part is None else np.concatenate((part[offset:], part))
+                         for part in (plan.rotation.cos, plan.rotation.sin, plan.ape))
         tiles = []
         for lo, hi, cols, mask, bias in plan.tiles:
             if hi > offset:
                 cut = max(offset - lo, 0)
                 tiles.append((lo + cut, hi, cols, mask[cut:], None if bias is None else bias[cut:]))
         table = RotationTable(cos, sin)
-        found = plan.by_rows[r] = (table, table.inverse(), tuple(tiles))
-        for arr in (cos, sin, found[1].sin):
-            arr.flags.writeable = False
+        found = plan.by_rows[r] = (table, table.inverse(), tuple(tiles), ape)
+        for arr in (cos, sin, found[1].sin, ape):
+            if arr is not None:
+                arr.flags.writeable = False
     return found
 
 
@@ -333,10 +336,10 @@ def attention_forward(
 
     n, r, d = Q.shape
     offset = layout.total_len - r
-    rotation, _, tiles = _query_rows(plan, r)
+    rotation, _, tiles, ape = _query_rows(plan, r)
     qk = np.concatenate((Q, K), axis=1)  # each head's R query rows, then its T key rows
-    if plan.ape is not None:
-        qk += np.concatenate((plan.ape[offset:], plan.ape))
+    if ape is not None:
+        qk += ape
     qk = rotate_rows(qk.reshape(-1, d), rotation).reshape(qk.shape)
     q_rot, k_rot = qk[:, :r], qk[:, r:]
 
@@ -368,7 +371,7 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     plan = state.plan
     n, r, d = g.shape
     offset = plan.layout.total_len - r
-    _, inverse, tiles = _query_rows(plan, r)
+    _, inverse, tiles, _ = _query_rows(plan, r)
     grad_qk = np.zeros((n, r + plan.layout.total_len, d))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)

@@ -13,11 +13,13 @@ published video benchmark.
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import json
 import math
 import os
 import statistics
+import threading
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -237,18 +239,60 @@ def train_trial(config: TrialConfig) -> TrialReport:
     )
 
 
+# The process pool that run_trials keeps across calls, as (workers, executor).
+_pool_lock = threading.Lock()
+_pool: tuple[int, concurrent.futures.Executor] | None = None
+
+
+def _drop_pool(pool: concurrent.futures.Executor | None = None) -> None:
+    """Shut down the kept pool (only if it is `pool`, when given); the next parallel call forks a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and pool in (None, _pool[1]):
+            _pool[1].shutdown()
+            _pool = None
+
+
+def _forget_pool() -> None:
+    # A forked child, a pool worker included, gets no working copy of its parent's pool or lock.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+atexit.register(_drop_pool)
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def run_trials(configs, workers: int = 1) -> list[TrialReport]:
     """train_trial over `configs`, reports in config order.
 
     With workers > 1 the trials run in a process pool of at most
-    os.cpu_count() workers; the reports are identical to a serial run.
+    os.cpu_count() workers; the reports are identical to a serial run. The
+    pool is forked at the first parallel call and kept until the process
+    exits, so later calls skip the workers' start-up. A call with another
+    worker count replaces it. A worker that dies breaks the pool: the call
+    that sees it raises concurrent.futures.BrokenExecutor, and the next call
+    forks a new pool. Workers keep the module state of their fork, so state
+    patched after the first parallel call does not reach them.
     """
+    global _pool
     check_int("workers", workers, 1)
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(train_trial, configs))
-    return [train_trial(c) for c in configs]
+    if workers == 1:
+        return [train_trial(c) for c in configs]
+    try:
+        with _pool_lock:
+            if _pool is None or _pool[0] != workers:
+                if _pool is not None:
+                    _pool[1].shutdown()
+                _pool = (workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+            pool = _pool[1]
+            # Every trial is queued before the lock is let go, so no other call can shut this pool down first.
+            results = pool.map(train_trial, configs)
+        return list(results)
+    except concurrent.futures.BrokenExecutor:
+        _drop_pool(pool)
+        raise
 
 
 def gamma_sweep(base: TrialConfig, gammas, workers: int = 1) -> list[TrialReport]:

@@ -513,8 +513,8 @@ def plan_arrays(plan):
     """Every array the plan holds, through its fields, tiles, rotation table and per-R entries."""
     values = [getattr(plan, f.name) for f in fields(plan)]
     values += [plan.rotation.cos, plan.rotation.sin, *(x for tile in plan.tiles for x in tile)]
-    for rotation, inverse, tiles in plan.by_rows.values():
-        values += [rotation.cos, rotation.sin, inverse.cos, inverse.sin, *(x for tile in tiles for x in tile)]
+    for rotation, inverse, tiles, ape in plan.by_rows.values():
+        values += [rotation.cos, rotation.sin, inverse.cos, inverse.sin, ape, *(x for tile in tiles for x in tile)]
     return [x for x in values if isinstance(x, np.ndarray)]
 
 
@@ -556,9 +556,14 @@ def test_plan_arrays_are_read_only():
     before = [b.copy() for *_, b in plan.tiles]
     bias[:] = 9.0
     assert all(np.array_equal(b, c) for (*_, b), c in zip(plan.tiles, before))
-    ape = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_APE)).ape
-    with pytest.raises(ValueError, match="read-only"):
-        ape[0] = 1.0
+    # Under time_ape, the plan's APE table and each per-R entry's (R + T) APE rows.
+    plan = plan_attention(build_layout(1, 2, 2, 2), config(pe=PeMode.TIME_APE))
+    run_rows(plan, plan.layout.total_len, 2)
+    ape_rows = [plan.ape] + [ape for *_, ape in plan.by_rows.values()]
+    assert len(ape_rows) == 3
+    for arr in ape_rows:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_backward_zero_gradient():
@@ -676,7 +681,7 @@ def test_inverse_table_is_the_table_at_negated_positions(pe):
             # The kernels' (R + T)-row tables: the last R rows' positions, then every row's.
             t = lay.total_len
             run_rows(plan, t, 2)
-            for r, (rotation, inverse, _) in plan.by_rows.items():
+            for r, (rotation, inverse, _, _) in plan.by_rows.items():
                 for got, want in ((rotation, table), (inverse, negated)):
                     assert np.array_equal(got.cos, np.concatenate([want.cos[t - r :], want.cos]))
                     assert np.array_equal(got.sin, np.concatenate([want.sin[t - r :], want.sin]))

@@ -1,7 +1,15 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
+import os
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,12 +377,6 @@ class _RecordingPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, items):
         return map(fn, items)
 
@@ -384,9 +386,118 @@ def test_run_trials_clamps_workers_to_cpu_count(monkeypatch, cpus, workers, pool
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness, "train_trial", lambda cfg: cfg.seed)
+    # No pool kept from an earlier test; the real one comes back when the test ends.
+    monkeypatch.setattr(harness, "_pool", None)
     _RecordingPool.sizes = []
-    assert run_trials([replace(TINY, seed=s) for s in range(5)], workers) == [0, 1, 2, 3, 4]
+    for _ in range(2):
+        assert run_trials([replace(TINY, seed=s) for s in range(5)], workers) == [0, 1, 2, 3, 4]
+    # One pool, made by the first call and kept by the second.
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def _worker_pids() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _stall(config):
+    """Stands in for train_trial in forked workers: a trial that only ends when its worker is killed."""
+    time.sleep(60)
+
+
+def test_parallel_calls_reuse_the_same_workers(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    configs = [replace(TINY, seed=s) for s in range(4)]
+    run_trials(configs, 2)
+    pids = _worker_pids()
+    run_trials(configs, 2)
+    assert len(pids) == 2 and _worker_pids() == pids
+
+
+def test_parallel_matches_serial_over_consecutive_calls(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    calls = [
+        [replace(TINY, seed=s) for s in range(3)],
+        [replace(TINY, pe_mode=pm, mask_kind=mk) for pm in PeMode for mk in (MaskKind.CAUSAL, MaskKind.FW_BLOCK)],
+        [replace(TINY, task=Task.FRAME_ORDER, gamma=g) for g in (0.0, 0.5)],
+    ]
+    for configs in calls:
+        parallel = run_trials(configs, 2)
+        assert [r.to_json() for r in parallel] == [r.to_json() for r in run_trials(configs, 1)]
+
+
+def test_a_worker_killed_mid_call_breaks_that_call_and_the_next_forks_a_new_pool(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    harness._drop_pool()
+    real_trial = harness.train_trial
+    # Workers forked now run _stall, so the call below cannot finish before the kill.
+    monkeypatch.setattr(harness, "train_trial", _stall)
+    with concurrent.futures.ThreadPoolExecutor(1) as caller:
+        call = caller.submit(run_trials, [TINY] * 4, 2)
+        deadline = time.monotonic() + 30
+        while len(pids := _worker_pids()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(pids) == 2
+        os.kill(pids[0], signal.SIGKILL)
+        assert isinstance(call.exception(timeout=60), concurrent.futures.BrokenExecutor)
+    assert harness._pool is None
+    monkeypatch.setattr(harness, "train_trial", real_trial)
+    configs = [replace(TINY, seed=s) for s in range(3)]
+    again = run_trials(configs, 2)
+    assert [r.to_json() for r in again] == [r.to_json() for r in run_trials(configs, 1)]
+    assert len(_worker_pids()) == 2 and not set(_worker_pids()) & set(pids)
+
+
+def test_a_forked_child_forks_its_own_pool(monkeypatch):
+    # The child's copy of the parent's pool has no thread to hand it results: using it would hang.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    configs = [replace(TINY, seed=s) for s in range(2)]
+    want = [r.to_json() for r in run_trials(configs, 2)]  # the parent now keeps a pool
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if [r.to_json() for r in run_trials(configs, 2)] == want else 1
+            harness._drop_pool()  # os._exit skips the atexit hook that would join the child's workers
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if not done[0]:
+        os.kill(pid, signal.SIGKILL)
+        done = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert [r.to_json() for r in run_trials(configs, 2)] == want
+
+
+_GRID_SCRIPT = """
+import multiprocessing
+from frameattn.harness import TrialConfig, ablation_grid
+from frameattn.layout import build_layout
+from frameattn.masks import MaskKind
+from frameattn.attention import PeMode
+from frameattn.tasks import Task
+
+base = TrialConfig(task=Task.LAST_FRAME_RECALL, layout=build_layout(1, 2, 2, 1), steps=2, train_size=4,
+                   eval_size=4, batch_size=2, num_symbols=4, d_head=4, layers=1)
+reports = ablation_grid(base, [base.task], [MaskKind.CAUSAL, MaskKind.FW_BLOCK], [PeMode.DUAL_ROPE], [0, 1], workers=2)
+assert len(reports) == 4
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+"""
+
+
+def test_a_process_that_ran_a_parallel_grid_exits_cleanly():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GRID_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(pids) == (2 if (os.cpu_count() or 1) > 1 else 0)
+    for pid in pids:  # every worker was joined before the process exited
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
