@@ -6,7 +6,7 @@ of attention_backward and of the hand-written model gradients it checks.
 Relative error is |analytic - numeric| / max(|analytic|, |numeric|, floor)
 with floor 1e-4: entries smaller than the floor are compared absolutely at
 tolerance * floor, which keeps finite-difference noise on near-zero entries
-from drowning the signal.
+from drowning the signal; a NaN or infinite entry is an infinite error.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .attention import (
     attention_forward,
     plan_attention,
 )
+from .harness import TrialConfig, setup_trial
 from .layout import SequenceLayout, build_layout
 from .masks import MaskKind
-from .model import ModelConfig, TinyModel
 from .numerics import make_rng, real_array
-from .tasks import Task, gen_task, num_classes, vocab_size
+from .tasks import Task
 
 __all__ = [
     "relative_error",
@@ -43,6 +43,8 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ERR
     n = real_array("numeric", numeric)
     if a.size == 0:
         return 0.0
+    if not (np.isfinite(a).all() and np.isfinite(n).all()):
+        return float("inf")  # so a non-finite gradient fails every check
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom))
 
@@ -113,21 +115,14 @@ def model_fd_error(
 ) -> float:
     """Max relative error of the full-model analytic gradient vs central differences.
 
-    Micro configuration: frame_order on a T=8 layout, a batch of two
-    sequences over four symbols, d_head=4, step 1e-5.
+    Micro configuration: a frame_order trial on a T=8 layout, two training
+    sequences over four symbols, d_head=4, step 1e-5. It checks the trial's own
+    model, plan (the trial's rpe bias included under time_rpe) and data from setup_trial.
     """
-    layout = build_layout(1, 2, 2, 3)
-    model_cfg = ModelConfig(
-        layers=layers,
-        num_heads=num_heads,
-        d_head=4,
-        vocab_size=vocab_size(4),
-        num_classes=num_classes(Task.FRAME_ORDER, layout, 4),
-    )
-    attn_cfg = AttentionConfig(d_head=4, gamma=1.0, mask_kind=mask_kind, pe_mode=pe_mode)
-    plan = plan_attention(layout, attn_cfg)
-    model = TinyModel(model_cfg, seed=seed)
-    data = gen_task(Task.FRAME_ORDER, layout, seed, 2, 4)
+    data, _, model, plan = setup_trial(TrialConfig(
+        task=Task.FRAME_ORDER, layout=build_layout(1, 2, 2, 3), pe_mode=pe_mode, mask_kind=mask_kind, seed=seed,
+        layers=layers, num_heads=num_heads, d_head=4, num_symbols=4, train_size=2, eval_size=1,
+    ))
 
     def loss_only() -> float:
         loss, _ = model.loss_and_grads(data.tokens, data.labels, plan)

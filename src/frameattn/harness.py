@@ -25,18 +25,19 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionConfig, PeMode, plan_attention
+from .attention import AttentionConfig, AttentionPlan, PeMode, plan_attention
 from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_fields, check_float, check_int
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import NonFiniteError, make_rng
-from .tasks import Task, check_task, gen_task, num_classes, vocab_size
+from .tasks import Dataset, Task, check_task, gen_task, num_classes, vocab_size
 
 __all__ = [
     "REPORT_HEADER",
     "TrialConfig",
     "TrialReport",
     "PAPER_GAMMA_GRID",
+    "setup_trial",
     "train_trial",
     "run_trials",
     "gamma_sweep",
@@ -109,6 +110,10 @@ class TrialConfig:
         if not (self.rpe_scale >= 0 and math.isfinite(2.0 * self.rpe_scale)):
             raise ValueError(f"rpe_scale must be >= 0 with 2 * rpe_scale finite, got {self.rpe_scale!r}")
         self.model_config()
+        # Numpy scalars pass the checks; keep the Python values they equal, so the config serialises.
+        for name in self.__dataclass_fields__:
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
 
     def attention_config(self) -> AttentionConfig:
         return AttentionConfig(
@@ -172,20 +177,27 @@ class TrialReport:
         return json.dumps(self.result_dict(), sort_keys=True)
 
 
-def _make_rpe_bias(config: TrialConfig) -> np.ndarray | None:
-    # Fixed (not trained) temporal-distance bias: the trial seed pins it.
-    if config.pe_mode is not PeMode.TIME_RPE:
-        return None
-    rng = make_rng(config.seed, 4)
-    return rng.uniform(-config.rpe_scale, config.rpe_scale, 2 * config.rpe_radius + 1)
+def setup_trial(config: TrialConfig) -> tuple[Dataset, Dataset, TinyModel, AttentionPlan]:
+    """A trial's training set, eval set, initial model and AttentionPlan.
+
+    The one place a TrialConfig becomes its parts. The seed pins the training set and the model,
+    seed + 1_000_003 the eval set, and substream 4 the fixed (not trained) time_rpe bias.
+    """
+    train = gen_task(config.task, config.layout, config.seed, config.train_size, config.num_symbols)
+    eval_set = gen_task(config.task, config.layout, config.seed + 1_000_003, config.eval_size, config.num_symbols)
+    model = TinyModel(config.model_config(), seed=config.seed)
+    rpe_bias = None
+    if config.pe_mode is PeMode.TIME_RPE:
+        rpe_bias = make_rng(config.seed, 4).uniform(-config.rpe_scale, config.rpe_scale, 2 * config.rpe_radius + 1)
+    return train, eval_set, model, plan_attention(config.layout, config.attention_config(), rpe_bias)
 
 
 def train_trial(config: TrialConfig) -> TrialReport:
     """Run one deterministic SGD trial and report its curve and accuracy.
 
-    The trial builds one AttentionPlan (rotation table, tiles, the rpe bias)
-    and passes it to every training step and to the eval, so nothing that
-    depends only on the layout and config is rebuilt per step.
+    setup_trial builds the trial's one AttentionPlan (rotation table, tiles,
+    the rpe bias), which every training step and the eval share, so nothing
+    that depends only on the layout and config is rebuilt per step.
 
     Each step is momentum SGD on the flat parameter vector: v = momentum * v
     + grad, then model.flat -= lr * v. One check before each update sees a
@@ -199,12 +211,7 @@ def train_trial(config: TrialConfig) -> TrialReport:
     reported as divergence.
     """
     start = time.perf_counter()
-    train = gen_task(config.task, config.layout, config.seed, config.train_size, config.num_symbols)
-    eval_set = gen_task(
-        config.task, config.layout, config.seed + 1_000_003, config.eval_size, config.num_symbols
-    )
-    model = TinyModel(config.model_config(), seed=config.seed)
-    plan = plan_attention(config.layout, config.attention_config(), _make_rpe_bias(config))
+    train, eval_set, model, plan = setup_trial(config)
     batch_rng = make_rng(config.seed, 3)
 
     velocity = np.zeros_like(model.flat)

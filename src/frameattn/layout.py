@@ -117,6 +117,7 @@ class SequenceLayout:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             check_int(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))  # a numpy integer becomes an int
         if (self.num_frames == 0) != (self.tokens_per_frame == 0):
             raise ValueError("num_frames and tokens_per_frame must be zero together or both positive")
         if self.total_len < 1:

@@ -54,10 +54,6 @@ class FrequencyTable:
         object.__setattr__(self, "thetas", thetas)
 
     @property
-    def num_pairs(self) -> int:
-        return len(self.thetas)
-
-    @property
     def d_head(self) -> int:
         return 2 * len(self.thetas)
 

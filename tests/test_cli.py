@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameattn import selftest
+from frameattn import gradcheck, selftest
 from frameattn.attention import PeMode
 from frameattn.cli import build_parser, main
 from frameattn.harness import PAPER_GAMMA_GRID
@@ -556,6 +556,22 @@ def test_gradcheck_fails_when_an_error_reaches_the_tolerance(capsys, monkeypatch
     code, stdout, _ = run(capsys, "gradcheck")
     assert code == 1
     assert stdout.splitlines()[0].startswith("attention max_rel_err=1.000e+00 (")
+    assert stdout.endswith("gradcheck FAILED\n")
+
+
+def test_gradcheck_fails_on_a_nan_gradient(capsys, monkeypatch):
+    # A NaN gradient is an infinite error, never one that a max or a > comparison drops.
+    real = gradcheck.attention_backward
+
+    def nan_grad_q(result, grad_out):
+        grads = real(result, grad_out)
+        grads.grad_q.fill(np.nan)
+        return grads
+
+    monkeypatch.setattr(gradcheck, "attention_backward", nan_grad_q)
+    code, stdout, _ = run(capsys, "gradcheck", "--seed", "0")
+    assert code == 1
+    assert stdout.splitlines()[0].startswith("attention max_rel_err=inf (")
     assert stdout.endswith("gradcheck FAILED\n")
 
 

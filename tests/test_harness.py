@@ -237,6 +237,19 @@ def test_golden_baseline_last_frame_recall():
     assert report.converged
 
 
+def test_configs_holding_numpy_scalars_serialise_as_python_values():
+    cfg = TrialConfig(task=Task.FRAME_ORDER, layout=build_layout(*np.array([1, 2, 2, 1])), seed=np.int64(3),
+                      gamma=np.float32(0.5), lr=np.float64(0.01), strict_monotonic_suffix=np.bool_(True))
+    assert cfg.to_json() == replace(cfg, layout=build_layout(1, 2, 2, 1), seed=3, gamma=0.5, lr=0.01,
+                                    strict_monotonic_suffix=True).to_json()
+    assert type(cfg.seed) is int and type(cfg.layout.num_frames) is int and type(cfg.gamma) is float
+    assert TrialConfig.from_json(cfg.to_json()) == cfg
+    base = replace(TINY, steps=2)
+    numpy_seeds = ablation_grid(base, [Task.FRAME_ORDER], [MaskKind.CAUSAL], [PeMode.ROPE_ONLY], np.arange(2))
+    int_seeds = ablation_grid(base, [Task.FRAME_ORDER], [MaskKind.CAUSAL], [PeMode.ROPE_ONLY], [0, 1])
+    assert [r.to_json() for r in numpy_seeds] == [r.to_json() for r in int_seeds]
+
+
 def test_divergent_trial_reports_without_crashing():
     report = train_trial(replace(TINY, lr=1e9, steps=8))
     assert not report.converged

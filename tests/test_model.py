@@ -11,7 +11,7 @@ import frameattn.harness
 import frameattn.model
 from frameattn.attention import AttentionConfig, PeMode, attention_forward, plan_attention
 from frameattn.gradcheck import model_fd_error, relative_error
-from frameattn.harness import TrialConfig, train_trial
+from frameattn.harness import TrialConfig, setup_trial, train_trial
 from frameattn.layout import build_layout
 from frameattn.masks import MaskKind
 from frameattn.model import ModelConfig, TinyModel
@@ -108,9 +108,7 @@ def test_flat_momentum_update_matches_the_per_parameter_rule(monkeypatch):
 
     monkeypatch.setattr(frameattn.harness, "TinyModel", Recorded)
     report = train_trial(cfg)
-    ref = TinyModel(cfg.model_config(), seed=cfg.seed)
-    plan = plan_attention(cfg.layout, cfg.attention_config())
-    train = gen_task(cfg.task, cfg.layout, cfg.seed, cfg.train_size, cfg.num_symbols)
+    train, _, ref, plan = setup_trial(cfg)
     batch_rng = make_rng(cfg.seed, 3)
     velocity = {k: np.zeros_like(v) for k, v in ref.params.items()}
     curve = []
@@ -123,7 +121,7 @@ def test_flat_momentum_update_matches_the_per_parameter_rule(monkeypatch):
             ref.params[k] -= cfg.lr * velocity[k]
     assert report.loss_curve == curve
     assert trained[0].flat.tobytes() == ref.flat.tobytes()
-    assert not np.array_equal(ref.flat, TinyModel(cfg.model_config(), seed=cfg.seed).flat)
+    assert not np.array_equal(ref.flat, setup_trial(cfg)[2].flat)
 
 
 def test_forward_loss_is_finite():
@@ -221,6 +219,31 @@ def test_model_gradient_check_micro_config():
     assert err < 1e-3
 
 
+def test_relative_error_of_a_non_finite_entry_is_inf():
+    a = np.array([1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b[1] = bad
+        assert relative_error(b, a) == math.inf
+        assert relative_error(a, b) == math.inf
+    assert relative_error(np.full(3, np.inf), np.full(3, np.inf)) == math.inf
+    assert relative_error(a, a) == 0.0
+
+
+def test_model_gradient_check_runs_on_the_trials_own_rpe_bias(monkeypatch):
+    # Under time_rpe the check's plan carries the trial's bias table.
+    biases = []
+    real = frameattn.harness.plan_attention
+
+    def recorded(layout, config, rpe_bias=None):
+        biases.append(rpe_bias)
+        return real(layout, config, rpe_bias)
+
+    monkeypatch.setattr(frameattn.harness, "plan_attention", recorded)
+    assert model_fd_error(seed=3, pe_mode=PeMode.TIME_RPE) < 1e-3
+    assert len(biases) == 1 and biases[0] is not None and biases[0].shape == (17,)
+
+
 def test_model_gradient_check_two_layers_multi_head():
     err = model_fd_error(seed=7, layers=2, num_heads=2, mask_kind=MaskKind.CAUSAL, pe_mode=PeMode.ROPE_ONLY)
     assert err < 1e-3
@@ -252,6 +275,52 @@ def test_one_plan_per_trial(monkeypatch):
     assert calls == {"build_mask": 1, "adjusted_positions": 1}
 
 
+def test_train_trial_starts_from_setup_trial(monkeypatch):
+    # The initial model, plan (time_rpe bias included) and datasets a trial
+    # trains and evaluates on are bitwise those setup_trial returns.
+    cfg = TrialConfig(
+        task=Task.FRAME_ORDER, layout=LAYOUT, pe_mode=PeMode.TIME_RPE, steps=3, train_size=8, eval_size=4,
+        batch_size=3, num_symbols=4, d_head=4,
+    )
+    initial, plans, datasets = [], [], []
+
+    class Recorded(TinyModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            initial.append(self.flat.copy())
+
+        def loss_and_grads(self, tokens, labels, plan):
+            plans.append(plan)
+            return super().loss_and_grads(tokens, labels, plan)
+
+        def predict(self, tokens, plan):
+            plans.append(plan)
+            return super().predict(tokens, plan)
+
+    def recorded_gen_task(*args):
+        datasets.append(gen_task(*args))
+        return datasets[-1]
+
+    monkeypatch.setattr(frameattn.harness, "TinyModel", Recorded)
+    monkeypatch.setattr(frameattn.harness, "gen_task", recorded_gen_task)
+    train_trial(cfg)
+    monkeypatch.undo()
+    train, eval_set, model, plan = setup_trial(cfg)
+    assert len(initial) == 1 and initial[0].tobytes() == model.flat.tobytes()
+    assert [d.to_bytes() for d in datasets] == [train.to_bytes(), eval_set.to_bytes()]
+    assert len(plans) == cfg.steps + 1 and all(p is plans[0] for p in plans)
+    used = plans[0]
+    assert (used.layout, used.config) == (plan.layout, plan.config)
+    assert used.rotation.cos.tobytes() == plan.rotation.cos.tobytes()
+    assert used.rotation.sin.tobytes() == plan.rotation.sin.tobytes()
+    assert len(used.tiles) == len(plan.tiles)
+    columns = np.arange(LAYOUT.total_len)
+    for got, want in zip(used.tiles, plan.tiles):
+        assert got[:2] == want[:2] and columns[got[2]].tobytes() == columns[want[2]].tobytes()
+        assert got[3].tobytes() == want[3].tobytes()
+        assert got[4] is not None and got[4].tobytes() == want[4].tobytes()
+
+
 def test_plan_must_match_layout_and_config():
     rng = np.random.default_rng(10)
     q = rng.standard_normal((1, LAYOUT.total_len, 4))
@@ -277,20 +346,26 @@ CRITERION_08 = TrialConfig(task=Task.FRAME_ORDER, layout=build_layout(2, 4, 4, 2
 # Before reductions called ufunc methods and the model, layout and plan
 # lookups were built once, a step made 169 calls on GRID_T6 and 304 on
 # CRITERION_08; now 48 and 85 (numpy 2.4). A time_ape step made one call
-# more than dual_rope while it built its APE rows per call; now 48 too.
+# more than dual_rope while it built its APE rows per call; now 48 too, as
+# does a time_rpe step with its trial's bias.
 @pytest.mark.parametrize(
     ("cfg", "bound"),
-    [(GRID_T6, 55), (replace(GRID_T6, pe_mode=PeMode.TIME_APE), 55), (CRITERION_08, 95)],
-    ids=["grid_t6", "grid_t6_time_ape", "criterion_08"],
+    [
+        (GRID_T6, 55),
+        (replace(GRID_T6, pe_mode=PeMode.TIME_APE), 55),
+        (replace(GRID_T6, pe_mode=PeMode.TIME_RPE), 55),
+        (CRITERION_08, 95),
+    ],
+    ids=["grid_t6", "grid_t6_time_ape", "grid_t6_time_rpe", "criterion_08"],
 )
 def test_python_calls_per_training_step(cfg, bound):
     # A deterministic count of Python-level calls in one loss_and_grads step
     # gates per-call overhead, which timing noise hides at these sizes.
-    assert cfg.pe_mode in (PeMode.DUAL_ROPE, PeMode.TIME_APE) and cfg.mask_kind is MaskKind.FW_BLOCK_CAUSAL
-    train = gen_task(cfg.task, cfg.layout, cfg.seed, cfg.batch_size, cfg.num_symbols)
-    model = TinyModel(cfg.model_config(), seed=cfg.seed)
-    plan = plan_attention(cfg.layout, cfg.attention_config())
-    model.loss_and_grads(train.tokens, train.labels, plan)  # the first step fills what later steps reuse
+    assert cfg.pe_mode in (PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE)
+    assert cfg.mask_kind is MaskKind.FW_BLOCK_CAUSAL
+    train, _, model, plan = setup_trial(cfg)
+    tokens, labels = train.tokens[: cfg.batch_size], train.labels[: cfg.batch_size]
+    model.loss_and_grads(tokens, labels, plan)  # the first step fills what later steps reuse
     calls = 0
 
     def count(frame, event, arg):
@@ -300,7 +375,7 @@ def test_python_calls_per_training_step(cfg, bound):
     gc.disable()  # no finalizer may run inside the count
     sys.setprofile(count)
     try:
-        model.loss_and_grads(train.tokens, train.labels, plan)
+        model.loss_and_grads(tokens, labels, plan)
     finally:
         sys.setprofile(None)
         gc.enable()

@@ -26,7 +26,7 @@ def test_frequency_values():
 
 def test_frequency_table_shape_and_monotonicity():
     f = frequencies(64)
-    assert f.num_pairs == 32
+    assert f.thetas.shape == (32,)
     assert np.all(np.diff(f.thetas) < 0)
     assert np.all((f.thetas > 0) & (f.thetas <= 1))
 
