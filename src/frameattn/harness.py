@@ -205,24 +205,23 @@ def train_trial(config: TrialConfig) -> TrialReport:
     the flat gradient; any of them stops the updates, the remaining curve is
     filled with NaN and the report comes back with converged=False rather
     than raising. The whole eval set is predicted in one call; if that call
-    raises NonFiniteError, FloatingPointError or OverflowError, every eval
-    sample scores as wrong (accuracy 0.0) and the loss curve is kept as
-    trained. Any other error propagates, so a programming error is never
-    reported as divergence.
+    raises NonFiniteError, every eval sample scores as wrong (accuracy 0.0)
+    and the loss curve is kept as trained. Any other error propagates, so a
+    programming error is never reported as divergence. The trial runs under
+    np.errstate(all="ignore"), so np.seterr cannot change its report.
     """
     start = time.perf_counter()
-    train, eval_set, model, plan = setup_trial(config)
-    batch_rng = make_rng(config.seed, 3)
-
-    velocity = np.zeros_like(model.flat)
-    curve: list[float] = []
-    diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        train, eval_set, model, plan = setup_trial(config)
+        batch_rng = make_rng(config.seed, 3)
+        velocity = np.zeros_like(model.flat)
+        curve: list[float] = []
+        diverged = False
         for _ in range(config.steps):
             idx = batch_rng.integers(0, len(train), size=config.batch_size)
             try:
                 loss, grad = model.loss_and_grads(train.tokens[idx], train.labels[idx], plan)
-            except (NonFiniteError, FloatingPointError, OverflowError):
+            except NonFiniteError:
                 # Parameters blew up badly enough that a kernel rejected them.
                 loss, grad = float("nan"), None
             curve.append(float(loss))
@@ -234,12 +233,12 @@ def train_trial(config: TrialConfig) -> TrialReport:
             model.flat -= config.lr * velocity
         try:
             predictions = model.predict(eval_set.tokens, plan)
-        except (NonFiniteError, FloatingPointError, OverflowError):
+        except NonFiniteError:
             predictions = -1  # no class: every eval sample scores as wrong
     accuracy = int(np.count_nonzero(predictions == eval_set.labels)) / len(eval_set)
     curve += [float("nan")] * (config.steps - len(curve))
-    final = curve[-1]
-    converged = (not diverged) and math.isfinite(final) and final < config.converge_threshold
+    # A trial that did not diverge recorded a finite loss at every step.
+    converged = not diverged and curve[-1] < config.converge_threshold
     wall_ms = (time.perf_counter() - start) * 1000.0
     return TrialReport(
         config=config, loss_curve=curve, accuracy=accuracy, wall_ms=wall_ms, converged=converged

@@ -175,6 +175,13 @@ FAST_PATH = {
 }
 
 
+def test_brute_oracle_refuses_fewer_than_all_query_rows():
+    q, k, v = random_qkv(make_rng(0), 2, 6, 4)
+    with pytest.raises(ValueError) as err:
+        attention_brute_oracle(q[:, -2:], k, v, build_layout(1, 2, 2, 1), config())
+    assert str(err.value) == "the oracle takes all 6 query rows, got Q of shape (2, 2, 4)"
+
+
 def test_brute_oracle_never_calls_rotate_rows(monkeypatch):
     # The oracle rotates through rotary_oracle only and derives its own
     # temporal ids, positions, thetas and APE rows, so it still agrees with

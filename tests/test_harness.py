@@ -259,16 +259,18 @@ def test_divergent_trial_reports_without_crashing():
 
 
 def test_kernel_errors_are_not_divergence(monkeypatch):
-    # Only non-finite values mean divergence; any other kernel error is a bug and propagates.
+    # Only non-finite values mean divergence; any other kernel error is a bug and propagates,
+    # numpy's own float errors included: a trial never lets numpy raise them.
     def failing(error):
         def fail(*args, **kwargs):
             raise error("kernel failure")
 
         return fail
 
-    monkeypatch.setattr(model, "attention_forward", failing(ValueError))
-    with pytest.raises(ValueError, match="kernel failure"):
-        train_trial(replace(TINY, steps=2))
+    for error in (ValueError, FloatingPointError, OverflowError):
+        monkeypatch.setattr(model, "attention_forward", failing(error))
+        with pytest.raises(error, match="kernel failure"):
+            train_trial(replace(TINY, steps=2))
     monkeypatch.setattr(model, "attention_forward", failing(NonFiniteError))
     report = train_trial(replace(TINY, steps=2))
     assert not report.converged
@@ -276,14 +278,40 @@ def test_kernel_errors_are_not_divergence(monkeypatch):
     # A non-finite eval scores every sample as wrong and keeps the trained curve.
     monkeypatch.undo()
     trained = train_trial(replace(TINY, steps=3))
-    monkeypatch.setattr(model.TinyModel, "predict", failing(ValueError))
-    with pytest.raises(ValueError, match="kernel failure"):
-        train_trial(replace(TINY, steps=3))
+    for error in (ValueError, FloatingPointError, OverflowError):
+        monkeypatch.setattr(model.TinyModel, "predict", failing(error))
+        with pytest.raises(error, match="kernel failure"):
+            train_trial(replace(TINY, steps=3))
     monkeypatch.setattr(model.TinyModel, "predict", failing(NonFiniteError))
     report = train_trial(replace(TINY, steps=3))
     assert report.accuracy == 0.0 < trained.accuracy
     assert report.loss_curve == trained.loss_curve
     assert all(math.isfinite(x) for x in report.loss_curve)
+
+
+# The grid_t6 benchmark's config at learning rates high enough that softmax
+# rows underflow and training diverges part way through 60 steps.
+HIGH_LR = TrialConfig(
+    task=Task.FRAME_ORDER, layout=build_layout(1, 2, 2, 1), steps=60, train_size=32, eval_size=32,
+    batch_size=8, num_symbols=4, d_head=4, layers=1, lr=1.0,
+)
+
+
+def test_numpy_error_settings_do_not_change_a_report():
+    default = train_trial(HIGH_LR)
+    assert not default.converged  # it diverges, so its steps meet float errors np.seterr could raise
+    with np.errstate(all="raise"):
+        assert train_trial(HIGH_LR).to_json() == default.to_json()
+
+
+def test_numpy_error_settings_do_not_split_serial_from_parallel(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    configs = [replace(HIGH_LR, lr=lr, seed=s) for lr, s in ((1.0, 0), (3.0, 1), (0.5, 2))]
+    # The kept pool's workers are forked under the default settings, so the raise below never reaches them.
+    default = [r.to_json() for r in run_trials(configs, 2)]
+    with np.errstate(all="raise"):
+        assert [r.to_json() for r in run_trials(configs, 1)] == default
+        assert [r.to_json() for r in run_trials(configs, 2)] == default
 
 
 @pytest.mark.parametrize("name,index", [("embed", 0), ("w_out", -1)])
@@ -348,6 +376,35 @@ def test_ablation_grid_cardinality_and_marking():
     assert summary.count("UNCONVERGED 3/3") == 4
     csv = trials_csv(reports, GRID_COLUMNS)
     assert len(csv.strip().splitlines()) == 2 + 12
+
+
+def test_grid_summary_lists_each_tasks_own_cells_ranked_by_median_accuracy():
+    tasks = [Task.LAST_FRAME_RECALL, Task.FRAME_ORDER]
+    base = replace(TINY, steps=15, lr=0.5, train_size=24, eval_size=24)
+    reports = ablation_grid(base, tasks, [MaskKind.CAUSAL, MaskKind.FULL_VISUAL], [PeMode.TIME_APE, PeMode.ROPE_ONLY],
+                            seeds=[0, 1])
+    lines = grid_summary(reports).splitlines()
+    assert lines[0] == REPORT_HEADER
+    blocks: dict[str, list[str]] = {}
+    for line in lines[1:]:
+        if line.startswith("task "):
+            rows = blocks[line.removeprefix("task ")] = []
+        else:
+            rows.append(line)
+    assert list(blocks) == ["frame_order", "last_frame_recall"]
+    orders = []
+    for task in tasks:
+        cells: dict[tuple[str, str], list[float]] = {}
+        for r in reports:
+            if r.config.task is task:
+                cells.setdefault((r.config.mask_kind.value, r.config.pe_mode.value), []).append(r.accuracy)
+        order = sorted(cells, key=lambda cell: (-statistics.median(cells[cell]), cell))
+        assert [tuple(row.split()[:2]) for row in blocks[task.value]] == order
+        assert [row.split()[2] for row in blocks[task.value]] == [
+            f"median_acc={statistics.median(cells[cell])!r}" for cell in order
+        ]
+        orders.append(order)
+    assert orders[0] != orders[1]  # each block is ranked by its own accuracies
 
 
 def test_ablation_grid_covers_time_ape_and_time_rpe():

@@ -36,6 +36,19 @@ def test_build_layout_single_visual_token():
     assert lay.role_of(0) is TokenRole.VISUAL
 
 
+def test_out_of_range_frame_and_position_indices_are_refused():
+    lay = build_layout(1, 2, 2, 1)
+    for f in (-1, 2):
+        with pytest.raises(ValueError) as err:
+            lay.frame_slice(f)
+        assert str(err.value) == f"frame index {f} out of range for 2 frames"
+    for query in (lay.role_of, lay.frame_of):
+        for n in (-1, 6):
+            with pytest.raises(ValueError) as err:
+                query(n)
+            assert str(err.value) == f"position {n} out of range for T=6"
+
+
 def test_build_layout_no_visual_span():
     lay = build_layout(3, 0, 0, 2)
     assert lay.total_len == 5

@@ -230,6 +230,10 @@ def test_relative_error_of_a_non_finite_entry_is_inf():
     assert relative_error(a, a) == 0.0
 
 
+def test_relative_error_of_empty_arrays_is_zero():
+    assert relative_error(np.empty(0), np.empty(0)) == 0.0
+
+
 def test_model_gradient_check_runs_on_the_trials_own_rpe_bias(monkeypatch):
     # Under time_rpe the check's plan carries the trial's bias table.
     biases = []

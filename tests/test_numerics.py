@@ -73,6 +73,12 @@ def test_softmax_shape_mismatch():
         masked_row_softmax(np.zeros(2), np.zeros(2))
 
 
+def test_softmax_backward_refuses_mismatched_shapes():
+    with pytest.raises(ValueError) as err:
+        softmax_backward(np.zeros((2, 3)), np.zeros((3, 2)))
+    assert str(err.value) == "shape mismatch: (2, 3) vs (3, 2)"
+
+
 def test_softmax_rejects_bad_mask_values():
     with pytest.raises(ValueError):
         masked_row_softmax(np.zeros((1, 2)), np.array([[0.0, -1.0]]))

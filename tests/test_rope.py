@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from frameattn.attention import AttentionConfig
 from frameattn.numerics import make_rng
 from frameattn.rope import (
+    RotationTable,
     frequencies,
     pair_score,
     rotary_oracle,
@@ -29,6 +30,12 @@ def test_frequency_table_shape_and_monotonicity():
     assert f.thetas.shape == (32,)
     assert np.all(np.diff(f.thetas) < 0)
     assert np.all((f.thetas > 0) & (f.thetas <= 1))
+
+
+def test_rotation_table_refuses_cos_and_sin_of_different_shapes():
+    with pytest.raises(ValueError) as err:
+        RotationTable(np.ones((3, 2)), np.ones((3, 1)))
+    assert str(err.value) == "cos (3, 2) and sin (3, 1) must be one (rows, pairs) shape"
 
 
 @pytest.mark.parametrize("bad", [1, 3, 7, 0])
