@@ -41,8 +41,12 @@ allowed; a time_rpe `bias` covers the tile's rows and `cols`. A sequence
 of at most _TILE_ROWS tokens is one tile over all T columns, since every
 key is open to its own row. With R < T the tiles are clipped to the last R
 rows; a clipped tile keeps its `cols`, which stay exact, and the remaining
-rows of its mask and bias. The returned weights stay one dense
-(heads, R, T) array with exact zeros at masked entries.
+rows of its mask and bias. A call keeps only the scored tiles: one buffer
+holds every tile's (heads, rows, len(cols)) weights back to back, the tile's
+scores are written into its slot and normalised there, and backward reads
+the slots. The dense (heads, R, T) weights, with exact zeros at masked
+entries, are built from the slots only when `AttentionResult.weights` is
+read (the heatmap command and tests do; training and prediction never do).
 
 Position-encoding modes:
 
@@ -156,7 +160,8 @@ class AttentionPlan:
     allowed for every row. `bias`, the rows' RPE bias over `cols`, is set
     only under time_rpe with a bias table, and `ape` only under time_ape.
     `by_rows` maps R to what a call with the last R query rows reads,
-    (rotation, inverse, tiles, ape), filled by `_query_rows` on the first such call.
+    (rotation, inverse, tiles, ape), filled by `_query_rows` on the first such
+    call; its tiles carry their slots in the call's packed weights buffer.
     """
 
     layout: SequenceLayout
@@ -169,14 +174,28 @@ class AttentionPlan:
 
 @dataclass
 class AttentionResult:
-    """Forward output plus everything the backward pass needs."""
+    """Forward output plus everything the backward pass needs.
+
+    `tile_weights` holds each tile's (heads, rows, len(cols)) softmax
+    weights, in the order of the plan's tiles for R query rows: views into
+    one buffer. `weights`, the dense (heads, R, T) array with exact zeros at
+    masked entries, is built from them on first access and then cached.
+    """
 
     output: np.ndarray
-    weights: np.ndarray
+    tile_weights: tuple[np.ndarray, ...] = field(repr=False)
     plan: AttentionPlan = field(repr=False)
     q_rot: np.ndarray = field(repr=False)
     k_rot: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        n, r, _ = self.output.shape
+        dense = np.zeros((n, r, self.plan.layout.total_len))
+        for (rows, cols, *_), w in zip(_query_rows(self.plan, r)[2], self.tile_weights):
+            dense[:, rows, cols] = w
+        return dense
 
 
 @dataclass
@@ -290,21 +309,27 @@ def _query_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTab
     The (r + T)-row `rotation` turns query row i by plan row T - r + i and key
     row j by row j, so one table serves each head's stacked Q and K rows;
     `inverse` is its (cos, -sin), and `ape` (time_ape only) the APE rows of
-    the same stacked rows. `tiles` are the plan's tiles clipped to
-    query rows >= T - r: a clipped tile keeps its `cols`, a union over a
-    superset of its rows, and the remaining rows of its mask and bias. Two
-    threads that miss at once build equal entries, and either may be kept.
+    the same stacked rows. `tiles` are the plan's tiles clipped to query
+    rows >= T - r, as (rows, cols, mask, bias, start, stop, width): `rows`
+    slices the r query rows, a clipped tile keeps its `cols`, a union over a
+    superset of its rows, and the remaining rows of its mask and bias, and
+    a call with n heads keeps the tile's (n, rows, width = len(cols))
+    weights at [n * start, n * stop) of its one buffer. Two threads that
+    miss at once build equal entries, and either may be kept.
     """
     found = plan.by_rows.get(r)
     if found is None:
         offset = plan.layout.total_len - r
         cos, sin, ape = (None if part is None else np.concatenate((part[offset:], part))
                          for part in (plan.rotation.cos, plan.rotation.sin, plan.ape))
-        tiles = []
+        tiles, stop = [], 0
         for lo, hi, cols, mask, bias in plan.tiles:
             if hi > offset:
                 cut = max(offset - lo, 0)
-                tiles.append((lo + cut, hi, cols, mask[cut:], None if bias is None else bias[cut:]))
+                width = cols.stop if isinstance(cols, slice) else len(cols)
+                start, stop = stop, stop + (hi - lo - cut) * width
+                rows = slice(lo + cut - offset, hi - offset)
+                tiles.append((rows, cols, mask[cut:], None if bias is None else bias[cut:], start, stop, width))
         table = RotationTable(cos, sin)
         found = plan.by_rows[r] = (table, table.inverse(), tuple(tiles), ape)
         for arr in (cos, sin, found[1].sin, ape):
@@ -321,7 +346,7 @@ def attention_forward(
     config: AttentionConfig,
     plan: AttentionPlan | None = None,
 ) -> AttentionResult:
-    """Rotate-score-softmax-mix over the whole head stack; returns output and the weights.
+    """Rotate-score-softmax-mix over the whole head stack; returns output and the tile weights.
 
     Q holds the last R of the T query rows (R = T for all of them); output
     and weights hold the same R rows. Without `plan`, builds
@@ -335,7 +360,6 @@ def attention_forward(
         raise ValueError("plan was built for another layout or config")
 
     n, r, d = Q.shape
-    offset = layout.total_len - r
     rotation, _, tiles, ape = _query_rows(plan, r)
     qk = np.concatenate((Q, K), axis=1)  # each head's R query rows, then its T key rows
     if ape is not None:
@@ -343,18 +367,25 @@ def attention_forward(
     qk = rotate_rows(qk.reshape(-1, d), rotation).reshape(qk.shape)
     q_rot, k_rot = qk[:, :r], qk[:, r:]
 
-    weights = np.zeros((n, r, layout.total_len))
+    # Each tile's scores land in its slot of one buffer and are normalised
+    # there; the slots fill the first n * (last tile's stop) entries, and the
+    # rest is never touched. The buffer is requested at the dense weights'
+    # size because glibc sets its heap trim threshold from the largest block
+    # freed: at the tiles' size, a T=528 training step's heap crossed it, was
+    # returned to the OS and was faulted back each step.
+    packed = np.empty(n * r * layout.total_len)
+    blocks = []
     output = np.empty(Q.shape)
-    for lo, hi, cols, mask, bias in tiles:
-        rows = slice(lo - offset, hi - offset)
-        scores = q_rot[:, rows] @ k_rot[:, cols].transpose(0, 2, 1)
-        scores *= config.scale
+    for rows, cols, mask, bias, start, stop, width in tiles:
+        w = packed[n * start : n * stop].reshape(n, -1, width)
+        np.matmul(q_rot[:, rows], k_rot[:, cols].transpose(0, 2, 1), out=w)
+        w *= config.scale
         if bias is not None:
-            scores += bias
-        w = masked_row_softmax(scores, mask)
-        weights[:, rows, cols] = w
+            w += bias
+        masked_row_softmax(w, mask, out=w)
         np.matmul(w, V[:, cols], out=output[:, rows])
-    return AttentionResult(output=output, weights=weights, plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
+        blocks.append(w)
+    return AttentionResult(output=output, tile_weights=tuple(blocks), plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
 
 
 def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> AttentionGrads:
@@ -362,22 +393,20 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
 
     Positions, mask, APE rows, and RPE bias are constants of the forward
     map, so additive encodings pass gradients straight through. grad_q has
-    the R rows of Q, grad_k and grad_v all T rows. Each tile writes its
-    grad_q rows and adds into the `cols` rows of grad_k and grad_v.
+    the R rows of Q, grad_k and grad_v all T rows. Each tile reads its
+    forward weights from `state.tile_weights`, writes its grad_q rows and
+    adds into the `cols` rows of grad_k and grad_v.
     """
     g = real_array("grad_output", grad_output)
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
     plan = state.plan
     n, r, d = g.shape
-    offset = plan.layout.total_len - r
     _, inverse, tiles, _ = _query_rows(plan, r)
     grad_qk = np.zeros((n, r + plan.layout.total_len, d))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)
-    for lo, hi, cols, _, _ in tiles:
-        rows = slice(lo - offset, hi - offset)
-        w = state.weights[:, rows, cols]
+    for (rows, cols, *_), w in zip(tiles, state.tile_weights):
         g_tile = g[:, rows]
         grad_scores = softmax_backward(w, g_tile @ state.v[:, cols].transpose(0, 2, 1))
         np.matmul(grad_scores, state.k_rot[:, cols], out=grad_qr[:, rows])

@@ -5,9 +5,11 @@ over a token embedding, classified from the final position. No layer norm,
 no dropout, no biases: small enough that every gradient is written out by
 hand and checkable against finite differences.
 
-A (B, T) batch runs in chunks of whole sequences whose dense attention weights
-(chunk * heads, T, T; scores run in row tiles) fit in _SCORE_BUDGET entries,
-at least one sequence; a chunk's heads form one (chunk * heads, T, d_head) stack.
+A (B, T) batch runs in chunks of whole sequences with chunk * heads * T * T
+within _SCORE_BUDGET entries, at least one sequence, which bounds the scored
+attention tiles a layer keeps for backward (scores run in row tiles, and the
+dense weights are never built); a chunk's heads form one (chunk * heads, T,
+d_head) stack.
 Activations stay (B, T, d) stacks, so products round exactly as for one sequence.
 predict and loss_and_grads take the AttentionPlan (rotation table, tiles
 with any rpe bias) from the caller, who builds it once with plan_attention; a
@@ -46,7 +48,8 @@ from .numerics import int_array, make_rng
 
 __all__ = ["ModelConfig", "TinyModel"]
 
-# Most entries one chunk's dense (chunk * heads, T, T) attention weights may hold: 4 MiB of float64.
+# Most entries chunk * heads * T * T may reach, which bounds the scored attention tiles
+# a chunk keeps per layer: 4 MiB of float64.
 _SCORE_BUDGET = 1 << 19
 # Query rows the last layer computes: the final one, which the classifier reads, and one more.
 _QUERY_ROWS = 2

@@ -7,8 +7,10 @@ An additive attention mask may cover only the trailing C' <= C columns of
 its scores: the columns before it count as allowed, so a caller that knows
 a leading block is open for every row passes only the rest of its mask.
 The only non-finite value ever allowed is -inf, and only inside additive
-attention masks. Everything here is a pure function, so
-concurrent callers are safe.
+attention masks. Everything here is a pure function of its arguments, so
+concurrent callers are safe; the one exception is `masked_row_softmax`
+given `out=`, which writes its result there (attention passes each tile's
+scores as `out`, to normalise them in place).
 
 Reductions on the training-step path, here and in attention, model and
 harness, call ufunc methods (`np.add.reduce`, `np.maximum.reduce`,
@@ -76,7 +78,7 @@ def int_array(name: str, values, stop: int | None = None) -> np.ndarray:
     return arr
 
 
-def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def masked_row_softmax(scores: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax over entries whose mask value is 0.
 
     `scores` is (..., R, C), real and finite; every (R, C) slice shares the
@@ -86,6 +88,10 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     each row with at least one allowed entry sums to 1. A fully masked row
     returns all zeros instead of NaN so degenerate layouts stay harmless.
     Stabilised by subtracting the per-row max of the allowed entries.
+
+    The result goes to a fresh array, or into `out`, a float64 array of the
+    scores' shape, which may be `scores` itself; it is returned either way.
+    Every check runs before `out` is written.
     """
     scores, mask = real_array("scores", scores), real_array("mask", mask)
     if mask.ndim != 2 or scores.ndim < 2 or scores.shape[-2] != mask.shape[0] or mask.shape[1] > scores.shape[-1]:
@@ -94,10 +100,15 @@ def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise NonFiniteError("scores contain NaN or inf")
     if not np.logical_and.reduce((mask == 0.0) | (mask == -np.inf), axis=None):
         raise ValueError("mask entries must be exactly 0 or -inf")
+    if out is None:
+        out = scores.copy()
+    elif not isinstance(out, np.ndarray) or out.shape != scores.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {scores.shape}")
+    elif out is not scores:
+        np.copyto(out, scores)
 
-    # The one scratch buffer, a copy of the scores; the mask makes its
+    # The one working buffer, `out`, holds the scores; the mask makes its
     # trailing masked entries -inf.
-    out = scores.copy()
     out[..., out.shape[-1] - mask.shape[1] :] += mask
     row_max = np.maximum.reduce(out, axis=-1, keepdims=True, initial=-np.inf)
     # Fully masked rows have row_max == -inf; shift by 0 there to avoid inf-inf.

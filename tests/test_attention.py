@@ -769,14 +769,46 @@ def softmax_entries(monkeypatch, lay, cfg):
     """Score entries that one all-rows forward pass hands to the softmax."""
     seen = []
 
-    def counted(scores, mask):
+    def counted(scores, mask, **kwargs):
         seen.append(scores.size)
-        return masked_row_softmax(scores, mask)
+        return masked_row_softmax(scores, mask, **kwargs)
 
     monkeypatch.setattr("frameattn.attention.masked_row_softmax", counted)
     q, k, v = random_qkv(make_rng(43), 1, lay.total_len, 4)
     attention_forward(q, k, v, lay, cfg)
     return sum(seen)
+
+
+def eager_weights(res):
+    """Dense weights built eagerly, as one array per call: each tile's fresh softmax scattered into zeros."""
+    n, r, _ = res.output.shape
+    dense = np.zeros((n, r, res.plan.layout.total_len))
+    for rows, cols, mask, bias, *_ in res.plan.by_rows[r][2]:
+        scores = res.q_rot[:, rows] @ res.k_rot[:, cols].transpose(0, 2, 1)
+        scores *= res.plan.config.scale
+        if bias is not None:
+            scores += bias
+        dense[:, rows, cols] = masked_row_softmax(scores, mask)
+    return dense
+
+
+def test_dense_weights_are_built_on_request_and_equal_the_eager_array(monkeypatch):
+    # Tiles of 16 rows over T=70: five tiles at R = T, two at R = 21 (one clipped).
+    monkeypatch.setattr("frameattn.attention._TILE_ROWS", 16)
+    rng = make_rng(44)
+    t = TILED.total_len
+    for mask, pe in itertools.product(MaskKind, PeMode):
+        bias = 0.3 * rng.standard_normal(5) if pe is PeMode.TIME_RPE else None
+        plan = plan_attention(TILED, config(mask=mask, pe=pe), bias)
+        q, k, v = random_qkv(rng, 3, t, 4)
+        for r in (t, 21):
+            res = attention_forward(q[:, t - r :], k, v, TILED, plan.config, plan=plan)
+            assert len(res.tile_weights) == len(plan.by_rows[r][2]) == (5 if r == t else 2)
+            assert len({id(w.base) for w in res.tile_weights}) == 1  # one buffer holds every tile
+            assert "weights" not in vars(res)
+            dense = res.weights
+            assert res.weights is dense  # built once, then cached
+            assert np.array_equal(dense, eager_weights(res)), (mask, pe, r)
 
 
 def test_softmax_work_counts_at_t1040(monkeypatch):

@@ -347,6 +347,29 @@ GRID_T6 = TrialConfig(
 CRITERION_08 = TrialConfig(task=Task.FRAME_ORDER, layout=build_layout(2, 4, 4, 2), steps=600)
 
 
+@pytest.mark.parametrize("mask", list(MaskKind))
+def test_training_and_prediction_never_build_dense_weights(monkeypatch, mask):
+    # T=70 in tiles of 16 rows, two sequences per chunk: every layer-0 call
+    # runs five tiles, and the batch runs in two chunks.
+    monkeypatch.setattr(frameattn.attention, "_TILE_ROWS", 16)
+    monkeypatch.setattr(frameattn.model, "_SCORE_BUDGET", 2 * 2 * 70 * 70)
+    cfg = TrialConfig(task=Task.FRAME_ORDER, layout=build_layout(2, 4, 16, 4), mask_kind=mask, steps=1,
+                      train_size=4, eval_size=4, batch_size=4)
+    train, eval_set, model, plan = setup_trial(cfg)
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(attention_forward(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(frameattn.model, "attention_forward", recording)
+    model.loss_and_grads(train.tokens, train.labels, plan)
+    model.predict(eval_set.tokens, plan)
+    assert len(results) == 8  # two layers, two chunks, twice
+    assert sorted({len(res.tile_weights) for res in results}) == [1, 5]
+    assert not any("weights" in vars(res) for res in results)
+
+
 # Before reductions called ufunc methods and the model, layout and plan
 # lookups were built once, a step made 169 calls on GRID_T6 and 304 on
 # CRITERION_08; now 48 and 85 (numpy 2.4). A time_ape step made one call

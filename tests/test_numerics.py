@@ -59,6 +59,8 @@ def test_softmax_fully_masked_row_is_zero():
     mask = np.full((1, 2), -np.inf)
     out = masked_row_softmax(scores, mask)
     assert np.array_equal(out, np.zeros((1, 2)))
+    assert masked_row_softmax(scores, mask, out=scores) is scores
+    assert np.array_equal(scores, out)
 
 
 def test_softmax_shape_mismatch():
@@ -106,6 +108,10 @@ def test_softmax_stack_equals_slices(seed, t):
     w = masked_row_softmax(scores, mask)
     grad = softmax_backward(w, g)
     assert w.shape == grad.shape == scores.shape
+    # In place (out=scores) is bitwise the default copy, fully masked rows included.
+    inplace = scores.copy()
+    assert masked_row_softmax(inplace, mask, out=inplace) is inplace
+    assert np.array_equal(inplace, w)
     for idx in np.ndindex(2, 3):
         assert np.array_equal(w[idx], masked_row_softmax(scores[idx], mask))
         assert np.array_equal(grad[idx], softmax_backward(w[idx], g[idx]))
@@ -167,6 +173,13 @@ def test_softmax_trailing_mask_counts_the_leading_columns_as_allowed():
     # A zero-width mask leaves every column allowed.
     assert np.array_equal(masked_row_softmax(scores, np.zeros((4, 0))), masked_row_softmax(scores, np.zeros((4, 7))))
     assert np.array_equal(scores, make_rng(12).standard_normal((2, 4, 7)))  # the input is not written
+    # out= another array leaves the scores alone; out=scores overwrites them; both equal the copy.
+    expected = masked_row_softmax(scores, mask)
+    other = np.full(scores.shape, 7.0)
+    assert masked_row_softmax(scores, mask, out=other) is other
+    assert np.array_equal(other, expected) and np.array_equal(scores, make_rng(12).standard_normal((2, 4, 7)))
+    assert masked_row_softmax(scores, mask, out=scores) is scores
+    assert np.array_equal(scores, expected)
 
 
 def test_softmax_rejects_bad_trailing_masks():
@@ -178,6 +191,40 @@ def test_softmax_rejects_bad_trailing_masks():
     for bad in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="exactly 0 or -inf"):
             masked_row_softmax(scores, np.array([[0.0, bad]] * 3))
+
+
+SOFTMAX_REFUSALS = {
+    "complex-scores": (np.array([[1 + 1j, 0]]), np.zeros((1, 2)), ValueError, "^scores must hold"),
+    "bool-mask": (np.zeros((1, 2)), np.array([[True, False]]), ValueError, "^mask must hold"),
+    "mask-value": (np.zeros((1, 2)), np.array([[0.0, -1.0]]), ValueError, "exactly 0 or -inf"),
+    "mask-nan": (np.zeros((1, 2)), np.array([[np.nan, 0.0]]), ValueError, "exactly 0 or -inf"),
+    "shape": (np.zeros((1, 2)), np.zeros((1, 3)), ValueError, "shape mismatch"),
+    "nan-scores": (np.array([[np.nan, 0.0]]), np.zeros((1, 2)), NonFiniteError, "NaN or inf"),
+    "inf-scores": (np.array([[0.0, np.inf]]), np.zeros((1, 1)), NonFiniteError, "NaN or inf"),
+}
+
+
+@pytest.mark.parametrize("case", SOFTMAX_REFUSALS)
+def test_softmax_refusals_fire_before_out_is_written(case):
+    scores, mask, error, match = SOFTMAX_REFUSALS[case]
+    out = np.full(scores.shape, 7.0)
+    with pytest.raises(error, match=match):
+        masked_row_softmax(scores, mask, out=out)
+    assert np.array_equal(out, np.full(scores.shape, 7.0))
+    if scores.dtype == np.float64:  # in place, the scores are the out and stay as they were
+        before = scores.copy()
+        with pytest.raises(error, match=match):
+            masked_row_softmax(scores, mask, out=scores)
+        assert np.array_equal(scores, before, equal_nan=True)
+
+
+def test_softmax_refuses_an_out_of_another_shape_or_dtype():
+    scores, mask = np.zeros((2, 3, 4)), np.zeros((3, 2))
+    for bad in (np.zeros((2, 3, 5)), np.zeros((3, 4)), np.zeros((2, 3, 4), dtype=np.float32),
+                np.zeros((2, 3, 4), dtype=np.int64), np.zeros((2, 3, 4)).tolist()):
+        with pytest.raises(ValueError, match=r"^out must be a float64 array of shape \(2, 3, 4\)$"):
+            masked_row_softmax(scores, mask, out=bad)
+    assert np.array_equal(scores, np.zeros((2, 3, 4)))
 
 
 @pytest.mark.parametrize("bad", [np.array([[1 + 1j, 0]]), np.array([[True, False]]), np.array([["1", "0"]])])
