@@ -124,7 +124,7 @@ class AttentionConfig:
 
     `d_head` and `base` set the rotary frequencies, `gamma` the temporal
     weight in the positions n + gamma * temporal_id(n). The defaults are the
-    heatmap config's and a TrialConfig's.
+    heatmap config's, and TrialConfig reads its own from them.
     """
 
     d_head: int = 8
@@ -162,6 +162,8 @@ class AttentionPlan:
     `by_rows` maps R to what a call with the last R query rows reads,
     (rotation, inverse, tiles, ape), filled by `_query_rows` on the first such
     call; its tiles carry their slots in the call's packed weights buffer.
+    Every array a plan holds is read-only from construction on, in a plan
+    made by dataclasses.replace too.
     """
 
     layout: SequenceLayout
@@ -170,6 +172,11 @@ class AttentionPlan:
     tiles: tuple[tuple[int, int, slice | np.ndarray, np.ndarray, np.ndarray | None], ...] = field(repr=False)
     ape: np.ndarray | None = field(default=None, repr=False)
     by_rows: dict[int, tuple[RotationTable, RotationTable, tuple, np.ndarray | None]] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for arr in (self.rotation.cos, self.rotation.sin, self.ape, *(x for tile in self.tiles for x in tile)):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
 
 @dataclass
@@ -252,14 +259,11 @@ def plan_attention(
     mask = build_mask(config.mask_kind, layout, config.fw_block_causal_within_frame)
     tiles = tuple(_tile(mask, lo, table.temporal_ids, rpe_bias) for lo in range(0, t, _TILE_ROWS))
     ape = time_ape_embedding(table.temporal_ids, freqs) if config.pe_mode is PeMode.TIME_APE else None
-    for arr in (rotation.cos, rotation.sin, ape):
-        if arr is not None:
-            arr.flags.writeable = False
     return AttentionPlan(layout=layout, config=config, rotation=rotation, tiles=tiles, ape=ape)
 
 
 def _tile(mask: AttentionMask, lo: int, temporal: np.ndarray, rpe_bias: np.ndarray | None) -> tuple:
-    """The (lo, hi, cols, mask, bias) tile of query rows [lo, hi), hi = min(lo + _TILE_ROWS, T), arrays read-only.
+    """The (lo, hi, cols, mask, bias) tile of query rows [lo, hi), hi = min(lo + _TILE_ROWS, T).
 
     `cols` is the union of the rows' intervals: slice(0, end) when it is a
     prefix, else its sorted index array. Every column before `free`, the
@@ -281,9 +285,6 @@ def _tile(mask: AttentionMask, lo: int, temporal: np.ndarray, rpe_bias: np.ndarr
     if rpe_bias is not None:  # table[R + clip(t_i - t_j, -R, R)] for a table of length 2R + 1
         radius = len(rpe_bias) // 2
         bias = rpe_bias[radius + np.clip(temporal[lo:hi, None] - temporal[keys], -radius, radius)]
-    for arr in (cols, slab, bias):
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
     return lo, hi, cols, slab, bias
 
 
@@ -481,8 +482,6 @@ def attention_brute_oracle(
                 for j in range(t)
                 if allowed(config.mask_kind, layout, i, j, config.fw_block_causal_within_frame)
             ]
-            if not cols:
-                continue
             logits = []
             for j in cols:
                 s = config.scale * pair_score(q_in[h, i], k_in[h, j], pos[i], pos[j], freqs)

@@ -99,12 +99,12 @@ def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig, tuple[
     """Attention config JSON: layout, config and the (num_heads, T, d_head) shape of Q, K, V.
 
     Every field is checked by the config types, num_heads here; an absent
-    attention field takes AttentionConfig's default.
+    attention field takes AttentionConfig's default, an absent num_heads TrialConfig's.
     """
     check_fields("config", obj, ATTENTION_FIELDS, ("layout",))
     fields = dict(obj)
     layout = SequenceLayout.from_dict(fields.pop("layout"))
-    num_heads = fields.pop("num_heads", 2)
+    num_heads = fields.pop("num_heads", TrialConfig.num_heads)
     check_int("num_heads", num_heads, 1)
     for name, enum_type in (("mask_kind", MaskKind), ("pe_mode", PeMode)):
         if name in fields:

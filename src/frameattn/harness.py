@@ -73,29 +73,31 @@ _FLOAT_FIELDS = ("lr", "momentum", "rope_base", "converge_threshold", "rpe_scale
 class TrialConfig:
     task: Task
     layout: SequenceLayout
-    pe_mode: PeMode = PeMode.DUAL_ROPE
-    mask_kind: MaskKind = MaskKind.FW_BLOCK_CAUSAL
-    gamma: float = 1.0
+    pe_mode: PeMode = AttentionConfig.pe_mode
+    mask_kind: MaskKind = AttentionConfig.mask_kind
+    gamma: float = AttentionConfig.gamma
     seed: int = 0
     steps: int = 500
     lr: float = 0.02
     momentum: float = 0.9
     layers: int = 2
     num_heads: int = 2
-    d_head: int = 8
-    ff_hidden: int = 0
+    d_head: int = AttentionConfig.d_head
+    ff_hidden: int = ModelConfig.ff_hidden
     num_symbols: int = 8
-    rope_base: float = 10000.0
+    rope_base: float = AttentionConfig.base
     train_size: int = 256
     eval_size: int = 256
     batch_size: int = 16
     converge_threshold: float = 0.25
     rpe_radius: int = 8
     rpe_scale: float = 0.1
-    strict_monotonic_suffix: bool = False
-    fw_block_causal_within_frame: bool = False
+    strict_monotonic_suffix: bool = AttentionConfig.strict_monotonic_suffix
+    fw_block_causal_within_frame: bool = AttentionConfig.fw_block_causal_within_frame
 
     def __post_init__(self):
+        if not isinstance(self.layout, SequenceLayout):
+            raise ValueError(f"layout must be a SequenceLayout, got {self.layout!r}")
         for name, minimum in _INT_MINIMUMS.items():
             check_int(name, getattr(self, name), minimum)
         for name in _FLOAT_FIELDS:

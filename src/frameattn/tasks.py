@@ -91,12 +91,6 @@ def check_task(task: Task, layout: SequenceLayout, num_symbols: int) -> None:
         raise ValueError(f"last_frame_recall needs num_symbols >= 2, got {num_symbols}")
 
 
-def _base_tokens(layout: SequenceLayout) -> np.ndarray:
-    t = np.full(layout.total_len, TOKEN_QUERY, dtype=np.int64)
-    t[: layout.prefix_len] = TOKEN_TEXT
-    return t
-
-
 def gen_task(
     task: Task,
     layout: SequenceLayout,
@@ -112,28 +106,23 @@ def gen_task(
 
     rng = make_rng(seed, 100)
     symbols = SYMBOL_BASE + np.arange(num_symbols, dtype=np.int64)
-    tokens = np.empty((count, layout.total_len), dtype=np.int64)
+    tokens = np.full((count, layout.total_len), TOKEN_QUERY, dtype=np.int64)
+    tokens[:, : layout.prefix_len] = TOKEN_TEXT
     labels = np.empty(count, dtype=np.int64)
     for s in range(count):
-        row = _base_tokens(layout)
+        row = tokens[s]
         if task is Task.FRAME_ORDER:
             name_for_frame = rng.permutation(symbols)[:f]
             for frame in range(f):
                 row[layout.frame_slice(frame)] = name_for_frame[frame]
             first = int(rng.integers(f))
             marked = [first] + [fr for fr in range(first + 1, f) if rng.random() < 0.5]
-            for frame in marked:
-                slot = int(rng.integers(m))
-                row[layout.prefix_len + frame * m + slot] = TOKEN_MARKER
             label = first
         elif task is Task.MOVING_COUNT:
             vis = slice(layout.visual_start, layout.visual_end + 1)
             row[vis] = rng.choice(symbols, size=f * m)
             k = int(rng.integers(0, f + 1))
             marked = rng.choice(f, size=k, replace=False)
-            for frame in marked:
-                slot = int(rng.integers(m))
-                row[layout.prefix_len + int(frame) * m + slot] = TOKEN_MARKER
             label = k
         else:  # LAST_FRAME_RECALL
             target = int(rng.integers(num_symbols))
@@ -141,7 +130,9 @@ def gen_task(
             for frame in range(f - 1):
                 row[layout.frame_slice(frame)] = rng.choice(others, size=m)
             row[layout.frame_slice(f - 1)] = symbols[target]
+            marked = ()
             label = target
-        tokens[s] = row
+        for frame in marked:
+            row[layout.prefix_len + int(frame) * m + int(rng.integers(m))] = TOKEN_MARKER
         labels[s] = label
     return Dataset(tokens=tokens, labels=labels)

@@ -573,6 +573,24 @@ def test_plan_arrays_are_read_only():
             arr[0] = 1.0
 
 
+@pytest.mark.parametrize("pe", [PeMode.TIME_APE, PeMode.TIME_RPE])
+def test_a_replaced_plan_holds_only_read_only_arrays(pe):
+    # dataclasses.replace constructs a new plan, and construction marks every array it holds read-only.
+    bias = np.linspace(-0.2, 0.2, 5) if pe is PeMode.TIME_RPE else None
+    plan = plan_attention(GATHERED, config(pe=pe, mask=MaskKind.FW_BLOCK), bias)
+    t = GATHERED.total_len
+    rotation = rotation_table(np.arange(t) + 0.5, frequencies(plan.config.d_head))
+    assert rotation.cos.flags.writeable
+    replaced = replace(plan, rotation=rotation)
+    assert replaced.rotation is rotation and replaced.by_rows == {}
+    run_rows(replaced, t, 70)
+    arrays = plan_arrays(replaced)
+    assert any(rotation.cos is a for a in arrays) and any(rotation.sin is a for a in arrays)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 def test_backward_zero_gradient():
     lay = build_layout(1, 1, 2, 1)
     q, k, v = random_qkv(make_rng(15), 2, lay.total_len, 4)

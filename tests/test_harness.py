@@ -483,6 +483,20 @@ def test_parallel_calls_reuse_the_same_workers(monkeypatch):
     assert len(pids) == 2 and _worker_pids() == pids
 
 
+def test_a_call_with_another_worker_count_replaces_the_pool(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    configs = [replace(TINY, seed=s) for s in range(4)]
+    serial = [r.to_json() for r in run_trials(configs, 1)]
+    assert [r.to_json() for r in run_trials(configs, 2)] == serial
+    first = _worker_pids()
+    assert [r.to_json() for r in run_trials(configs, 3)] == serial
+    second = _worker_pids()
+    assert len(first) == 2 and len(second) == 3 and not set(first) & set(second)
+    for pid in first:  # the two-worker pool was shut down and its workers joined
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 def test_parallel_matches_serial_over_consecutive_calls(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     calls = [

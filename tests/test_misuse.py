@@ -131,6 +131,9 @@ FIELD_CASES = [
     ("gamma", lambda: gamma_sweep(trial(), ["0.5"])),
     ("kind", lambda: build_mask("causal", LAYOUT)),
     ("kind", lambda: allowed("causal", LAYOUT, 1, 0)),
+    # A layout's JSON object or its build_layout arguments are not a layout: only the JSON parser converts.
+    ("layout", lambda: trial(layout={"prefix_len": 1, "num_frames": 2, "tokens_per_frame": 2, "suffix_len": 1})),
+    ("layout", lambda: trial(layout=(1, 2, 2, 1))),
 ]
 
 # (field, call) with a flag that is not a bool: "no" is truthy and would turn the flag on
