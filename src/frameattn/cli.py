@@ -2,9 +2,10 @@
 
 Subcommands: render-mask, positions, heatmap, gradcheck, sweep, grid,
 selftest. Exit statuses are a stable contract: 0 success, 1 check failure,
-2 bad input, 3 I/O error. Everything is deterministic given flags and
-seeds. Output locations are checked before any work; files are written
-atomically (temp + rename), into directories made once the work is done.
+2 bad input (a request too large for memory included), 3 I/O error.
+Everything is deterministic given flags and seeds. Output locations are
+checked before any work; files are written atomically (temp + rename),
+into directories made once the work is done.
 
 JSON arguments (--layout, --config) accept either inline JSON text or a
 path to a JSON file. When --out is omitted, the FRAMEATTN_OUT environment
@@ -33,7 +34,7 @@ from .harness import (
     grid_summary,
     trials_csv,
 )
-from .layout import SequenceLayout, adjusted_positions, check_fields, check_int
+from .layout import SequenceLayout, adjusted_positions, check_fields, check_int, parse_enums
 from .masks import MaskKind, build_mask, mask_stats, mask_to_csv, mask_to_pgm
 from .numerics import make_rng
 from .pgmio import csv_text, pgm_text, write_text_atomic
@@ -106,10 +107,7 @@ def _attention_setup(obj: dict) -> tuple[SequenceLayout, AttentionConfig, tuple[
     layout = SequenceLayout.from_dict(fields.pop("layout"))
     num_heads = fields.pop("num_heads", TrialConfig.num_heads)
     check_int("num_heads", num_heads, 1)
-    for name, enum_type in (("mask_kind", MaskKind), ("pe_mode", PeMode)):
-        if name in fields:
-            fields[name] = enum_type.from_string(fields[name])
-    config = AttentionConfig(**fields)
+    config = AttentionConfig(**parse_enums(AttentionConfig, fields))
     return layout, config, (num_heads, layout.total_len, config.d_head)
 
 
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("positions", help="print global/temporal/adjusted position ids")
     p.add_argument("--layout", required=True, help="layout JSON (inline or file path)")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=AttentionConfig.gamma)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--strict-monotonic-suffix", action="store_true", dest="strict_monotonic_suffix")
     p.set_defaults(func=cmd_positions)
@@ -310,7 +308,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .attention import AttentionConfig, AttentionPlan, PeMode, plan_attention
-from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_fields, check_float, check_int
+from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_fields, check_float, check_int, parse_enums
 from .masks import MaskKind
 from .model import ModelConfig, TinyModel
 from .numerics import NonFiniteError, make_rng
@@ -71,6 +71,8 @@ _FLOAT_FIELDS = ("lr", "momentum", "rope_base", "converge_threshold", "rpe_scale
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """One trial; its attention and model configs are derived from AttentionConfig's and ModelConfig's fields."""
+
     task: Task
     layout: SequenceLayout
     pe_mode: PeMode = AttentionConfig.pe_mode
@@ -117,25 +119,18 @@ class TrialConfig:
             if isinstance(getattr(self, name), np.generic):
                 object.__setattr__(self, name, getattr(self, name).item())
 
+    def _shared(self, cls) -> dict:
+        """This config's values of the fields it shares with dataclass `cls`."""
+        return {name: getattr(self, name) for name in cls.__dataclass_fields__ if name in self.__dataclass_fields__}
+
     def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(
-            d_head=self.d_head,
-            base=self.rope_base,
-            gamma=self.gamma,
-            mask_kind=self.mask_kind,
-            pe_mode=self.pe_mode,
-            strict_monotonic_suffix=self.strict_monotonic_suffix,
-            fw_block_causal_within_frame=self.fw_block_causal_within_frame,
-        )
+        return AttentionConfig(base=self.rope_base, **self._shared(AttentionConfig))
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
-            layers=self.layers,
-            num_heads=self.num_heads,
-            d_head=self.d_head,
             vocab_size=vocab_size(self.num_symbols),
             num_classes=num_classes(self.task, self.layout, self.num_symbols),
-            ff_hidden=self.ff_hidden,
+            **self._shared(ModelConfig),
         )
 
     def to_dict(self) -> dict:
@@ -148,10 +143,7 @@ class TrialConfig:
     def from_dict(cls, obj: dict) -> "TrialConfig":
         check_fields("trial config", obj, cls.__dataclass_fields__, ("task", "layout"))
         data = dict(obj, task=Task.from_string(obj["task"]), layout=SequenceLayout.from_dict(obj["layout"]))
-        for name, kind in (("pe_mode", PeMode), ("mask_kind", MaskKind)):
-            if name in data:
-                data[name] = kind.from_string(data[name])
-        return cls(**data)
+        return cls(**parse_enums(cls, data))
 
     @classmethod
     def from_json(cls, text: str) -> "TrialConfig":

@@ -38,6 +38,7 @@ __all__ = [
     "check_enum",
     "check_float",
     "check_flag",
+    "parse_enums",
     "TokenRole",
     "SequenceLayout",
     "PositionTable",
@@ -97,6 +98,12 @@ def check_float(name: str, value) -> None:
 def check_flag(name: str, value) -> None:
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def parse_enums(cls, data: dict) -> dict:
+    """`data` with each value whose `cls` field defaults to a NamedEnum parsed as that enum, in field order."""
+    enums = {name: type(f.default) for name, f in cls.__dataclass_fields__.items() if isinstance(f.default, NamedEnum)}
+    return dict(data, **{name: kind.from_string(data[name]) for name, kind in enums.items() if name in data})
 
 
 class TokenRole(enum.Enum):

@@ -367,6 +367,29 @@ def test_heatmap_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+ENUM_REFUSALS = {
+    "pe_mode": "unknown PeMode {!r}; valid values: rope_only, time_rope_only, dual_rope, time_ape, time_rpe",
+    "mask_kind": "unknown MaskKind {!r}; valid values: causal, full_visual, fw_block, fw_block_causal",
+}
+
+
+@pytest.mark.parametrize("field", list(ENUM_REFUSALS))
+@pytest.mark.parametrize("bad", ["bogus", 3, None])
+def test_heatmap_enum_field_that_names_no_member_exits_2(tmp_path, capsys, field, bad):
+    config = json.dumps({**json.loads(HEATMAP_CONFIG), field: bad})
+    code, stdout, err = run(capsys, "heatmap", "--config", config, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert stdout == "" and err == f"error: {ENUM_REFUSALS[field].format(bad)}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_heatmap_refuses_the_first_bad_enum_field_in_field_order(tmp_path, capsys):
+    config = json.dumps({**json.loads(HEATMAP_CONFIG), "pe_mode": 3, "mask_kind": "bogus"})
+    code, _, err = run(capsys, "heatmap", "--config", config, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: {ENUM_REFUSALS['mask_kind'].format('bogus')}\n"
+
+
 TRIAL_CONFIG = json.dumps(
     {
         "task": "last_frame_recall",
@@ -525,6 +548,31 @@ def test_bad_run_value_exits_2_and_makes_no_directory(tmp_path, capsys, command,
     code, stdout, err = run(capsys, command, "--config", TRIAL_CONFIG, flag, value, "--out", str(tmp_path / "a" / "b"))
     assert code == 2
     assert stdout == "" and err.startswith("error: ") and says in err
+    assert not list(tmp_path.iterdir())
+
+
+# Requests of about 1 EiB: past any 64-bit address space, so the allocator refuses them whatever the
+# overcommit setting, and below the 8 EiB above which numpy raises ValueError instead.
+HUGE_LAYOUT = {"prefix_len": 1, "num_frames": 1, "tokens_per_frame": 2 * 10**17, "suffix_len": 1}
+HUGE_HEATMAP = json.dumps({"layout": {**HUGE_LAYOUT, "tokens_per_frame": 10**16}})
+HUGE_TRIAL = json.dumps({**json.loads(TRIAL_CONFIG), "train_size": 25 * 10**15})
+TOO_LARGE_FOR_MEMORY = {
+    "render-mask": ("render-mask", "--layout", json.dumps(HUGE_LAYOUT), "--kind", "causal", "--out", "{out}.pgm"),
+    "positions": ("positions", "--layout", json.dumps(HUGE_LAYOUT)),
+    "heatmap": ("heatmap", "--config", HUGE_HEATMAP, "--out", "{out}"),
+    "sweep-1-worker": ("sweep", "--config", HUGE_TRIAL, "--gammas", "0,1", "--workers", "1", "--out", "{out}"),
+    "sweep-2-workers": ("sweep", "--config", HUGE_TRIAL, "--gammas", "0,1", "--workers", "2", "--out", "{out}"),
+    "grid": ("grid", "--config", HUGE_TRIAL, "--masks", "causal", "--pe-modes", "rope_only", "--out", "{out}"),
+}
+
+
+@pytest.mark.parametrize("case", list(TOO_LARGE_FOR_MEMORY))
+def test_request_too_large_for_memory_exits_2_with_one_line(tmp_path, capsys, case):
+    argv = [a.replace("{out}", str(tmp_path / "out")) for a in TOO_LARGE_FOR_MEMORY[case]]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: Unable to allocate ") and " EiB " in err and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

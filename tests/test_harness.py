@@ -34,7 +34,7 @@ from frameattn.harness import (
 from frameattn.layout import SequenceLayout, build_layout
 from frameattn.masks import MaskKind
 from frameattn.numerics import NonFiniteError
-from frameattn.tasks import Task
+from frameattn.tasks import Task, num_classes, vocab_size
 
 TINY = TrialConfig(
     task=Task.LAST_FRAME_RECALL,
@@ -53,6 +53,70 @@ def test_attention_defaults_agree_with_trial_config_defaults():
     # The heatmap config takes AttentionConfig's defaults, a trial config its
     # own: one default trial and one default attention config must agree.
     assert AttentionConfig() == TrialConfig(task=Task.FRAME_ORDER, layout=build_layout(1, 2, 2, 1)).attention_config()
+
+
+def test_attention_and_model_configs_are_derived_field_by_field():
+    # Every attention and model field away from its default, so a value dropped or crossed shows.
+    cfg = TrialConfig(
+        task=Task.FRAME_ORDER,
+        layout=build_layout(1, 3, 2, 1),
+        pe_mode=PeMode.TIME_RPE,
+        mask_kind=MaskKind.FW_BLOCK,
+        gamma=0.5,
+        layers=3,
+        num_heads=3,
+        d_head=6,
+        ff_hidden=7,
+        num_symbols=9,
+        rope_base=500.0,
+        strict_monotonic_suffix=True,
+        fw_block_causal_within_frame=True,
+    )
+    # Every other field is passed by name, so it must be a trial field too.
+    derived = {"base", "vocab_size", "num_classes"}
+    shared = (AttentionConfig.__dataclass_fields__.keys() | model.ModelConfig.__dataclass_fields__.keys()) - derived
+    assert shared <= TrialConfig.__dataclass_fields__.keys()
+    for name in shared | {"rope_base"}:
+        assert getattr(cfg, name) != TrialConfig.__dataclass_fields__[name].default, name
+    assert cfg.attention_config() == AttentionConfig(
+        d_head=6,
+        base=500.0,
+        gamma=0.5,
+        mask_kind=MaskKind.FW_BLOCK,
+        pe_mode=PeMode.TIME_RPE,
+        strict_monotonic_suffix=True,
+        fw_block_causal_within_frame=True,
+    )
+    assert cfg.model_config() == model.ModelConfig(
+        layers=3,
+        num_heads=3,
+        d_head=6,
+        vocab_size=vocab_size(9),
+        num_classes=num_classes(Task.FRAME_ORDER, cfg.layout, 9),
+        ff_hidden=7,
+    )
+
+
+ENUM_REFUSALS = {
+    "pe_mode": "unknown PeMode {!r}; valid values: rope_only, time_rope_only, dual_rope, time_ape, time_rpe",
+    "mask_kind": "unknown MaskKind {!r}; valid values: causal, full_visual, fw_block, fw_block_causal",
+}
+
+
+@pytest.mark.parametrize("field", list(ENUM_REFUSALS))
+@pytest.mark.parametrize("bad", ["bogus", 3, None])
+def test_config_refuses_an_enum_field_that_names_no_member(field, bad):
+    obj = {**json.loads(TINY.to_json()), field: bad}
+    with pytest.raises(ValueError) as info:
+        TrialConfig.from_dict(obj)
+    assert str(info.value) == ENUM_REFUSALS[field].format(bad)
+
+
+def test_config_refuses_the_first_bad_enum_field_in_field_order():
+    obj = {**json.loads(TINY.to_json()), "mask_kind": "bogus", "pe_mode": 3}
+    with pytest.raises(ValueError) as info:
+        TrialConfig.from_dict(obj)
+    assert str(info.value) == ENUM_REFUSALS["pe_mode"].format(3)
 
 
 def test_config_rejects_zero_steps():
