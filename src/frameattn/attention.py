@@ -44,9 +44,10 @@ rows; a clipped tile keeps its `cols`, which stay exact, and the remaining
 rows of its mask and bias. A call keeps only the scored tiles: one buffer
 holds every tile's (heads, rows, len(cols)) weights back to back, the tile's
 scores are written into its slot and normalised there, and backward reads
-the slots. The dense (heads, R, T) weights, with exact zeros at masked
-entries, are built from the slots only when `AttentionResult.weights` is
-read (the heatmap command and tests do; training and prediction never do).
+the slots. `AttentionResult.tiles()` walks the slots with their rows and
+key columns, and the heatmap command renders from it. The dense (heads, R,
+T) weights, exact zeros at masked entries, are built on that walk only when
+`AttentionResult.weights` is read: tests read it, nothing else does.
 
 Position-encoding modes:
 
@@ -185,8 +186,10 @@ class AttentionResult:
 
     `tile_weights` holds each tile's (heads, rows, len(cols)) softmax
     weights, in the order of the plan's tiles for R query rows: views into
-    one buffer. `weights`, the dense (heads, R, T) array with exact zeros at
-    masked entries, is built from them on first access and then cached.
+    one buffer. `tiles()` pairs each with its rows and key columns; every
+    weight outside them is exactly 0. `weights`, the dense (heads, R, T)
+    array, is built from `tiles()` on first access and then cached; the
+    heatmap command reads the tiles and never builds it.
     """
 
     output: np.ndarray
@@ -196,11 +199,17 @@ class AttentionResult:
     k_rot: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
 
+    def tiles(self) -> list[tuple[slice, slice | np.ndarray, np.ndarray]]:
+        """(rows, cols, weights) per tile in row order: its slice of the R query rows, its ascending
+        key columns (a slice or an index array) and its (heads, rows, len(cols)) weights."""
+        tiles = _query_rows(self.plan, self.output.shape[1])[2]
+        return [(rows, cols, w) for (rows, cols, *_), w in zip(tiles, self.tile_weights)]
+
     @functools.cached_property
     def weights(self) -> np.ndarray:
         n, r, _ = self.output.shape
         dense = np.zeros((n, r, self.plan.layout.total_len))
-        for (rows, cols, *_), w in zip(_query_rows(self.plan, r)[2], self.tile_weights):
+        for rows, cols, w in self.tiles():
             dense[:, rows, cols] = w
         return dense
 

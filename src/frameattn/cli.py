@@ -144,8 +144,10 @@ def cmd_positions(args) -> int:
     return EXIT_OK
 
 
-def _heatmap_pixels(weights: np.ndarray) -> np.ndarray:
-    peak = float(weights.max())
+def _heatmap_pixels(weights: np.ndarray, peak: float | None = None) -> np.ndarray:
+    """`weights` scaled linearly from [0, peak] to 0..255 as uint8; `peak` defaults to their max."""
+    if peak is None:
+        peak = float(weights.max())
     if peak <= 0.0:
         return np.zeros(weights.shape, dtype=np.uint8)
     # One float64 scratch, rounded in place; the uint8 pixels are 1/8 of its size.
@@ -176,9 +178,15 @@ def cmd_heatmap(args) -> int:
         q, k, v = (rng.standard_normal(shape) for _ in range(3))
     out_dir = _resolve_out(args.out, "heatmap")
     result = attention_forward(q, k, v, layout, config)
-    for h, weights in enumerate(result.weights):
-        path = os.path.join(out_dir, f"head_{h}.{args.format}")
-        _write(path, csv_text(weights) if args.format == "csv" else pgm_text(_heatmap_pixels(weights)))
+    t = layout.total_len
+    tiles = [(np.arange(t)[cols], w) for _, cols, w in result.tiles()]  # every weight outside them is 0
+    for h in range(shape[0]):
+        blocks = [(cols, w[h]) for cols, w in tiles]
+        if args.format == "pgm":  # weights are >= 0, so the tiles' peak is the dense weights' peak
+            peak = max(float(w.max()) for _, w in blocks)
+            blocks = [(cols, _heatmap_pixels(w, peak)) for cols, w in blocks]
+        text = (pgm_text if args.format == "pgm" else csv_text)(blocks, (t, t))
+        _write(os.path.join(out_dir, f"head_{h}.{args.format}"), text)
     return EXIT_OK
 
 
@@ -265,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-monotonic-suffix", action="store_true", dest="strict_monotonic_suffix")
     p.set_defaults(func=cmd_positions)
 
-    p = sub.add_parser("heatmap", help="write per-head attention weights as PGM images")
+    p = sub.add_parser("heatmap", help="write per-head attention weights as PGM images or CSV")
     p.add_argument("--config", required=True, help="attention config JSON (inline or file path)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")

@@ -3,19 +3,23 @@
 P2 was chosen over binary formats because the outputs double as golden
 files: human-readable, diffable, no image library needed to inspect them.
 
-Both emitters encode _BLOCK_ROWS matrix rows at a time, as alternating runs
-of zero cells and key cells. A key cell is one whose text is not the zero
-token, plus the last cell of every row, which carries the line break. The
-run before a key cell is the zero token and separator repeated once per
-zero cell, built once per distinct run length; only key cells cost Python
-work of their own. A PGM key cell is one lookup in _PIXEL_TOKENS, a value's
-text with its separator already attached. A CSV cell is exactly
-``repr(value.item())``, and ``repr`` is called only on the key cells that
-are not ``+0`` of the dtype (``-0.0`` and NaN included). Attention weights
-under a frame-block mask are mostly zeros, so most cells are never touched
-one by one. A CSV block that is mostly non-zero gains nothing from the runs
-and is written cell by cell. Scratch covers one block, never the whole
-matrix, so memory stays close to that of the output text itself.
+Both emitters take a 2-D array or, given its (height, width), the matrix
+as row blocks: pairs (cols, values) in row order, of strictly ascending key
+columns and their (rows, len(cols)) values, every other cell zero. An array
+is read as full-width blocks of _BLOCK_ROWS rows.
+
+Each block is encoded as alternating runs of zero cells and key cells. A
+key cell is one whose text is not the zero token, plus the last cell of
+every row, which carries the line break. The run before a key cell is the
+zero token and separator repeated once per zero cell, built once per
+distinct run length; only key cells cost Python work of their own. A PGM
+key cell is one lookup in _PIXEL_TOKENS, a value's text with its separator
+already attached. A CSV cell is exactly ``repr(value.item())``, and
+``repr`` is called only on the key cells that are not ``+0`` of the dtype
+(``-0.0`` and NaN included). A CSV block that is mostly non-zero gains
+nothing from the runs and is written cell by cell. Scratch covers one
+block, never the whole matrix, so memory stays close to that of the output
+text itself.
 """
 
 from __future__ import annotations
@@ -32,6 +36,44 @@ _PIXEL_TOKENS = np.array([f"{v} " for v in range(256)] + [f"{v}\n" for v in rang
 _CSV_SEPS = np.array([",", "\n"], dtype=object)
 
 
+def _row_blocks(values, shape) -> tuple[int, int, list[tuple[np.ndarray, np.ndarray]]]:
+    """(height, width, blocks) of a 2-D array or, with `shape`, of its checked row blocks; a block
+    without column width - 1 gains a zero column there, so it holds each row's last cell."""
+    if shape is None:
+        arr = np.asarray(values)
+        if arr.ndim != 2:
+            raise ValueError(f"expected 2-D array, got shape {arr.shape}")
+        (h, w), cols = arr.shape, np.arange(arr.shape[1])
+        # At least one block, so an empty array's dtype is checked too.
+        blocks = [(cols, arr[lo : lo + _BLOCK_ROWS]) for lo in range(0, max(h, 1), _BLOCK_ROWS)]
+    else:
+        (h, w), blocks = shape, [tuple(map(np.asarray, block)) for block in values]
+        for i, (cols, block) in enumerate(blocks):
+            if cols.ndim != 1 or cols.dtype.kind not in "iu" or np.any(np.diff(cols, prepend=-1, append=w) <= 0):
+                raise ValueError(f"block {i}: columns must be strictly ascending integers in [0, {w})")
+            if block.ndim != 2 or block.shape[1] != len(cols):
+                raise ValueError(f"block {i}: values have shape {block.shape}, expected (rows, {len(cols)})")
+        rows = sum(len(block) for _, block in blocks)
+        if rows != h:
+            raise ValueError(f"row blocks hold {rows} rows, the height is {h}")
+    if w:
+        blocks = [
+            (cols, block) if len(cols) and cols[-1] == w - 1
+            else (np.append(cols, w - 1), np.concatenate((block, np.zeros((len(block), 1), block.dtype)), axis=1))
+            for cols, block in blocks
+        ]
+    return h, w, blocks
+
+
+def _key_cells(cols: np.ndarray, key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's key cells, from its `key` mask (whose last column, width - 1, this sets):
+    their indices in the block, their flat indices in its full-width rows, and which end a row."""
+    key[:, -1] = True
+    pos = np.flatnonzero(key)
+    row, col = np.divmod(pos, len(cols))
+    return pos, row * width + cols[col], col == len(cols) - 1
+
+
 def _run_text(pos: np.ndarray, tokens: np.ndarray, zero_cell: str) -> str:
     """Text of one block from the flat indices `pos` of its key cells and their `tokens`.
 
@@ -40,7 +82,7 @@ def _run_text(pos: np.ndarray, tokens: np.ndarray, zero_cell: str) -> str:
     run crosses a line break.
     """
     gaps = np.diff(pos, prepend=-1) - 1
-    runs = np.empty(gaps.max() + 1, dtype=object)
+    runs = np.empty(gaps.max(initial=0) + 1, dtype=object)
     for gap in np.flatnonzero(np.bincount(gaps)):
         runs[gap] = zero_cell * int(gap)
     pieces = np.empty(2 * len(pos), dtype=object)
@@ -49,55 +91,42 @@ def _run_text(pos: np.ndarray, tokens: np.ndarray, zero_cell: str) -> str:
     return "".join(pieces.tolist())
 
 
-def pgm_text(pixels: np.ndarray) -> str:
-    """Render a 2-D integer array (values in 0..255) as a plain PGM string."""
-    px = np.asarray(pixels)
-    if px.ndim != 2:
-        raise ValueError(f"expected 2-D pixel array, got shape {px.shape}")
-    if px.dtype.kind not in "iu":
-        raise ValueError(f"pixel array must have an integer dtype, got {px.dtype}")
-    if px.size and (px.min() < 0 or px.max() > 255):
-        raise ValueError("pixel values must lie in 0..255")
-    h, w = px.shape
+def pgm_text(pixels, shape: tuple[int, int] | None = None) -> str:
+    """Plain PGM text of integer pixels in 0..255: a 2-D array or, with `shape`, its row blocks."""
+    h, w, blocks = _row_blocks(pixels, shape)
     parts = [f"P2\n{w} {h}\n255\n"]
-    if px.size == 0:
-        return parts[0] + "\n" * h
-    for lo in range(0, h, _BLOCK_ROWS):
-        block = px[lo : lo + _BLOCK_ROWS]
-        key = block != 0
-        key[:, -1] = True
-        pos = np.flatnonzero(key)
-        ends_row = pos % w == w - 1
-        parts.append(_run_text(pos, _PIXEL_TOKENS[block.ravel()[pos] + 256 * ends_row], "0 "))
-    return "".join(parts)
+    for cols, block in blocks:
+        if block.dtype.kind not in "iu":
+            raise ValueError(f"pixel array must have an integer dtype, got {block.dtype}")
+        if block.size and (block.min() < 0 or block.max() > 255):
+            raise ValueError("pixel values must lie in 0..255")
+        if w:
+            pos, flat, ends_row = _key_cells(cols, block != 0, w)
+            parts.append(_run_text(flat, _PIXEL_TOKENS[block.ravel()[pos] + 256 * ends_row], "0 "))
+    return "".join(parts) if w else parts[0] + "\n" * h
 
 
-def csv_text(values: np.ndarray) -> str:
-    """Comma-separated rows, one matrix row per line; each cell is the repr of its Python value."""
-    vals = np.asarray(values)
-    if vals.ndim != 2:
-        raise ValueError(f"expected 2-D array, got shape {vals.shape}")
-    if vals.dtype.kind not in "biuf":  # complex, object, str: no one token for zero
-        return "\n".join(",".join(map(repr, row.tolist())) for row in vals) + "\n"
-    h, w = vals.shape
-    if vals.size == 0:
+def csv_text(values, shape: tuple[int, int] | None = None) -> str:
+    """One comma-separated line per row, each cell the repr of its Python value; `values` as pgm_text's `pixels`."""
+    h, w, blocks = _row_blocks(values, shape)
+    if not (h and w):
         return "\n" * max(h, 1)
-    zero = repr(vals.dtype.type(0).item())
     parts = []
-    for lo in range(0, h, _BLOCK_ROWS):
-        block = vals[lo : lo + _BLOCK_ROWS]
-        hit = (block != 0) | np.signbit(block)  # -0.0 == 0 but prints "-0.0"
-        if 2 * np.count_nonzero(hit) > hit.size:
-            parts.append("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+    for cols, block in blocks:
+        # complex, object, str: no one token for zero
+        hit = (block != 0) | np.signbit(block) if block.dtype.kind in "biuf" else None  # -0.0 prints "-0.0"
+        if hit is None or 2 * np.count_nonzero(hit) > len(block) * w:
+            dense = np.zeros((len(block), w), block.dtype)
+            dense[:, cols] = block
+            parts.append("".join(",".join(map(repr, row)) + "\n" for row in dense.tolist()))
             continue
-        key = hit.copy()
-        key[:, -1] = True
-        pos = np.flatnonzero(key)
+        pos, flat, ends_row = _key_cells(cols, hit.copy(), w)
         hit_at = hit.ravel()[pos]
+        zero = repr(block.dtype.type(0).item())
         tokens = np.full(len(pos), zero, dtype=object)
         tokens[hit_at] = list(map(repr, block.ravel()[pos[hit_at]].tolist()))
-        tokens += _CSV_SEPS[(pos % w == w - 1).astype(np.intp)]
-        parts.append(_run_text(pos, tokens, zero + ","))
+        tokens += _CSV_SEPS[ends_row.astype(np.intp)]
+        parts.append(_run_text(flat, tokens, zero + ","))
     return "".join(parts)
 
 

@@ -331,6 +331,46 @@ def test_heatmap_csv_holds_raw_weights(tmp_path, capsys):
         assert np.array_equal(got, expected[h])
 
 
+# T = 6 is one tile; T = 72 is a full tile of 64 rows and a short one of 8.
+HEATMAP_LAYOUTS = {"t6": (1, 2, 2, 1), "t72": (3, 5, 13, 4)}
+
+
+@pytest.mark.parametrize("within", [False, True], ids=["default", "causal_within_frame"])
+@pytest.mark.parametrize("kind", list(MaskKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("lay", list(HEATMAP_LAYOUTS))
+def test_heatmap_bytes_equal_the_dense_reference(tmp_path, capsys, lay, kind, within):
+    # The command encodes each head from the attention tiles; the reference
+    # encodes the dense weights, AttentionResult.weights.
+    from frameattn.attention import AttentionConfig, attention_forward
+    from frameattn.cli import _heatmap_pixels
+    from frameattn.layout import build_layout
+    from frameattn.numerics import make_rng
+    from frameattn.pgmio import csv_text, pgm_text
+
+    layout = build_layout(*HEATMAP_LAYOUTS[lay])
+    t = layout.total_len
+    config = json.dumps({"layout": json.loads(layout.to_json()), "num_heads": 2, "mask_kind": kind.value,
+                         "fw_block_causal_within_frame": within})
+    for fmt in ("pgm", "csv"):
+        assert run(capsys, "heatmap", "--config", config, "--seed", "3", "--out", str(tmp_path), "--format", fmt)[0] == 0
+    cfg = AttentionConfig(mask_kind=kind, fw_block_causal_within_frame=within)
+    rng = make_rng(3, 200)
+    q, k, v = (rng.standard_normal((2, t, cfg.d_head)) for _ in range(3))
+    result = attention_forward(q, k, v, layout, cfg)
+    faint = False  # a non-zero weight that quantises to pixel 0
+    for h in range(2):
+        weights = result.weights[h]
+        pixels = _heatmap_pixels(weights)
+        assert (tmp_path / f"head_{h}.pgm").read_bytes() == pgm_text(pixels).encode()
+        assert (tmp_path / f"head_{h}.csv").read_bytes() == csv_text(weights).encode()
+        faint |= bool(np.any((weights > 0) & (pixels == 0)))
+    tiles = result.tiles()
+    assert [w.shape[1] for _, _, w in tiles] == ([64, 8] if t == 72 else [t])
+    if t > 64:
+        assert min(np.arange(t)[cols][-1] for _, cols, _ in tiles) < t - 1  # a tile without column T-1
+        assert faint
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

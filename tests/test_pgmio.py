@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -236,3 +237,104 @@ def test_write_text_atomic_leaves_no_temp_file_on_failure(tmp_path):
         write_text_atomic(str(tmp_path / "target"), "x\n")  # fails at the rename
     assert path.read_text() == "old\n"
     assert sorted(os.listdir(tmp_path)) == ["out.txt", "target"]
+
+
+def dense_of(blocks, shape, dtype):
+    """The matrix a block-sparse row form stands for: each block's values at its columns, zeros elsewhere."""
+    out, lo = np.zeros(shape, dtype=dtype), 0
+    for cols, values in blocks:
+        out[lo : lo + len(values), cols] = values
+        lo += len(values)
+    return out
+
+
+@st.composite
+def row_blocks(draw, nonzero):
+    """(blocks, shape, dtype): up to 150 rows cut into blocks of 0-70 rows, each over a random
+    ascending subset of the columns (empty, full or without the last column), mostly zero values."""
+    dtype = draw(st.sampled_from(list(nonzero)))
+    h, w = draw(st.integers(0, 150)), draw(st.integers(1, 9))
+    blocks, lo = [], 0
+    while lo < h or draw(st.booleans()) and len(blocks) < 3:
+        rows = draw(st.integers(0, min(70, h - lo)))
+        cols = np.flatnonzero(draw(arrays(np.bool_, w)))
+        values = np.zeros((rows, len(cols)), dtype=dtype)
+        for r, c, v in draw(st.lists(st.tuples(st.integers(0, 69), st.integers(0, w - 1), nonzero[dtype]), max_size=20)):
+            if r < rows and c < len(cols):
+                values[r, c] = v
+        blocks.append((cols, values))
+        lo += rows
+    return blocks, (h, w), dtype
+
+
+@given(row_blocks(NONZERO))
+@settings(max_examples=200, deadline=None)
+def test_csv_row_blocks_match_their_dense_matrix(case):
+    blocks, shape, dtype = case
+    assert csv_text(blocks, shape) == csv_oracle(dense_of(blocks, shape, dtype))
+
+
+@given(row_blocks(PIXELS))
+@settings(max_examples=200, deadline=None)
+def test_pgm_row_blocks_match_their_dense_matrix(case):
+    blocks, shape, dtype = case
+    assert pgm_text(blocks, shape) == pgm_oracle(dense_of(blocks, shape, dtype))
+
+
+def test_row_blocks_without_the_last_column_and_dense_blocks():
+    # Block 0 lacks column 4, block 1 is mostly non-zero (the CSV's cell-by-cell
+    # path, zeros filled in outside its columns), block 2 has no columns at all.
+    blocks = [
+        (np.array([0, 2]), np.array([[1, 0], [0, 3]])),
+        (np.array([1, 2, 3, 4]), np.array([[4, 5, 6, 7], [8, 9, 10, 11]])),
+        (np.array([], dtype=np.intp), np.zeros((1, 0), dtype=np.int64)),
+    ]
+    dense = dense_of(blocks, (5, 5), np.int64)
+    assert csv_text(blocks, (5, 5)) == csv_oracle(dense)
+    assert pgm_text(blocks, (5, 5)) == pgm_oracle(dense)
+    weights = [(cols, values / 16.0) for cols, values in blocks]
+    assert csv_text(weights, (5, 5)) == csv_oracle(dense / 16.0)
+
+
+GOOD_COLS = np.array([0, 2])
+GOOD_VALUES = np.array([[1, 2], [3, 4]])
+# (name, blocks, shape, message) of block forms every encoder refuses.
+MALFORMED = [
+    ("rows_short", [(GOOD_COLS, GOOD_VALUES)], (3, 4), "row blocks hold 2 rows, the height is 3"),
+    ("rows_over", [(GOOD_COLS, GOOD_VALUES), (GOOD_COLS, GOOD_VALUES)], (3, 4), "row blocks hold 4 rows"),
+    ("cols_descending", [(np.array([2, 0]), GOOD_VALUES)], (2, 4), "block 0: columns must be strictly ascending"),
+    ("cols_repeated", [(np.array([1, 1]), GOOD_VALUES)], (2, 4), "strictly ascending integers in [0, 4)"),
+    ("cols_negative", [(np.array([-1, 2]), GOOD_VALUES)], (2, 4), "strictly ascending integers in [0, 4)"),
+    ("cols_past_width", [(np.array([2, 4]), GOOD_VALUES)], (2, 4), "strictly ascending integers in [0, 4)"),
+    ("cols_float", [(np.array([0.0, 2.0]), GOOD_VALUES)], (2, 4), "strictly ascending integers in [0, 4)"),
+    ("cols_2d", [(GOOD_COLS[None], GOOD_VALUES)], (2, 4), "strictly ascending integers in [0, 4)"),
+    ("second_block", [(GOOD_COLS, GOOD_VALUES), (np.array([3, 1]), GOOD_VALUES)], (4, 4), "block 1: columns"),
+    ("values_too_wide", [(GOOD_COLS, np.ones((2, 3), dtype=int))], (2, 4),
+     "block 0: values have shape (2, 3), expected (rows, 2)"),
+    ("values_1d", [(GOOD_COLS, np.array([1, 2]))], (1, 4), "block 0: values have shape (2,), expected (rows, 2)"),
+    ("values_3d", [(GOOD_COLS, np.ones((1, 2, 2), dtype=int))], (1, 4), "values have shape (1, 2, 2)"),
+]
+
+
+@pytest.mark.parametrize("encode", [pgm_text, csv_text], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(("blocks", "shape", "message"), [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_row_blocks_are_refused(encode, blocks, shape, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        encode(blocks, shape)
+
+
+@pytest.mark.parametrize(
+    ("values", "message"),
+    [
+        (np.array([[1.0, 2.0]]), "integer dtype, got float64"),
+        (np.array([[True, False]]), "integer dtype, got bool"),
+        (np.array([[0, 256]]), "0..255"),
+        (np.array([[-1, 0]]), "0..255"),
+    ],
+    ids=["float", "bool", "over_255", "negative"],
+)
+def test_pgm_refuses_row_blocks_that_are_not_pixels(values, message):
+    blocks = [(GOOD_COLS, np.zeros((1, 2), dtype=np.uint8)), (GOOD_COLS, values)]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pgm_text(blocks, (2, 4))
