@@ -49,6 +49,16 @@ key columns, and the heatmap command renders from it. The dense (heads, R,
 T) weights, exact zeros at masked entries, are built on that walk only when
 `AttentionResult.weights` is read: tests read it, nothing else does.
 
+Cells. `plan` may be a tuple of plans, one per cell, for a stack that
+holds the cells' equal shares of its heads in cell order: the lockstep
+trials of a harness group, which share the layout, mask and d_head and
+differ only in pe_mode and gamma. Each share is rotated by its own plan
+through `rotate_rows`, and gets its own APE rows and RPE bias, added to its
+share only; the tiles, mask slabs, scores and softmax are shared, so each
+cell's output and gradients are bitwise those of a call with its plan
+alone. How many cells a stack holds is the caller's: the model bounds cells
+* chunk * heads * T * T by its _SCORE_BUDGET.
+
 Position-encoding modes:
 
   * rope_only       -- rotate at the global id n.
@@ -202,13 +212,13 @@ class AttentionResult:
     def tiles(self) -> list[tuple[slice, slice | np.ndarray, np.ndarray]]:
         """(rows, cols, weights) per tile in row order: its slice of the R query rows, its ascending
         key columns (a slice or an index array) and its (heads, rows, len(cols)) weights."""
-        tiles = _query_rows(self.plan, self.output.shape[1])[2]
+        tiles = _query_rows(self.plan, self.output.shape[1])[0][2]
         return [(rows, cols, w) for (rows, cols, *_), w in zip(tiles, self.tile_weights)]
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         n, r, _ = self.output.shape
-        dense = np.zeros((n, r, self.plan.layout.total_len))
+        dense = np.zeros((n, r, self.k_rot.shape[1]))
         for rows, cols, w in self.tiles():
             dense[:, rows, cols] = w
         return dense
@@ -313,8 +323,16 @@ def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> 
     return arrays
 
 
-def _query_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTable, tuple, np.ndarray | None]:
-    """`plan.by_rows[r]`, built on the first call with `r`: (rotation, inverse, tiles, ape) of the last r query rows.
+def _query_rows(plan, r: int) -> list[tuple[RotationTable, RotationTable, tuple, np.ndarray | None]]:
+    """`cell.by_rows[r]` of each cell of `plan`, an AttentionPlan (one cell) or a tuple of them."""
+    found = []
+    for cell in plan if isinstance(plan, tuple) else (plan,):
+        found.append(cell.by_rows.get(r) or _build_rows(cell, r))
+    return found
+
+
+def _build_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTable, tuple, np.ndarray | None]:
+    """`plan.by_rows[r]`, built here: (rotation, inverse, tiles, ape) of the last r query rows.
 
     The (r + T)-row `rotation` turns query row i by plan row T - r + i and key
     row j by row j, so one table serves each head's stacked Q and K rows;
@@ -327,24 +345,22 @@ def _query_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTab
     weights at [n * start, n * stop) of its one buffer. Two threads that
     miss at once build equal entries, and either may be kept.
     """
-    found = plan.by_rows.get(r)
-    if found is None:
-        offset = plan.layout.total_len - r
-        cos, sin, ape = (None if part is None else np.concatenate((part[offset:], part))
-                         for part in (plan.rotation.cos, plan.rotation.sin, plan.ape))
-        tiles, stop = [], 0
-        for lo, hi, cols, mask, bias in plan.tiles:
-            if hi > offset:
-                cut = max(offset - lo, 0)
-                width = cols.stop if isinstance(cols, slice) else len(cols)
-                start, stop = stop, stop + (hi - lo - cut) * width
-                rows = slice(lo + cut - offset, hi - offset)
-                tiles.append((rows, cols, mask[cut:], None if bias is None else bias[cut:], start, stop, width))
-        table = RotationTable(cos, sin)
-        found = plan.by_rows[r] = (table, table.inverse(), tuple(tiles), ape)
-        for arr in (cos, sin, found[1].sin, ape):
-            if arr is not None:
-                arr.flags.writeable = False
+    offset = plan.layout.total_len - r
+    cos, sin, ape = (None if part is None else np.concatenate((part[offset:], part))
+                     for part in (plan.rotation.cos, plan.rotation.sin, plan.ape))
+    tiles, stop = [], 0
+    for lo, hi, cols, mask, bias in plan.tiles:
+        if hi > offset:
+            cut = max(offset - lo, 0)
+            width = cols.stop if isinstance(cols, slice) else len(cols)
+            start, stop = stop, stop + (hi - lo - cut) * width
+            rows = slice(lo + cut - offset, hi - offset)
+            tiles.append((rows, cols, mask[cut:], None if bias is None else bias[cut:], start, stop, width))
+    table = RotationTable(cos, sin)
+    found = plan.by_rows[r] = (table, table.inverse(), tuple(tiles), ape)
+    for arr in (cos, sin, found[1].sin, ape):
+        if arr is not None:
+            arr.flags.writeable = False
     return found
 
 
@@ -354,7 +370,7 @@ def attention_forward(
     V: np.ndarray,
     layout: SequenceLayout,
     config: AttentionConfig,
-    plan: AttentionPlan | None = None,
+    plan: AttentionPlan | tuple[AttentionPlan, ...] | None = None,
 ) -> AttentionResult:
     """Rotate-score-softmax-mix over the whole head stack; returns output and the tile weights.
 
@@ -362,19 +378,33 @@ def attention_forward(
     and weights hold the same R rows. Without `plan`, builds
     plan_attention(layout, config), with no rpe bias. A given `plan` must
     have been built for this layout and config, and carries any rpe bias.
+
+    `plan` may also be a tuple of cells, one plan each, the first built for
+    this layout and config and every other for the same layout, mask and
+    d_head: the stack then holds the cells' equal shares of its heads in
+    cell order, and each share is rotated, and gets its APE rows and RPE
+    bias, by its own plan. The tiles, scores and softmax are shared.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     if plan is None:
         plan = plan_attention(layout, config)
-    elif (plan.layout, plan.config) != (layout, config):
+    cells = plan if isinstance(plan, tuple) else (plan,)
+    if (cells[0].layout, cells[0].config) != (layout, config) or len(cells) > 1 and len(set(map(_mask_of, cells))) > 1:
         raise ValueError("plan was built for another layout or config")
-
     n, r, d = Q.shape
-    rotation, _, tiles, ape = _query_rows(plan, r)
+    if n % len(cells):
+        raise ValueError(f"Q holds {n} heads, not an equal share for each of {len(cells)} plans")
+
+    size = n // len(cells)
+    found = _query_rows(plan, r)
     qk = np.concatenate((Q, K), axis=1)  # each head's R query rows, then its T key rows
-    if ape is not None:
-        qk += ape
-    qk = rotate_rows(qk.reshape(-1, d), rotation).reshape(qk.shape)
+    turned = []
+    for lo, (rotation, _, _, ape) in zip(range(0, n, size), found):
+        part = qk[lo : lo + size]
+        if ape is not None:  # this cell's heads only: adding zeros to another's would turn -0.0 into +0.0
+            part += ape
+        turned.append(rotate_rows(part.reshape(-1, d), rotation))
+    qk = (turned[0] if len(turned) == 1 else np.concatenate(turned)).reshape(qk.shape)
     q_rot, k_rot = qk[:, :r], qk[:, r:]
 
     # Each tile's scores land in its slot of one buffer and are normalised
@@ -386,16 +416,22 @@ def attention_forward(
     packed = np.empty(n * r * layout.total_len)
     blocks = []
     output = np.empty(Q.shape)
-    for rows, cols, mask, bias, start, stop, width in tiles:
+    for i, (rows, cols, mask, _, start, stop, width) in enumerate(found[0][2]):
         w = packed[n * start : n * stop].reshape(n, -1, width)
         np.matmul(q_rot[:, rows], k_rot[:, cols].transpose(0, 2, 1), out=w)
         w *= config.scale
-        if bias is not None:
-            w += bias
+        for lo, (_, _, tiles, _) in zip(range(0, n, size), found):
+            if tiles[i][3] is not None:
+                w[lo : lo + size] += tiles[i][3]
         masked_row_softmax(w, mask, out=w)
         np.matmul(w, V[:, cols], out=output[:, rows])
         blocks.append(w)
     return AttentionResult(output=output, tile_weights=tuple(blocks), plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
+
+
+def _mask_of(plan: AttentionPlan) -> tuple:
+    """What cells that share tiles and scores must agree on."""
+    return plan.layout, plan.config.mask_kind, plan.config.fw_block_causal_within_frame, plan.config.d_head
 
 
 def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> AttentionGrads:
@@ -405,25 +441,29 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     map, so additive encodings pass gradients straight through. grad_q has
     the R rows of Q, grad_k and grad_v all T rows. Each tile reads its
     forward weights from `state.tile_weights`, writes its grad_q rows and
-    adds into the `cols` rows of grad_k and grad_v.
+    adds into the `cols` rows of grad_k and grad_v; each cell's share of
+    the heads is turned back by its own plan.
     """
     g = real_array("grad_output", grad_output)
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
-    plan = state.plan
     n, r, d = g.shape
-    _, inverse, tiles, _ = _query_rows(plan, r)
-    grad_qk = np.zeros((n, r + plan.layout.total_len, d))  # grad of the rotated Q rows, then of K
+    found = _query_rows(state.plan, r)
+    grad_qk = np.zeros((n, r + state.k_rot.shape[1], d))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)
-    for (rows, cols, *_), w in zip(tiles, state.tile_weights):
+    for (rows, cols, *_), w in zip(found[0][2], state.tile_weights):
         g_tile = g[:, rows]
         grad_scores = softmax_backward(w, g_tile @ state.v[:, cols].transpose(0, 2, 1))
         np.matmul(grad_scores, state.k_rot[:, cols], out=grad_qr[:, rows])
         grad_kr[:, cols] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, rows]
         grad_v[:, cols] += w.transpose(0, 2, 1) @ g_tile
-    grad_qk *= plan.config.scale
-    grad_qk = rotate_rows(grad_qk.reshape(-1, d), inverse).reshape(grad_qk.shape)
+    grad_qk *= (state.plan[0] if isinstance(state.plan, tuple) else state.plan).config.scale
+    size = n // len(found)
+    turned = []
+    for lo, (_, inverse, _, _) in zip(range(0, n, size), found):
+        turned.append(rotate_rows(grad_qk[lo : lo + size].reshape(-1, d), inverse))
+    grad_qk = (turned[0] if len(turned) == 1 else np.concatenate(turned)).reshape(grad_qk.shape)
     return AttentionGrads(grad_q=grad_qk[:, :r], grad_k=grad_qk[:, r:], grad_v=grad_v)
 
 

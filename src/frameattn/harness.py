@@ -6,6 +6,17 @@ from the trial seed through fixed substreams. Reports are byte-identical
 across runs except for the wall-clock field, which is excluded from all
 serialised tables.
 
+run_trials trains configs that differ only in pe_mode and gamma (the
+rest equal, the seed included) in lockstep: they share their datasets,
+batch order, initial parameters, mask and tiles, so one stacked model step
+serves the whole group, while each cell keeps its own rotation, APE rows
+and RPE bias. A group holds at most model.max_cells configs, the most whose
+cells * batch * heads * T * T fits the model's _SCORE_BUDGET, so the stacked
+batch is one chunk, as each trial's own batch is; a T=528 trial stays a
+group of one. Every report is bitwise its own train_trial's; its wall_ms is
+the group's wall time divided by the group size, so the sum of wall_ms over
+the reports stays the busy time.
+
 All emitted tables carry REPORT_HEADER: these are synthetic direction-of-
 effect experiments, and their absolute accuracies are not comparable to any
 published video benchmark.
@@ -28,7 +39,7 @@ import numpy as np
 from .attention import AttentionConfig, AttentionPlan, PeMode, plan_attention
 from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_fields, check_float, check_int, parse_enums
 from .masks import MaskKind
-from .model import ModelConfig, TinyModel
+from .model import ModelConfig, TinyModel, max_cells
 from .numerics import NonFiniteError, make_rng
 from .tasks import Dataset, Task, check_task, gen_task, num_classes, vocab_size
 
@@ -179,11 +190,14 @@ def setup_trial(config: TrialConfig) -> tuple[Dataset, Dataset, TinyModel, Atten
     """
     train = gen_task(config.task, config.layout, config.seed, config.train_size, config.num_symbols)
     eval_set = gen_task(config.task, config.layout, config.seed + 1_000_003, config.eval_size, config.num_symbols)
-    model = TinyModel(config.model_config(), seed=config.seed)
+    return train, eval_set, TinyModel(config.model_config(), seed=config.seed), _plan(config)
+
+
+def _plan(config: TrialConfig) -> AttentionPlan:
     rpe_bias = None
     if config.pe_mode is PeMode.TIME_RPE:
         rpe_bias = make_rng(config.seed, 4).uniform(-config.rpe_scale, config.rpe_scale, 2 * config.rpe_radius + 1)
-    return train, eval_set, model, plan_attention(config.layout, config.attention_config(), rpe_bias)
+    return plan_attention(config.layout, config.attention_config(), rpe_bias)
 
 
 def train_trial(config: TrialConfig) -> TrialReport:
@@ -203,40 +217,133 @@ def train_trial(config: TrialConfig) -> TrialReport:
     and the loss curve is kept as trained. Any other error propagates, so a
     programming error is never reported as divergence. The trial runs under
     np.errstate(all="ignore"), so np.seterr cannot change its report.
+
+    A trial is a lockstep group of one: `_train_group` runs it.
+    """
+    return _train_group([config])[0]
+
+
+# The fields in which the trials of one lockstep group may differ: they change only the attention plan.
+_CELL_FIELDS = ("pe_mode", "gamma")
+
+
+def _group_key(config: TrialConfig) -> tuple:
+    return tuple(getattr(config, name) for name in config.__dataclass_fields__ if name not in _CELL_FIELDS)
+
+
+def _step(model: TinyModel, plan, tokens: np.ndarray, labels: np.ndarray):
+    """model.loss_and_grads, or (NaN, None) when a kernel raises NonFiniteError."""
+    try:
+        return model.loss_and_grads(tokens, labels, plan)
+    except NonFiniteError:
+        # Parameters blew up badly enough that a kernel rejected them.
+        return float("nan"), None
+
+
+def _finite(loss, grad) -> bool:
+    """Whether a step's loss (each cell's, for a stack) and gradient are finite; grad None marks NonFiniteError."""
+    if grad is None:
+        return False
+    return bool(np.logical_and.reduce(np.isfinite(loss), axis=None)) and bool(
+        np.logical_and.reduce(np.isfinite(grad), axis=None)
+    )
+
+
+def _train_group(configs: list[TrialConfig]) -> list[TrialReport]:
+    """train_trial of each of `configs`, which differ only in _CELL_FIELDS, trained in lockstep.
+
+    The first config's setup serves every cell but the plan. While two or
+    more cells train, a step is one stacked loss_and_grads; a step that
+    raises NonFiniteError or leaves any cell non-finite runs again cell by
+    cell, and a cell that diverges there leaves the group.
     """
     start = time.perf_counter()
+    first = configs[0]
     with np.errstate(all="ignore"):
-        train, eval_set, model, plan = setup_trial(config)
-        batch_rng = make_rng(config.seed, 3)
-        velocity = np.zeros_like(model.flat)
-        curve: list[float] = []
-        diverged = False
-        for _ in range(config.steps):
-            idx = batch_rng.integers(0, len(train), size=config.batch_size)
+        train, eval_set, model, plan = setup_trial(first)
+        plans = [plan] + [_plan(c) for c in configs[1:]]
+        batch_rng = make_rng(first.seed, 3)
+        curves: list[list[float]] = [[] for _ in configs]
+        final: list[TinyModel | None] = [None] * len(configs)  # each cell's last parameters
+        diverged = [False] * len(configs)
+        live = list(range(len(configs)))
+        # One row per live cell; a group of one trains its model's own vector.
+        flat = model.flat[None] if len(configs) == 1 else np.repeat(model.flat[None], len(configs), axis=0)
+        velocity = np.zeros_like(flat)
+        stacked, cells, live_plans = model.with_params(flat), [model.with_params(row) for row in flat], tuple(plans)
+        for _ in range(first.steps):
+            idx = batch_rng.integers(0, len(train), size=first.batch_size)
+            tokens, labels = train.tokens[idx], train.labels[idx]
+            if len(live) > 1:
+                loss, grad = _step(stacked, live_plans, tokens, labels)
+                if _finite(loss, grad):
+                    for c, value in zip(live, loss.tolist()):
+                        curves[c].append(value)
+                    velocity *= first.momentum
+                    velocity += grad
+                    flat -= first.lr * velocity
+                    continue
+            kept = []
+            for row, (c, cell) in enumerate(zip(live, cells)):
+                loss, grad = _step(cell, plans[c], tokens, labels)
+                curves[c].append(float(loss))
+                if not _finite(loss, grad):
+                    final[c], diverged[c] = cell, True
+                    continue
+                kept.append(row)
+                velocity[row] *= first.momentum
+                velocity[row] += grad
+                flat[row] -= first.lr * velocity[row]
+            if len(kept) < len(live):
+                live, flat, velocity = [live[row] for row in kept], flat[kept], velocity[kept]
+                if not live:
+                    break
+                stacked, cells = model.with_params(flat), [model.with_params(row) for row in flat]
+                live_plans = tuple(plans[c] for c in live)
+        for c, cell in zip(live, cells):
+            final[c] = cell
+        predictions = []
+        for cell, cell_plan in zip(final, plans):
             try:
-                loss, grad = model.loss_and_grads(train.tokens[idx], train.labels[idx], plan)
+                predictions.append(cell.predict(eval_set.tokens, cell_plan))
             except NonFiniteError:
-                # Parameters blew up badly enough that a kernel rejected them.
-                loss, grad = float("nan"), None
-            curve.append(float(loss))
-            if grad is None or not math.isfinite(loss) or not np.logical_and.reduce(np.isfinite(grad)):
-                diverged = True
-                break
-            velocity *= config.momentum
-            velocity += grad
-            model.flat -= config.lr * velocity
-        try:
-            predictions = model.predict(eval_set.tokens, plan)
-        except NonFiniteError:
-            predictions = -1  # no class: every eval sample scores as wrong
-    accuracy = int(np.count_nonzero(predictions == eval_set.labels)) / len(eval_set)
-    curve += [float("nan")] * (config.steps - len(curve))
-    # A trial that did not diverge recorded a finite loss at every step.
-    converged = not diverged and curve[-1] < config.converge_threshold
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return TrialReport(
-        config=config, loss_curve=curve, accuracy=accuracy, wall_ms=wall_ms, converged=converged
-    )
+                predictions.append(-1)  # no class: every eval sample scores as wrong
+    wall_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
+    reports = []
+    for config, curve, predicted, failed in zip(configs, curves, predictions, diverged):
+        accuracy = int(np.count_nonzero(predicted == eval_set.labels)) / len(eval_set)
+        curve += [float("nan")] * (config.steps - len(curve))
+        # A trial that did not diverge recorded a finite loss at every step.
+        converged = not failed and curve[-1] < config.converge_threshold
+        reports.append(
+            TrialReport(config=config, loss_curve=curve, accuracy=accuracy, wall_ms=wall_ms, converged=converged)
+        )
+    return reports
+
+
+def _groups(configs: list[TrialConfig], workers: int) -> list[list[int]]:
+    """Indices of `configs` in lockstep groups, in config order.
+
+    A group holds configs equal but for _CELL_FIELDS, at most model.max_cells
+    of them, so the stacked batch is one chunk. With fewer groups than
+    workers, the largest groups are halved until each worker has one or no
+    group has two cells.
+    """
+    by_key: dict[tuple, list[list[int]]] = {}
+    for i, config in enumerate(configs):
+        cap = max_cells(config.model_config(), config.batch_size, config.layout.total_len)
+        groups = by_key.setdefault(_group_key(config), [[]])
+        if len(groups[-1]) == cap:
+            groups.append([])
+        groups[-1].append(i)
+    groups = [group for key_groups in by_key.values() for group in key_groups]
+    while len(groups) < workers:
+        k = max(range(len(groups)), key=lambda j: len(groups[j]))
+        if len(groups[k]) == 1:
+            break
+        half = (len(groups[k]) + 1) // 2
+        groups[k : k + 1] = [groups[k][:half], groups[k][half:]]
+    return groups
 
 
 # The process pool that run_trials keeps across calls, as (workers, executor).
@@ -266,7 +373,10 @@ os.register_at_fork(after_in_child=_forget_pool)
 def run_trials(configs, workers: int = 1) -> list[TrialReport]:
     """train_trial over `configs`, reports in config order.
 
-    With workers > 1 the trials run in a process pool of at most
+    Configs that differ only in pe_mode and gamma train in lockstep groups
+    (`_groups`, `_train_group`); each report is bitwise its own train_trial's
+    but for wall_ms, which is its group's wall time divided by the group size.
+    With workers > 1 the groups run in a process pool of at most
     os.cpu_count() workers; the reports are identical to a serial run. The
     pool is forked at the first parallel call and kept until the process
     exits, so later calls skip the workers' start-up. A call with another
@@ -277,22 +387,33 @@ def run_trials(configs, workers: int = 1) -> list[TrialReport]:
     """
     global _pool
     check_int("workers", workers, 1)
+    configs = list(configs)
+    if not configs:
+        return []
     workers = min(workers, os.cpu_count() or 1)
+    groups = _groups(configs, workers)
+    tasks = [[configs[i] for i in group] for group in groups]
     if workers == 1:
-        return [train_trial(c) for c in configs]
-    try:
-        with _pool_lock:
-            if _pool is None or _pool[0] != workers:
-                if _pool is not None:
-                    _pool[1].shutdown()
-                _pool = (workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-            pool = _pool[1]
-            # Every trial is queued before the lock is let go, so no other call can shut this pool down first.
-            results = pool.map(train_trial, configs)
-        return list(results)
-    except concurrent.futures.BrokenExecutor:
-        _drop_pool(pool)
-        raise
+        results = map(_train_group, tasks)
+    else:
+        try:
+            with _pool_lock:
+                if _pool is None or _pool[0] != workers:
+                    if _pool is not None:
+                        _pool[1].shutdown()
+                    _pool = (workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+                pool = _pool[1]
+                # Every group is queued before the lock is let go, so no other call can shut this pool down first.
+                results = pool.map(_train_group, tasks)
+            results = list(results)
+        except concurrent.futures.BrokenExecutor:
+            _drop_pool(pool)
+            raise
+    reports: list[TrialReport] = [None] * len(configs)
+    for group, group_reports in zip(groups, results):
+        for i, report in zip(group, group_reports):
+            reports[i] = report
+    return reports
 
 
 def gamma_sweep(base: TrialConfig, gammas, workers: int = 1) -> list[TrialReport]:

@@ -21,6 +21,7 @@ import frameattn.model as model
 from frameattn.attention import AttentionConfig, PeMode
 from frameattn.harness import (
     GRID_COLUMNS,
+    PAPER_GAMMA_GRID,
     REPORT_HEADER,
     SWEEP_COLUMNS,
     TrialConfig,
@@ -519,7 +520,7 @@ class _RecordingPool:
 def test_run_trials_clamps_workers_to_cpu_count(monkeypatch, cpus, workers, pool_size):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(harness, "train_trial", lambda cfg: cfg.seed)
+    monkeypatch.setattr(harness, "_train_group", lambda cfgs: [cfg.seed for cfg in cfgs])
     # No pool kept from an earlier test; the real one comes back when the test ends.
     monkeypatch.setattr(harness, "_pool", None)
     _RecordingPool.sizes = []
@@ -533,8 +534,8 @@ def _worker_pids() -> list[int]:
     return sorted(p.pid for p in multiprocessing.active_children())
 
 
-def _stall(config):
-    """Stands in for train_trial in forked workers: a trial that only ends when its worker is killed."""
+def _stall(configs):
+    """Stands in for _train_group in forked workers: a group that only ends when its worker is killed."""
     time.sleep(60)
 
 
@@ -576,9 +577,9 @@ def test_parallel_matches_serial_over_consecutive_calls(monkeypatch):
 def test_a_worker_killed_mid_call_breaks_that_call_and_the_next_forks_a_new_pool(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     harness._drop_pool()
-    real_trial = harness.train_trial
+    real_group = harness._train_group
     # Workers forked now run _stall, so the call below cannot finish before the kill.
-    monkeypatch.setattr(harness, "train_trial", _stall)
+    monkeypatch.setattr(harness, "_train_group", _stall)
     with concurrent.futures.ThreadPoolExecutor(1) as caller:
         call = caller.submit(run_trials, [TINY] * 4, 2)
         deadline = time.monotonic() + 30
@@ -588,7 +589,7 @@ def test_a_worker_killed_mid_call_breaks_that_call_and_the_next_forks_a_new_pool
         os.kill(pids[0], signal.SIGKILL)
         assert isinstance(call.exception(timeout=60), concurrent.futures.BrokenExecutor)
     assert harness._pool is None
-    monkeypatch.setattr(harness, "train_trial", real_trial)
+    monkeypatch.setattr(harness, "_train_group", real_group)
     configs = [replace(TINY, seed=s) for s in range(3)]
     again = run_trials(configs, 2)
     assert [r.to_json() for r in again] == [r.to_json() for r in run_trials(configs, 1)]
@@ -652,3 +653,142 @@ def test_a_process_that_ran_a_parallel_grid_exits_cleanly():
 def test_run_trials_rejects_bad_worker_counts(workers):
     with pytest.raises(ValueError, match="workers"):
         run_trials([TINY], workers)
+
+
+def test_run_trials_with_no_configs_forks_no_pool(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_pool", None)
+    assert run_trials([], 2) == []
+    assert harness._pool is None
+
+
+# The grid_t6 benchmark's trials: T=6, one layer, batch 8, 25 steps.
+GRID_T6 = TrialConfig(
+    task=Task.FRAME_ORDER, layout=build_layout(1, 2, 2, 1), steps=25, train_size=32, eval_size=32,
+    batch_size=8, num_symbols=4, d_head=4, layers=1,
+)
+
+
+def _results(reports) -> list[str]:
+    return [json.dumps(r.result_dict(), sort_keys=True) for r in reports]
+
+
+def _shuffled_mix() -> list[TrialConfig]:
+    configs = [replace(GRID_T6, pe_mode=pm, mask_kind=mk, seed=s, gamma=g)
+               for pm in PeMode for mk in (MaskKind.CAUSAL, MaskKind.FW_BLOCK) for s in (0, 1) for g in (0.5, 1.0)]
+    configs += [replace(GRID_T6, pe_mode=pm, lr=0.05) for pm in PeMode]
+    np.random.default_rng(0).shuffle(configs)
+    return configs
+
+
+LOCKSTEP_CALLS = {
+    "grid_t6": lambda w: ablation_grid(GRID_T6, [Task.FRAME_ORDER], list(MaskKind), list(PeMode), [0, 1], w),
+    "grid_two_layers": lambda w: ablation_grid(
+        replace(GRID_T6, layout=build_layout(2, 4, 4, 2), layers=2, steps=10),
+        [Task.FRAME_ORDER], list(MaskKind), list(PeMode), [0, 1], w,
+    ),
+    "gamma_sweep": lambda w: gamma_sweep(GRID_T6, [*PAPER_GAMMA_GRID, PAPER_GAMMA_GRID[2]], w),
+    "shuffled_mix": lambda w: run_trials(_shuffled_mix(), w),
+}
+
+
+@pytest.mark.parametrize("name", list(LOCKSTEP_CALLS))
+def test_lockstep_reports_equal_independent_trials_bitwise(monkeypatch, name):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = LOCKSTEP_CALLS[name](1)
+    configs = [r.config for r in serial]
+    assert len(harness._groups(configs, 1)) < len(configs)  # some trials did run in lockstep
+    want = _results(train_trial(c) for c in configs)
+    assert _results(serial) == want
+    assert _results(LOCKSTEP_CALLS[name](2)) == want
+
+
+def test_lockstep_divergence_equals_independent_trials_bitwise(monkeypatch):
+    # HIGH_LR cells diverge at different steps (dual_rope one step before the rest of its group),
+    # and some evals raise NonFiniteError and score 0.0.
+    eval_failures = []
+    real_predict = model.TinyModel.predict
+
+    def recorded(self, tokens, plan):
+        try:
+            return real_predict(self, tokens, plan)
+        except NonFiniteError:
+            eval_failures.append(plan.config.pe_mode)
+            raise
+
+    monkeypatch.setattr(model.TinyModel, "predict", recorded)
+    reports = ablation_grid(HIGH_LR, [Task.FRAME_ORDER], list(MaskKind), list(PeMode), [0])
+    assert eval_failures
+    want = [train_trial(r.config) for r in reports]
+    assert _results(reports) == _results(want)
+    steps = {next(i for i, x in enumerate(r.loss_curve) if math.isnan(x)) for r in reports}
+    assert len(steps) > 1 and not any(r.converged for r in reports)
+    assert any(r.accuracy == 0.0 for r in reports)
+
+
+def test_a_stacked_step_that_raises_reruns_that_step_cell_by_cell(monkeypatch):
+    # The time_ape cell's kernel raises NonFiniteError at step 3 only: that stacked step runs
+    # again per cell, time_ape diverges there and leaves, and the other four go on stacked.
+    base = replace(GRID_T6, steps=6)
+    configs = [replace(base, pe_mode=pm) for pm in PeMode]
+    step_kinds = []  # per loss_and_grads call: True for a stacked step
+    real_step = model.TinyModel.loss_and_grads
+    real_forward = model.attention_forward
+    # Every call of one step gets the step's one tokens array; eval runs outside any step.
+    batch = {"step": -1, "tokens": None, "training": False}
+
+    def recorded(self, tokens, labels, plan):
+        step_kinds.append(isinstance(plan, tuple))
+        if tokens is not batch["tokens"]:
+            batch["step"], batch["tokens"] = batch["step"] + 1, tokens
+        batch["training"] = True
+        try:
+            return real_step(self, tokens, labels, plan)
+        finally:
+            batch["training"] = False
+
+    def failing(q, k, v, layout, config, plan=None):
+        cells = plan if isinstance(plan, tuple) else (plan,)
+        if batch["training"] and batch["step"] == 3 and any(c.config.pe_mode is PeMode.TIME_APE for c in cells):
+            raise NonFiniteError("poisoned step")
+        return real_forward(q, k, v, layout, config, plan=plan)
+
+    monkeypatch.setattr(model.TinyModel, "loss_and_grads", recorded)
+    monkeypatch.setattr(model, "attention_forward", failing)
+    reports = run_trials(configs)
+    assert step_kinds == [True] * 4 + [False] * 5 + [True] * 2
+    for report in reports:
+        step_kinds.clear()
+        batch.update(step=-1, tokens=None)
+        alone = train_trial(report.config)
+        assert report.to_json() == alone.to_json()
+        assert step_kinds == [False] * (4 if report.config.pe_mode is PeMode.TIME_APE else 6)
+    ape = reports[list(PeMode).index(PeMode.TIME_APE)]
+    assert math.isnan(ape.loss_curve[3]) and all(math.isfinite(x) for x in ape.loss_curve[:3])
+    assert all(math.isfinite(x) for r in reports if r is not ape for x in r.loss_curve)
+
+
+# The long_video_t528 benchmark trial: T=528, batch 4, two heads.
+LONG_VIDEO = TrialConfig(
+    task=Task.FRAME_ORDER, layout=build_layout(8, 16, 32, 8), num_symbols=16, steps=3, batch_size=4,
+    train_size=16, eval_size=4,
+)
+
+
+def test_lockstep_groups_follow_the_score_budget():
+    grid = [replace(GRID_T6, mask_kind=mk, pe_mode=pm) for mk in MaskKind for pm in PeMode]
+    assert harness._groups(grid, 1) == [list(range(lo, lo + 5)) for lo in range(0, 20, 5)]
+    long_video = [replace(LONG_VIDEO, pe_mode=pm) for pm in PeMode]
+    assert model.max_cells(LONG_VIDEO.model_config(), 4, 528) == 1
+    assert harness._groups(long_video, 1) == [[i] for i in range(5)]
+    # cells * batch * heads * T^2 within the budget: 2^19 // (8 * 2 * 36) = 910 grid_t6 cells.
+    many = [replace(GRID_T6, gamma=0.1 * i) for i in range(1000)]
+    assert [len(g) for g in harness._groups(many, 1)] == [910, 90]
+
+
+def test_fewer_groups_than_workers_halve_the_largest():
+    sweep = [replace(GRID_T6, gamma=g) for g in PAPER_GAMMA_GRID]
+    assert harness._groups(sweep, 1) == [list(range(7))]
+    assert harness._groups(sweep, 2) == [[0, 1, 2, 3], [4, 5, 6]]
+    assert harness._groups(sweep, 3) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert harness._groups(sweep[:1], 2) == [[0]]

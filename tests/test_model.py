@@ -374,24 +374,30 @@ def test_training_and_prediction_never_build_dense_weights(monkeypatch, mask):
 # lookups were built once, a step made 169 calls on GRID_T6 and 304 on
 # CRITERION_08; now 48 and 85 (numpy 2.4). A time_ape step made one call
 # more than dual_rope while it built its APE rows per call; now 48 too, as
-# does a time_rpe step with its trial's bias.
+# does a time_rpe step with its trial's bias. A lockstep step of GRID_T6's
+# five pe modes makes 81 calls, against 5 * 48 for the cells one by one.
 @pytest.mark.parametrize(
-    ("cfg", "bound"),
+    ("cfgs", "bound"),
     [
-        (GRID_T6, 55),
-        (replace(GRID_T6, pe_mode=PeMode.TIME_APE), 55),
-        (replace(GRID_T6, pe_mode=PeMode.TIME_RPE), 55),
-        (CRITERION_08, 95),
+        ([GRID_T6], 55),
+        ([replace(GRID_T6, pe_mode=PeMode.TIME_APE)], 55),
+        ([replace(GRID_T6, pe_mode=PeMode.TIME_RPE)], 55),
+        ([CRITERION_08], 95),
+        ([replace(GRID_T6, pe_mode=pm) for pm in PeMode], 81),
     ],
-    ids=["grid_t6", "grid_t6_time_ape", "grid_t6_time_rpe", "criterion_08"],
+    ids=["grid_t6", "grid_t6_time_ape", "grid_t6_time_rpe", "criterion_08", "grid_t6_lockstep_5"],
 )
-def test_python_calls_per_training_step(cfg, bound):
+def test_python_calls_per_training_step(cfgs, bound):
     # A deterministic count of Python-level calls in one loss_and_grads step
     # gates per-call overhead, which timing noise hides at these sizes.
-    assert cfg.pe_mode in (PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE)
-    assert cfg.mask_kind is MaskKind.FW_BLOCK_CAUSAL
-    train, _, model, plan = setup_trial(cfg)
-    tokens, labels = train.tokens[: cfg.batch_size], train.labels[: cfg.batch_size]
+    assert len(cfgs) == 5 or cfgs[0].pe_mode in (PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE)
+    assert all(cfg.mask_kind is MaskKind.FW_BLOCK_CAUSAL for cfg in cfgs)
+    parts = [setup_trial(cfg) for cfg in cfgs]
+    train, _, model, plan = parts[0]
+    if len(cfgs) > 1:  # the stacked step of a lockstep group
+        model = model.with_params(np.repeat(model.flat[None], len(cfgs), axis=0))
+        plan = tuple(part[3] for part in parts)
+    tokens, labels = train.tokens[: cfgs[0].batch_size], train.labels[: cfgs[0].batch_size]
     model.loss_and_grads(tokens, labels, plan)  # the first step fills what later steps reuse
     calls = 0
 
@@ -407,3 +413,40 @@ def test_python_calls_per_training_step(cfg, bound):
         sys.setprofile(None)
         gc.enable()
     assert 0 < calls <= bound
+
+
+def test_a_stack_of_cells_gives_each_cell_its_own_results_bitwise():
+    # Two layers, time_rpe with its trial's bias and time_ape among the cells, and a stack
+    # that is not the identity: every cell starts from other parameters.
+    base = replace(CRITERION_08, batch_size=6)
+    cfgs = [replace(base, pe_mode=pm, gamma=g) for pm in PeMode for g in (0.5, 2.0)]
+    parts = [setup_trial(cfg) for cfg in cfgs]
+    train, eval_set, model, _ = parts[0]
+    rng = np.random.default_rng(0)
+    stack = model.flat + rng.uniform(-0.01, 0.01, (len(cfgs), len(model.flat)))
+    plans = tuple(part[3] for part in parts)
+    stacked = model.with_params(stack)
+    tokens, labels = train.tokens[:6], train.labels[:6]
+    losses, grads = stacked.loss_and_grads(tokens, labels, plans)
+    predictions = stacked.predict(eval_set.tokens, plans)
+    assert losses.shape == (len(cfgs),) and grads.shape == stack.shape and predictions.shape == (len(cfgs), len(eval_set))
+    for row, cell_plan, loss, grad, predicted in zip(stack, plans, losses, grads, predictions):
+        alone = model.with_params(row.copy())
+        want_loss, want_grad = alone.loss_and_grads(tokens, labels, cell_plan)
+        assert loss.item() == want_loss and grad.tobytes() == want_grad.tobytes()
+        assert np.array_equal(predicted, alone.predict(eval_set.tokens, cell_plan))
+
+
+def test_a_stack_takes_one_plan_per_cell():
+    train, _, model, plan = setup_trial(GRID_T6)
+    stacked = model.with_params(np.repeat(model.flat[None], 2, axis=0))
+    tokens, labels = train.tokens[:2], train.labels[:2]
+    for bad in (plan, (plan,), (plan, plan, plan)):
+        with pytest.raises(ValueError, match="a stack of 2 cells takes a tuple of 2 plans"):
+            stacked.loss_and_grads(tokens, labels, bad)
+    causal = setup_trial(replace(GRID_T6, mask_kind=MaskKind.CAUSAL))[3]
+    with pytest.raises(ValueError, match="plan was built for another layout or config"):
+        stacked.loss_and_grads(tokens, labels, (plan, causal))
+    for bad in (model.flat[:-1], model.flat.astype(np.float32), model.flat.reshape(1, 1, -1), model.flat.tolist()):
+        with pytest.raises(ValueError, match="float64 vector"):
+            model.with_params(bad)
