@@ -51,13 +51,21 @@ T) weights, exact zeros at masked entries, are built on that walk only when
 
 Cells. `plan` may be a tuple of plans, one per cell, for a stack that
 holds the cells' equal shares of its heads in cell order: the lockstep
-trials of a harness group, which share the layout, mask and d_head and
-differ only in pe_mode and gamma. Each share is rotated by its own plan
-through `rotate_rows`, and gets its own APE rows and RPE bias, added to its
-share only; the tiles, mask slabs, scores and softmax are shared, so each
+trials of a harness group. The cells share the layout, d_head and every
+tile's rows and key columns, so they may differ in pe_mode and gamma, and
+in mask wherever their tiles agree: always in a sequence of at most
+_TILE_ROWS tokens, whose one tile spans all T columns under every mask.
+One `rotate_rows` call turns the stack by a table that repeats each cell's
+rows over its share, and one turns it back. Each share gets its own APE
+rows and RPE bias, added to its share only. Cells that differ in mask give
+each tile one softmax mask over the stack's flattened rows: each cell's
+slab, padded on the left with allowed (zero) columns to the widest and
+repeated over its share. The tiles, scores and softmax are shared, so each
 cell's output and gradients are bitwise those of a call with its plan
-alone. How many cells a stack holds is the caller's: the model bounds cells
-* chunk * heads * T * T by its _SCORE_BUDGET.
+alone. The stacked tables and masks are built on the first call with a
+given tuple of cells, R and head count and kept in the first cell's
+`by_rows`. How many cells a stack holds is the caller's: the model bounds
+cells * chunk * heads * T * T by its _SCORE_BUDGET.
 
 Position-encoding modes:
 
@@ -171,8 +179,10 @@ class AttentionPlan:
     allowed for every row. `bias`, the rows' RPE bias over `cols`, is set
     only under time_rpe with a bias table, and `ape` only under time_ape.
     `by_rows` maps R to what a call with the last R query rows reads,
-    (rotation, inverse, tiles, ape), filled by `_query_rows` on the first such
+    (rotation, inverse, tiles, ape), filled by `_build_rows` on the first such
     call; its tiles carry their slots in the call's packed weights buffer.
+    On the first cell of a stack it also maps (R, heads, the other cells) to
+    the stack's entry, filled by `_build_stack`.
     Every array a plan holds is read-only from construction on, in a plan
     made by dataclasses.replace too.
     """
@@ -182,7 +192,7 @@ class AttentionPlan:
     rotation: RotationTable = field(repr=False)
     tiles: tuple[tuple[int, int, slice | np.ndarray, np.ndarray, np.ndarray | None], ...] = field(repr=False)
     ape: np.ndarray | None = field(default=None, repr=False)
-    by_rows: dict[int, tuple[RotationTable, RotationTable, tuple, np.ndarray | None]] = field(default_factory=dict, init=False, repr=False)
+    by_rows: dict[int | tuple, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.rotation.cos, self.rotation.sin, self.ape, *(x for tile in self.tiles for x in tile)):
@@ -212,7 +222,7 @@ class AttentionResult:
     def tiles(self) -> list[tuple[slice, slice | np.ndarray, np.ndarray]]:
         """(rows, cols, weights) per tile in row order: its slice of the R query rows, its ascending
         key columns (a slice or an index array) and its (heads, rows, len(cols)) weights."""
-        tiles = _query_rows(self.plan, self.output.shape[1])[0][2]
+        tiles = _stack(self.plan, self.output.shape[1], len(self.output))[2]
         return [(rows, cols, w) for (rows, cols, *_), w in zip(tiles, self.tile_weights)]
 
     @functools.cached_property
@@ -323,12 +333,60 @@ def _check_tensors(layout: SequenceLayout, config: AttentionConfig, Q, K, V) -> 
     return arrays
 
 
-def _query_rows(plan, r: int) -> list[tuple[RotationTable, RotationTable, tuple, np.ndarray | None]]:
-    """`cell.by_rows[r]` of each cell of `plan`, an AttentionPlan (one cell) or a tuple of them."""
-    found = []
-    for cell in plan if isinstance(plan, tuple) else (plan,):
-        found.append(cell.by_rows.get(r) or _build_rows(cell, r))
-    return found
+def _stack(plan, r: int, n: int) -> tuple[RotationTable, RotationTable, tuple, tuple]:
+    """(rotation, inverse, tiles, shares): what a call with n heads and the last r query rows of `plan` reads.
+
+    `plan` is an AttentionPlan or a tuple of cell plans. For one plan these
+    are its `by_rows[r]` entry's tables and tiles, and `shares` pairs
+    slice(None) with that entry. A stack of cells reads `cells[0].by_rows[(r,
+    n, cells[1:])]`, built by `_build_stack` on the first such call.
+    """
+    if isinstance(plan, tuple) and len(plan) > 1:
+        return plan[0].by_rows.get((r, n, plan[1:])) or _build_stack(plan, r, n)
+    cell = plan[0] if isinstance(plan, tuple) else plan
+    found = cell.by_rows.get(r) or _build_rows(cell, r)
+    return found[0], found[1], found[2], ((slice(None), found),)
+
+
+def _build_stack(cells: tuple[AttentionPlan, ...], r: int, n: int) -> tuple[RotationTable, RotationTable, tuple, tuple]:
+    """`cells[0].by_rows[(r, n, cells[1:])]`, built here: a stack's (rotation, inverse, tiles, shares).
+
+    Refuses cells that differ in layout, d_head or any tile's key columns.
+    `rotation` repeats each cell's (r + T)-row table over its share of the n
+    heads, and `inverse` is its (cos, -sin). The tiles are the first cell's;
+    when the cells differ in mask, each tile's `mask` covers every head's
+    rows, flattened: each cell's slab padded on the left with zero columns to
+    the widest and repeated over its share. A zero added to a score leaves
+    its weight bitwise as it was. `shares` pairs the head slice of each cell
+    with APE rows or an RPE bias with its `by_rows[r]` entry.
+    """
+    found = [cell.by_rows.get(r) or _build_rows(cell, r) for cell in cells]
+    first = found[0][2]
+    for cell, (_, _, tiles, _) in zip(cells[1:], found[1:]):
+        same_cols = all(_same_cols(a[1], b[1]) for a, b in zip(tiles, first))
+        if (cell.layout, cell.config.d_head) != (cells[0].layout, cells[0].config.d_head) or not same_cols:
+            raise ValueError("plan was built for another layout or config")
+    size = n // len(cells)
+    rotation = RotationTable(*(np.concatenate([np.tile(getattr(f[0], part), (size, 1)) for f in found])
+                               for part in ("cos", "sin")))
+    masks_differ = len({(c.config.mask_kind, c.config.fw_block_causal_within_frame) for c in cells}) > 1
+    tiles = []
+    for i, (rows, cols, mask, _, start, stop, width) in enumerate(first):
+        if masks_differ:
+            slabs = [f[2][i][2] for f in found]
+            wide = max(slab.shape[1] for slab in slabs)
+            mask = np.concatenate([np.tile(np.pad(slab, ((0, 0), (wide - slab.shape[1], 0))), (size, 1)) for slab in slabs])
+        tiles.append((rows, cols, mask, None, start, stop, width))
+    shares = tuple((slice(lo, lo + size), f) for lo, f in zip(range(0, n, size), found)
+                   if f[3] is not None or f[2][0][3] is not None)
+    stacked = cells[0].by_rows[(r, n, cells[1:])] = (rotation, rotation.inverse(), tuple(tiles), shares)
+    for arr in (rotation.cos, rotation.sin, stacked[1].sin, *(tile[2] for tile in tiles)):
+        arr.flags.writeable = False
+    return stacked
+
+
+def _same_cols(a: slice | np.ndarray, b: slice | np.ndarray) -> bool:
+    return type(a) is type(b) and (a == b if isinstance(a, slice) else np.array_equal(a, b))
 
 
 def _build_rows(plan: AttentionPlan, r: int) -> tuple[RotationTable, RotationTable, tuple, np.ndarray | None]:
@@ -380,31 +438,28 @@ def attention_forward(
     have been built for this layout and config, and carries any rpe bias.
 
     `plan` may also be a tuple of cells, one plan each, the first built for
-    this layout and config and every other for the same layout, mask and
-    d_head: the stack then holds the cells' equal shares of its heads in
-    cell order, and each share is rotated, and gets its APE rows and RPE
-    bias, by its own plan. The tiles, scores and softmax are shared.
+    this layout and config and every other for the same layout and d_head,
+    with the same rows and key columns in every tile of the call: the stack
+    then holds the cells' equal shares of its heads in cell order, and each
+    share is rotated, and gets its APE rows, RPE bias and mask, by its own
+    plan. The tiles, scores and softmax are shared.
     """
     Q, K, V = _check_tensors(layout, config, Q, K, V)
     if plan is None:
         plan = plan_attention(layout, config)
     cells = plan if isinstance(plan, tuple) else (plan,)
-    if (cells[0].layout, cells[0].config) != (layout, config) or len(cells) > 1 and len(set(map(_mask_of, cells))) > 1:
+    if (cells[0].layout, cells[0].config) != (layout, config):
         raise ValueError("plan was built for another layout or config")
     n, r, d = Q.shape
     if n % len(cells):
         raise ValueError(f"Q holds {n} heads, not an equal share for each of {len(cells)} plans")
 
-    size = n // len(cells)
-    found = _query_rows(plan, r)
+    rotation, _, tiles, shares = _stack(plan, r, n)
     qk = np.concatenate((Q, K), axis=1)  # each head's R query rows, then its T key rows
-    turned = []
-    for lo, (rotation, _, _, ape) in zip(range(0, n, size), found):
-        part = qk[lo : lo + size]
+    for heads, (_, _, _, ape) in shares:
         if ape is not None:  # this cell's heads only: adding zeros to another's would turn -0.0 into +0.0
-            part += ape
-        turned.append(rotate_rows(part.reshape(-1, d), rotation))
-    qk = (turned[0] if len(turned) == 1 else np.concatenate(turned)).reshape(qk.shape)
+            qk[heads] += ape
+    qk = rotate_rows(qk.reshape(-1, d), rotation).reshape(qk.shape)
     q_rot, k_rot = qk[:, :r], qk[:, r:]
 
     # Each tile's scores land in its slot of one buffer and are normalised
@@ -416,22 +471,19 @@ def attention_forward(
     packed = np.empty(n * r * layout.total_len)
     blocks = []
     output = np.empty(Q.shape)
-    for i, (rows, cols, mask, _, start, stop, width) in enumerate(found[0][2]):
+    for i, (rows, cols, mask, _, start, stop, width) in enumerate(tiles):
         w = packed[n * start : n * stop].reshape(n, -1, width)
         np.matmul(q_rot[:, rows], k_rot[:, cols].transpose(0, 2, 1), out=w)
         w *= config.scale
-        for lo, (_, _, tiles, _) in zip(range(0, n, size), found):
-            if tiles[i][3] is not None:
-                w[lo : lo + size] += tiles[i][3]
-        masked_row_softmax(w, mask, out=w)
+        for heads, (_, _, cell_tiles, _) in shares:
+            if cell_tiles[i][3] is not None:
+                w[heads] += cell_tiles[i][3]
+        # A stack's mask of another row count covers every head's rows, flattened.
+        scores = w if len(mask) == w.shape[1] else w.reshape(-1, width)
+        masked_row_softmax(scores, mask, out=scores)
         np.matmul(w, V[:, cols], out=output[:, rows])
         blocks.append(w)
     return AttentionResult(output=output, tile_weights=tuple(blocks), plan=plan, q_rot=q_rot, k_rot=k_rot, v=V)
-
-
-def _mask_of(plan: AttentionPlan) -> tuple:
-    """What cells that share tiles and scores must agree on."""
-    return plan.layout, plan.config.mask_kind, plan.config.fw_block_causal_within_frame, plan.config.d_head
 
 
 def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> AttentionGrads:
@@ -448,22 +500,18 @@ def attention_backward(state: AttentionResult, grad_output: np.ndarray) -> Atten
     if g.shape != state.output.shape:
         raise ValueError(f"grad_output shape {g.shape} does not match output {state.output.shape}")
     n, r, d = g.shape
-    found = _query_rows(state.plan, r)
+    _, inverse, tiles, _ = _stack(state.plan, r, n)
     grad_qk = np.zeros((n, r + state.k_rot.shape[1], d))  # grad of the rotated Q rows, then of K
     grad_qr, grad_kr = grad_qk[:, :r], grad_qk[:, r:]
     grad_v = np.zeros(state.v.shape)
-    for (rows, cols, *_), w in zip(found[0][2], state.tile_weights):
+    for (rows, cols, *_), w in zip(tiles, state.tile_weights):
         g_tile = g[:, rows]
         grad_scores = softmax_backward(w, g_tile @ state.v[:, cols].transpose(0, 2, 1))
         np.matmul(grad_scores, state.k_rot[:, cols], out=grad_qr[:, rows])
         grad_kr[:, cols] += grad_scores.transpose(0, 2, 1) @ state.q_rot[:, rows]
         grad_v[:, cols] += w.transpose(0, 2, 1) @ g_tile
     grad_qk *= (state.plan[0] if isinstance(state.plan, tuple) else state.plan).config.scale
-    size = n // len(found)
-    turned = []
-    for lo, (_, inverse, _, _) in zip(range(0, n, size), found):
-        turned.append(rotate_rows(grad_qk[lo : lo + size].reshape(-1, d), inverse))
-    grad_qk = (turned[0] if len(turned) == 1 else np.concatenate(turned)).reshape(grad_qk.shape)
+    grad_qk = rotate_rows(grad_qk.reshape(-1, d), inverse).reshape(grad_qk.shape)
     return AttentionGrads(grad_q=grad_qk[:, :r], grad_k=grad_qk[:, r:], grad_v=grad_v)
 
 

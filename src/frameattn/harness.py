@@ -7,15 +7,18 @@ across runs except for the wall-clock field, which is excluded from all
 serialised tables.
 
 run_trials trains configs that differ only in pe_mode and gamma (the
-rest equal, the seed included) in lockstep: they share their datasets,
-batch order, initial parameters, mask and tiles, so one stacked model step
-serves the whole group, while each cell keeps its own rotation, APE rows
-and RPE bias. A group holds at most model.max_cells configs, the most whose
-cells * batch * heads * T * T fits the model's _SCORE_BUDGET, so the stacked
-batch is one chunk, as each trial's own batch is; a T=528 trial stays a
-group of one. Every report is bitwise its own train_trial's; its wall_ms is
-the group's wall time divided by the group size, so the sum of wall_ms over
-the reports stays the busy time.
+rest equal, the seed included) in lockstep, and, in a sequence of at most
+attention._TILE_ROWS tokens, in mask_kind and fw_block_causal_within_frame
+too: such configs share their datasets, batch order, initial parameters and
+attention tiles (one tile over every key column, under any mask), so one
+stacked model step serves the whole group, while each cell keeps its own
+rotation, APE rows, RPE bias and mask. A group holds at most
+model.max_cells configs, the most whose cells * batch * heads * T * T fits
+the model's _SCORE_BUDGET, so the stacked batch is one chunk, as each
+trial's own batch is: the 20 mask x pe mode trials of one grid_t6 seed are
+one group, and a T=528 trial stays a group of one. Every report is bitwise
+its own train_trial's; its wall_ms is the group's wall time divided by the
+group size, so the sum of wall_ms over the reports stays the busy time.
 
 All emitted tables carry REPORT_HEADER: these are synthetic direction-of-
 effect experiments, and their absolute accuracies are not comparable to any
@@ -36,6 +39,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import attention
 from .attention import AttentionConfig, AttentionPlan, PeMode, plan_attention
 from .layout import NamedEnum, SequenceLayout, adjusted_positions, check_fields, check_float, check_int, parse_enums
 from .masks import MaskKind
@@ -225,10 +229,13 @@ def train_trial(config: TrialConfig) -> TrialReport:
 
 # The fields in which the trials of one lockstep group may differ: they change only the attention plan.
 _CELL_FIELDS = ("pe_mode", "gamma")
+# And, with at most attention._TILE_ROWS tokens, these: the one tile then spans every key column under any mask.
+_MASK_FIELDS = ("mask_kind", "fw_block_causal_within_frame")
 
 
 def _group_key(config: TrialConfig) -> tuple:
-    return tuple(getattr(config, name) for name in config.__dataclass_fields__ if name not in _CELL_FIELDS)
+    cell_fields = _CELL_FIELDS + (_MASK_FIELDS if config.layout.total_len <= attention._TILE_ROWS else ())
+    return tuple(getattr(config, name) for name in config.__dataclass_fields__ if name not in cell_fields)
 
 
 def _step(model: TinyModel, plan, tokens: np.ndarray, labels: np.ndarray):
@@ -250,7 +257,7 @@ def _finite(loss, grad) -> bool:
 
 
 def _train_group(configs: list[TrialConfig]) -> list[TrialReport]:
-    """train_trial of each of `configs`, which differ only in _CELL_FIELDS, trained in lockstep.
+    """train_trial of each of `configs`, which share a _group_key, trained in lockstep.
 
     The first config's setup serves every cell but the plan. While two or
     more cells train, a step is one stacked loss_and_grads; a step that
@@ -324,10 +331,11 @@ def _train_group(configs: list[TrialConfig]) -> list[TrialReport]:
 def _groups(configs: list[TrialConfig], workers: int) -> list[list[int]]:
     """Indices of `configs` in lockstep groups, in config order.
 
-    A group holds configs equal but for _CELL_FIELDS, at most model.max_cells
-    of them, so the stacked batch is one chunk. With fewer groups than
-    workers, the largest groups are halved until each worker has one or no
-    group has two cells.
+    A group holds configs of one _group_key: equal but for _CELL_FIELDS, and
+    for _MASK_FIELDS too in a sequence of at most attention._TILE_ROWS
+    tokens. It holds at most model.max_cells of them, so the stacked batch
+    is one chunk. With fewer groups than workers, the largest groups are
+    halved until each worker has one or no group has two cells.
     """
     by_key: dict[tuple, list[list[int]]] = {}
     for i, config in enumerate(configs):
@@ -373,9 +381,11 @@ os.register_at_fork(after_in_child=_forget_pool)
 def run_trials(configs, workers: int = 1) -> list[TrialReport]:
     """train_trial over `configs`, reports in config order.
 
-    Configs that differ only in pe_mode and gamma train in lockstep groups
-    (`_groups`, `_train_group`); each report is bitwise its own train_trial's
-    but for wall_ms, which is its group's wall time divided by the group size.
+    Configs that differ only in pe_mode and gamma, and at most
+    attention._TILE_ROWS tokens long also in mask_kind and
+    fw_block_causal_within_frame, train in lockstep groups (`_groups`,
+    `_train_group`); each report is bitwise its own train_trial's but for
+    wall_ms, which is its group's wall time divided by the group size.
     With workers > 1 the groups run in a process pool of at most
     os.cpu_count() workers; the reports are identical to a serial run. The
     pool is forked at the first parallel call and kept until the process

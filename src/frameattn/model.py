@@ -35,8 +35,9 @@ model.views(grad) names its blocks, so an SGD step is one array operation.
 
 Cells. `model.with_params(stack)` over a (cells, P) stack of such vectors
 gives a model that steps several trials in lockstep: trials that share
-their data, batch order, initial parameters, layout, mask and head width,
-and differ only in pe_mode and gamma. It takes a tuple of one plan per cell
+their data, batch order, initial parameters, layout, head width and
+attention tiles, and differ in pe_mode, gamma and, in one tile of at most 64
+tokens, mask. It takes a tuple of one plan per cell
 in place of the plan. Every activation carries the cell axis in front, and
 each cell's products are the one-cell model's own gemms, so every cell's
 loss, gradient and prediction are bitwise its own model's; each cell's loss

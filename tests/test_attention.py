@@ -783,6 +783,48 @@ def test_fw_block_tiles_of_a_long_layout_gather_the_prefix_and_their_frames():
         assert all(isinstance(cols, np.ndarray) for _, _, cols, _, _ in plan.tiles[1:-1])
 
 
+@pytest.mark.parametrize("lay", [build_layout(1, 2, 2, 1), build_layout(0, 4, 4, 2)], ids=["t6", "t18_no_prefix"])
+def test_a_stack_of_cells_over_every_mask_is_each_cell_alone_bitwise(monkeypatch, lay):
+    # One tile spans all T columns under every mask, so cells of every mask x within-frame flag x pe
+    # mode stack: two heads each, all T query rows and the last two. Output, weights and gradients
+    # are each cell's own; each direction is one rotate_rows call; the stack's tables are built once.
+    # Without a text prefix the masks' slabs differ in width (2 to 18 columns), so the stack pads them.
+    rng = make_rng(45)
+    t = lay.total_len
+    cells = tuple(
+        plan_attention(lay, config(mask=mk, pe=pm, fw_block_causal_within_frame=within),
+                       0.3 * rng.standard_normal(5) if pm is PeMode.TIME_RPE else None)
+        for mk in MaskKind for within in (False, True) for pm in PeMode
+    )
+    n = 2 * len(cells)
+    rotations = []
+    monkeypatch.setattr("frameattn.attention.rotate_rows", lambda mat, table: rotations.append(table) or rotate_rows(mat, table))
+    for r in (t, 2):
+        q, k, v = random_qkv(rng, n, t, 4)
+        q = q[:, t - r :]
+        g = rng.standard_normal((n, r, 4))
+        rotations.clear()
+        res = attention_forward(q, k, v, lay, cells[0].config, plan=cells)
+        grads = attention_backward(res, g)
+        assert len(rotations) == 2
+        entry = cells[0].by_rows[(r, n, cells[1:])]
+        assert rotations == [entry[0], entry[1]]
+        widths = {cell.by_rows[r][2][0][2].shape[1] for cell in cells}
+        assert entry[2][0][2].shape == (n * r, max(widths)) and len(widths) == (1 if lay.prefix_len else 4)
+        for arr in (entry[0].cos, entry[0].sin, entry[1].sin, *(tile[2] for tile in entry[2])):
+            assert not arr.flags.writeable
+        assert attention_forward(q, k, v, lay, cells[0].config, plan=cells).tile_weights[0].tobytes() == res.tile_weights[0].tobytes()
+        assert cells[0].by_rows[(r, n, cells[1:])] is entry
+        for i, cell in enumerate(cells):
+            share = slice(2 * i, 2 * i + 2)
+            alone = attention_forward(q[share], k[share], v[share], lay, cell.config, plan=cell)
+            alone_grads = attention_backward(alone, g[share])
+            assert res.output[share].tobytes() == alone.output.tobytes()
+            assert res.weights[share].tobytes() == alone.weights.tobytes()
+            for got, want in zip(vars(grads).values(), vars(alone_grads).values()):
+                assert got[share].tobytes() == want.tobytes()
+
+
 def softmax_entries(monkeypatch, lay, cfg):
     """Score entries that one all-rows forward pass hands to the softmax."""
     seen = []

@@ -776,14 +776,44 @@ LONG_VIDEO = TrialConfig(
 
 
 def test_lockstep_groups_follow_the_score_budget():
+    # At T=6 the masks share a group too: one group of 20, halved for two workers.
     grid = [replace(GRID_T6, mask_kind=mk, pe_mode=pm) for mk in MaskKind for pm in PeMode]
-    assert harness._groups(grid, 1) == [list(range(lo, lo + 5)) for lo in range(0, 20, 5)]
+    assert harness._groups(grid, 1) == [list(range(20))]
+    assert harness._groups(grid, 2) == [list(range(10)), list(range(10, 20))]
     long_video = [replace(LONG_VIDEO, pe_mode=pm) for pm in PeMode]
     assert model.max_cells(LONG_VIDEO.model_config(), 4, 528) == 1
     assert harness._groups(long_video, 1) == [[i] for i in range(5)]
     # cells * batch * heads * T^2 within the budget: 2^19 // (8 * 2 * 36) = 910 grid_t6 cells.
     many = [replace(GRID_T6, gamma=0.1 * i) for i in range(1000)]
     assert [len(g) for g in harness._groups(many, 1)] == [910, 90]
+
+
+# Grids over every mask x fw_block_causal_within_frame x three pe modes: at T=20 the masks share lockstep
+# groups (one tile spans every key column), at T=68, above attention._TILE_ROWS, each mask keeps its own.
+# With no text prefix the first row is visual, so the masks' slabs differ in width and the stack pads them.
+MASK_GRIDS = {
+    "t20": replace(GRID_T6, layout=build_layout(0, 4, 4, 4), layers=2, steps=8),
+    "t68": replace(GRID_T6, layout=build_layout(2, 4, 16, 2), layers=2, steps=4, train_size=8, eval_size=8, batch_size=2),
+}
+
+
+@pytest.mark.parametrize("name", list(MASK_GRIDS))
+def test_lockstep_across_masks_equals_independent_trials_bitwise(monkeypatch, name):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    configs = [
+        replace(MASK_GRIDS[name], mask_kind=mk, fw_block_causal_within_frame=within, pe_mode=pm)
+        for mk in MaskKind
+        for within in (False, True)
+        for pm in (PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE)
+    ]
+    if name == "t20":
+        assert harness._groups(configs, 1) == [list(range(24))]
+        assert harness._groups(configs, 2) == [list(range(12)), list(range(12, 24))]
+    else:
+        assert harness._groups(configs, 1) == harness._groups(configs, 2) == [[i, i + 1, i + 2] for i in range(0, 24, 3)]
+    want = _results(train_trial(c) for c in configs)
+    assert _results(run_trials(configs, 1)) == want
+    assert _results(run_trials(configs, 2)) == want
 
 
 def test_fewer_groups_than_workers_halve_the_largest():

@@ -375,7 +375,9 @@ def test_training_and_prediction_never_build_dense_weights(monkeypatch, mask):
 # CRITERION_08; now 48 and 85 (numpy 2.4). A time_ape step made one call
 # more than dual_rope while it built its APE rows per call; now 48 too, as
 # does a time_rpe step with its trial's bias. A lockstep step of GRID_T6's
-# five pe modes makes 81 calls, against 5 * 48 for the cells one by one.
+# five pe modes made 81 calls while it rotated each cell's heads in its own
+# rotate_rows call; with one call over a stacked table it makes 48, as does
+# a stack of all 20 mask x pe mode cells, against 20 * 48 one by one.
 @pytest.mark.parametrize(
     ("cfgs", "bound"),
     [
@@ -383,15 +385,16 @@ def test_training_and_prediction_never_build_dense_weights(monkeypatch, mask):
         ([replace(GRID_T6, pe_mode=PeMode.TIME_APE)], 55),
         ([replace(GRID_T6, pe_mode=PeMode.TIME_RPE)], 55),
         ([CRITERION_08], 95),
-        ([replace(GRID_T6, pe_mode=pm) for pm in PeMode], 81),
+        ([replace(GRID_T6, pe_mode=pm) for pm in PeMode], 48),
+        ([replace(GRID_T6, mask_kind=mk, pe_mode=pm) for mk in MaskKind for pm in PeMode], 48),
     ],
-    ids=["grid_t6", "grid_t6_time_ape", "grid_t6_time_rpe", "criterion_08", "grid_t6_lockstep_5"],
+    ids=["grid_t6", "grid_t6_time_ape", "grid_t6_time_rpe", "criterion_08", "grid_t6_lockstep_5", "grid_t6_lockstep_20"],
 )
 def test_python_calls_per_training_step(cfgs, bound):
     # A deterministic count of Python-level calls in one loss_and_grads step
     # gates per-call overhead, which timing noise hides at these sizes.
-    assert len(cfgs) == 5 or cfgs[0].pe_mode in (PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE)
-    assert all(cfg.mask_kind is MaskKind.FW_BLOCK_CAUSAL for cfg in cfgs)
+    assert len(cfgs) in (5, 20) or cfgs[0].pe_mode in (PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE)
+    assert len(cfgs) == 20 or all(cfg.mask_kind is MaskKind.FW_BLOCK_CAUSAL for cfg in cfgs)
     parts = [setup_trial(cfg) for cfg in cfgs]
     train, _, model, plan = parts[0]
     if len(cfgs) > 1:  # the stacked step of a lockstep group
@@ -444,9 +447,24 @@ def test_a_stack_takes_one_plan_per_cell():
     for bad in (plan, (plan,), (plan, plan, plan)):
         with pytest.raises(ValueError, match="a stack of 2 cells takes a tuple of 2 plans"):
             stacked.loss_and_grads(tokens, labels, bad)
+    # At T=6 the one tile spans every key column under any mask, so cells may differ in mask.
     causal = setup_trial(replace(GRID_T6, mask_kind=MaskKind.CAUSAL))[3]
-    with pytest.raises(ValueError, match="plan was built for another layout or config"):
-        stacked.loss_and_grads(tokens, labels, (plan, causal))
+    losses, _ = stacked.loss_and_grads(tokens, labels, (plan, causal))
+    assert losses.tolist() == [model.loss_and_grads(tokens, labels, p)[0] for p in (plan, causal)]
+    # Cells of another layout or d_head, or whose tiles differ in key columns, do not stack: at T=68 the
+    # first tile, which two layers' layer 0 runs, spans 66 columns under fw_block_causal and 64 under causal.
+    long = replace(GRID_T6, layout=build_layout(2, 4, 16, 2), layers=2, batch_size=2)
+    long_train, _, long_model, long_plan = setup_trial(long)
+    long_causal = frameattn.harness._plan(replace(long, mask_kind=MaskKind.CAUSAL))
+    assert (long_plan.tiles[0][2], long_causal.tiles[0][2]) == (slice(0, 66), slice(0, 64))
+    others = [
+        (stacked, train, (plan, frameattn.harness._plan(replace(GRID_T6, layout=build_layout(1, 2, 2, 2))))),
+        (stacked, train, (plan, frameattn.harness._plan(replace(GRID_T6, d_head=6)))),
+        (long_model.with_params(np.repeat(long_model.flat[None], 2, axis=0)), long_train, (long_plan, long_causal)),
+    ]
+    for bad_model, data, plans in others:
+        with pytest.raises(ValueError, match="plan was built for another layout or config"):
+            bad_model.loss_and_grads(data.tokens[:2], data.labels[:2], plans)
     for bad in (model.flat[:-1], model.flat.astype(np.float32), model.flat.reshape(1, 1, -1), model.flat.tolist()):
         with pytest.raises(ValueError, match="float64 vector"):
             model.with_params(bad)

@@ -182,6 +182,35 @@ def test_softmax_trailing_mask_counts_the_leading_columns_as_allowed():
     assert np.array_equal(scores, expected)
 
 
+# Scores that a zero added by the mask could change the sign or the bits of.
+EDGE_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300, 709.0, -745.0]),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 7), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_softmax_mask_padded_on_the_left_with_zero_columns_is_bitwise_the_narrow_mask(data, rows, cols, heads):
+    # A lockstep attention stack pads each cell's mask slab on the left with zero (allowed)
+    # columns to the widest slab. Adding 0.0 turns a -0.0 score into +0.0, and ±0.0 then
+    # shifts the row max; exp gives 1 for either zero, so every weight stays the same bits.
+    scores = np.array(data.draw(st.lists(EDGE_SCORES, min_size=heads * rows * cols, max_size=heads * rows * cols)))
+    scores = scores.reshape(heads, rows, cols)
+    narrow_cols = data.draw(st.integers(0, cols))
+    pad = data.draw(st.integers(0, cols - narrow_cols))
+    narrow = np.array(data.draw(st.lists(st.sampled_from([0.0, -np.inf]), min_size=rows * narrow_cols,
+                                         max_size=rows * narrow_cols))).reshape(rows, narrow_cols)
+    if narrow_cols == cols and data.draw(st.booleans()):
+        narrow[0] = -np.inf  # a fully masked row
+    padded = np.concatenate((np.zeros((rows, pad)), narrow), axis=1)
+    want = masked_row_softmax(scores, narrow)
+    assert masked_row_softmax(scores, padded).tobytes() == want.tobytes()
+    # The same over the stack's flattened rows, each head's rows under the tiled mask.
+    flat = scores.reshape(-1, cols)
+    assert masked_row_softmax(flat, np.tile(padded, (heads, 1))).tobytes() == want.tobytes()
+
+
 def test_softmax_rejects_bad_trailing_masks():
     scores = np.zeros((2, 3, 4))
     with pytest.raises(ValueError, match="shape mismatch"):
