@@ -16,9 +16,12 @@ rotation, APE rows, RPE bias and mask. A group holds at most
 model.max_cells configs, the most whose cells * batch * heads * T * T fits
 the model's _SCORE_BUDGET, so the stacked batch is one chunk, as each
 trial's own batch is: the 20 mask x pe mode trials of one grid_t6 seed are
-one group, and a T=528 trial stays a group of one. Every report is bitwise
-its own train_trial's; its wall_ms is the group's wall time divided by the
-group size, so the sum of wall_ms over the reports stays the busy time.
+one group, and a T=528 trial stays a group of one. train_trial itself is
+a group of one, so every trial trains by the same stacked step. A cell
+leaves its group at the step its own loss or gradient row goes non-finite;
+the others go on stacked. Every report is bitwise its own train_trial's;
+its wall_ms is the group's wall time divided by the group size, so the sum
+of wall_ms over the reports stays the busy time.
 
 All emitted tables carry REPORT_HEADER: these are synthetic direction-of-
 effect experiments, and their absolute accuracies are not comparable to any
@@ -211,18 +214,20 @@ def train_trial(config: TrialConfig) -> TrialReport:
     the rpe bias), which every training step and the eval share, so nothing
     that depends only on the layout and config is rebuilt per step.
 
-    Each step is momentum SGD on the flat parameter vector: v = momentum * v
-    + grad, then model.flat -= lr * v. One check before each update sees a
-    non-finite loss, a kernel's NonFiniteError or a NaN or inf anywhere in
-    the flat gradient; any of them stops the updates, the remaining curve is
-    filled with NaN and the report comes back with converged=False rather
-    than raising. The whole eval set is predicted in one call; if that call
-    raises NonFiniteError, every eval sample scores as wrong (accuracy 0.0)
-    and the loss curve is kept as trained. Any other error propagates, so a
-    programming error is never reported as divergence. The trial runs under
-    np.errstate(all="ignore"), so np.seterr cannot change its report.
+    Each step is momentum SGD on a copy of the setup model's flat parameter
+    vector: v = momentum * v + grad, then flat -= lr * v. One check before
+    each update sees a non-finite loss, a kernel's NonFiniteError or a NaN
+    or inf anywhere in the flat gradient; any of them stops the updates, the
+    remaining curve is filled with NaN and the report comes back with
+    converged=False rather than raising. The whole eval set is predicted in
+    one call; if that call raises NonFiniteError, every eval sample scores
+    as wrong (accuracy 0.0) and the loss curve is kept as trained. Any other
+    error propagates, so a programming error is never reported as
+    divergence. The trial runs under np.errstate(all="ignore"), so np.seterr
+    cannot change its report.
 
-    A trial is a lockstep group of one: `_train_group` runs it.
+    A trial is a lockstep group of one: `_train_group` runs it as a one-cell
+    stack.
     """
     return _train_group([config])[0]
 
@@ -238,31 +243,32 @@ def _group_key(config: TrialConfig) -> tuple:
     return tuple(getattr(config, name) for name in config.__dataclass_fields__ if name not in cell_fields)
 
 
-def _step(model: TinyModel, plan, tokens: np.ndarray, labels: np.ndarray):
-    """model.loss_and_grads, or (NaN, None) when a kernel raises NonFiniteError."""
+def _step(model: TinyModel, plans: tuple[AttentionPlan, ...], tokens: np.ndarray, labels: np.ndarray):
+    """Each cell's loss and gradient row of a (cells, P) stack's loss_and_grads.
+
+    A kernel's NonFiniteError names no cell: a stack that raises it runs the
+    step again cell by cell, and a one-cell stack that raises it gets a NaN
+    loss and gradient row.
+    """
     try:
-        return model.loss_and_grads(tokens, labels, plan)
+        return model.loss_and_grads(tokens, labels, plans)
     except NonFiniteError:
         # Parameters blew up badly enough that a kernel rejected them.
-        return float("nan"), None
-
-
-def _finite(loss, grad) -> bool:
-    """Whether a step's loss (each cell's, for a stack) and gradient are finite; grad None marks NonFiniteError."""
-    if grad is None:
-        return False
-    return bool(np.logical_and.reduce(np.isfinite(loss), axis=None)) and bool(
-        np.logical_and.reduce(np.isfinite(grad), axis=None)
-    )
+        if len(plans) == 1:
+            return np.full(1, np.nan), np.full(model.flat.shape, np.nan)
+        rows = [_step(model.with_params(row[None]), (plan,), tokens, labels) for row, plan in zip(model.flat, plans)]
+        return np.concatenate([loss for loss, _ in rows]), np.concatenate([grad for _, grad in rows])
 
 
 def _train_group(configs: list[TrialConfig]) -> list[TrialReport]:
     """train_trial of each of `configs`, which share a _group_key, trained in lockstep.
 
-    The first config's setup serves every cell but the plan. While two or
-    more cells train, a step is one stacked loss_and_grads; a step that
-    raises NonFiniteError or leaves any cell non-finite runs again cell by
-    cell, and a cell that diverges there leaves the group.
+    The first config's setup serves every cell but the plan. The live cells
+    train as one (cells, P) stack, one stacked loss_and_grads (`_step`) per
+    step. A cell whose loss or gradient row is not finite leaves the group
+    at that step, before the update, and keeps its last parameters for the
+    eval; the rest take one momentum update. Each cell is evaluated alone,
+    under its own plan.
     """
     start = time.perf_counter()
     first = configs[0]
@@ -271,57 +277,43 @@ def _train_group(configs: list[TrialConfig]) -> list[TrialReport]:
         plans = [plan] + [_plan(c) for c in configs[1:]]
         batch_rng = make_rng(first.seed, 3)
         curves: list[list[float]] = [[] for _ in configs]
-        final: list[TinyModel | None] = [None] * len(configs)  # each cell's last parameters
-        diverged = [False] * len(configs)
+        final: list[np.ndarray | None] = [None] * len(configs)  # each cell's last parameters
         live = list(range(len(configs)))
-        # One row per live cell; a group of one trains its model's own vector.
-        flat = model.flat[None] if len(configs) == 1 else np.repeat(model.flat[None], len(configs), axis=0)
+        flat = np.repeat(model.flat[None], len(configs), axis=0)  # one row per live cell
         velocity = np.zeros_like(flat)
-        stacked, cells, live_plans = model.with_params(flat), [model.with_params(row) for row in flat], tuple(plans)
+        stacked, live_plans = model.with_params(flat), tuple(plans)
         for _ in range(first.steps):
             idx = batch_rng.integers(0, len(train), size=first.batch_size)
-            tokens, labels = train.tokens[idx], train.labels[idx]
-            if len(live) > 1:
-                loss, grad = _step(stacked, live_plans, tokens, labels)
-                if _finite(loss, grad):
-                    for c, value in zip(live, loss.tolist()):
-                        curves[c].append(value)
-                    velocity *= first.momentum
-                    velocity += grad
-                    flat -= first.lr * velocity
-                    continue
-            kept = []
-            for row, (c, cell) in enumerate(zip(live, cells)):
-                loss, grad = _step(cell, plans[c], tokens, labels)
-                curves[c].append(float(loss))
-                if not _finite(loss, grad):
-                    final[c], diverged[c] = cell, True
-                    continue
-                kept.append(row)
-                velocity[row] *= first.momentum
-                velocity[row] += grad
-                flat[row] -= first.lr * velocity[row]
-            if len(kept) < len(live):
-                live, flat, velocity = [live[row] for row in kept], flat[kept], velocity[kept]
+            loss, grad = _step(stacked, live_plans, train.tokens[idx], train.labels[idx])
+            for c, value in zip(live, loss.tolist()):
+                curves[c].append(value)
+            kept = np.isfinite(loss) & np.logical_and.reduce(np.isfinite(grad), axis=1)
+            if not kept.all():
+                for row in np.flatnonzero(~kept).tolist():
+                    final[live[row]] = flat[row]
+                live = [c for c, keep in zip(live, kept.tolist()) if keep]
                 if not live:
                     break
-                stacked, cells = model.with_params(flat), [model.with_params(row) for row in flat]
-                live_plans = tuple(plans[c] for c in live)
-        for c, cell in zip(live, cells):
-            final[c] = cell
+                flat, velocity, grad = flat[kept], velocity[kept], grad[kept]
+                stacked, live_plans = model.with_params(flat), tuple(plans[c] for c in live)
+            velocity *= first.momentum
+            velocity += grad
+            flat -= first.lr * velocity
+        for c, row in zip(live, flat):
+            final[c] = row
         predictions = []
-        for cell, cell_plan in zip(final, plans):
+        for params, cell_plan in zip(final, plans):
             try:
-                predictions.append(cell.predict(eval_set.tokens, cell_plan))
+                predictions.append(model.with_params(params).predict(eval_set.tokens, cell_plan))
             except NonFiniteError:
                 predictions.append(-1)  # no class: every eval sample scores as wrong
     wall_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
     reports = []
-    for config, curve, predicted, failed in zip(configs, curves, predictions, diverged):
+    for c, (config, curve, predicted) in enumerate(zip(configs, curves, predictions)):
         accuracy = int(np.count_nonzero(predicted == eval_set.labels)) / len(eval_set)
         curve += [float("nan")] * (config.steps - len(curve))
-        # A trial that did not diverge recorded a finite loss at every step.
-        converged = not failed and curve[-1] < config.converge_threshold
+        # A cell still live at the end recorded a finite loss at every step.
+        converged = c in live and curve[-1] < config.converge_threshold
         reports.append(
             TrialReport(config=config, loss_curve=curve, accuracy=accuracy, wall_ms=wall_ms, converged=converged)
         )

@@ -703,9 +703,17 @@ def test_lockstep_reports_equal_independent_trials_bitwise(monkeypatch, name):
     assert _results(LOCKSTEP_CALLS[name](2)) == want
 
 
+# Grids whose cells diverge at different steps and some of whose evals raise NonFiniteError and score 0.0.
+# HIGH_LR: one layer, dual_rope one step before the rest of its group. two_layers_t20: with no text prefix the
+# masks differ in the rows the classifier reads, at lr 0.5 every cell diverges at step 18 or 19.
+DIVERGING_GRIDS = {
+    "high_lr": HIGH_LR,
+    "two_layers_t20": replace(GRID_T6, layout=build_layout(0, 4, 4, 4), layers=2, steps=30, lr=0.5),
+}
+
+
 def test_lockstep_divergence_equals_independent_trials_bitwise(monkeypatch):
-    # HIGH_LR cells diverge at different steps (dual_rope one step before the rest of its group),
-    # and some evals raise NonFiniteError and score 0.0.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     eval_failures = []
     real_predict = model.TinyModel.predict
 
@@ -717,13 +725,16 @@ def test_lockstep_divergence_equals_independent_trials_bitwise(monkeypatch):
             raise
 
     monkeypatch.setattr(model.TinyModel, "predict", recorded)
-    reports = ablation_grid(HIGH_LR, [Task.FRAME_ORDER], list(MaskKind), list(PeMode), [0])
-    assert eval_failures
-    want = [train_trial(r.config) for r in reports]
-    assert _results(reports) == _results(want)
-    steps = {next(i for i, x in enumerate(r.loss_curve) if math.isnan(x)) for r in reports}
-    assert len(steps) > 1 and not any(r.converged for r in reports)
-    assert any(r.accuracy == 0.0 for r in reports)
+    for grid in DIVERGING_GRIDS.values():
+        eval_failures.clear()
+        reports = ablation_grid(grid, [Task.FRAME_ORDER], list(MaskKind), list(PeMode), [0])
+        assert eval_failures
+        want = _results(train_trial(r.config) for r in reports)
+        assert _results(reports) == want
+        assert _results(ablation_grid(grid, [Task.FRAME_ORDER], list(MaskKind), list(PeMode), [0], 2)) == want
+        steps = {next(i for i, x in enumerate(r.loss_curve) if math.isnan(x)) for r in reports}
+        assert len(steps) > 1 and not any(r.converged for r in reports)
+        assert any(r.accuracy == 0.0 for r in reports)
 
 
 def test_a_stacked_step_that_raises_reruns_that_step_cell_by_cell(monkeypatch):
@@ -731,14 +742,14 @@ def test_a_stacked_step_that_raises_reruns_that_step_cell_by_cell(monkeypatch):
     # again per cell, time_ape diverges there and leaves, and the other four go on stacked.
     base = replace(GRID_T6, steps=6)
     configs = [replace(base, pe_mode=pm) for pm in PeMode]
-    step_kinds = []  # per loss_and_grads call: True for a stacked step
+    step_kinds = []  # per loss_and_grads call: True for a stack of more than one cell
     real_step = model.TinyModel.loss_and_grads
     real_forward = model.attention_forward
     # Every call of one step gets the step's one tokens array; eval runs outside any step.
     batch = {"step": -1, "tokens": None, "training": False}
 
     def recorded(self, tokens, labels, plan):
-        step_kinds.append(isinstance(plan, tuple))
+        step_kinds.append(len(plan) > 1)  # every training step passes a tuple of the live cells' plans
         if tokens is not batch["tokens"]:
             batch["step"], batch["tokens"] = batch["step"] + 1, tokens
         batch["training"] = True
@@ -814,6 +825,44 @@ def test_lockstep_across_masks_equals_independent_trials_bitwise(monkeypatch, na
     want = _results(train_trial(c) for c in configs)
     assert _results(run_trials(configs, 1)) == want
     assert _results(run_trials(configs, 2)) == want
+
+
+def test_a_non_finite_gradient_row_drops_only_its_cell(monkeypatch):
+    # One cell's gradient row gets a NaN at step 3 with no kernel raising: that cell leaves the
+    # group there and the rest go on stacked, one loss_and_grads call per step throughout.
+    base = replace(MASK_GRIDS["t20"], steps=6)
+    configs = [
+        replace(base, mask_kind=mk, pe_mode=pm)
+        for mk in (MaskKind.CAUSAL, MaskKind.FW_BLOCK)
+        for pm in (PeMode.DUAL_ROPE, PeMode.TIME_APE, PeMode.TIME_RPE)
+    ]
+    poisoned = (MaskKind.FW_BLOCK, PeMode.TIME_APE)
+    real_step = model.TinyModel.loss_and_grads
+    # Every call of one step gets the step's one tokens array.
+    batch = {"calls": 0, "steps": 0, "tokens": None}
+
+    def poisoning(self, tokens, labels, plan):
+        batch["calls"] += 1
+        if tokens is not batch["tokens"]:
+            batch["steps"], batch["tokens"] = batch["steps"] + 1, tokens
+        loss, grad = real_step(self, tokens, labels, plan)
+        for row, cell in zip(grad.reshape(len(plan), -1), plan):  # a training step's plan is one per live cell
+            if batch["steps"] == 4 and (cell.config.mask_kind, cell.config.pe_mode) == poisoned:
+                row[7] = math.nan
+        return loss, grad
+
+    monkeypatch.setattr(model.TinyModel, "loss_and_grads", poisoning)
+    reports = run_trials(configs)
+    assert batch["calls"] == base.steps
+    for report in reports:
+        batch.update(calls=0, steps=0, tokens=None)
+        assert report.to_json() == train_trial(report.config).to_json()
+        curve = report.loss_curve
+        if (report.config.mask_kind, report.config.pe_mode) == poisoned:
+            assert all(math.isfinite(x) for x in curve[:4]) and all(math.isnan(x) for x in curve[4:])
+            assert not report.converged
+        else:
+            assert all(math.isfinite(x) for x in curve)
 
 
 def test_fewer_groups_than_workers_halve_the_largest():

@@ -99,12 +99,12 @@ def test_flat_momentum_update_matches_the_per_parameter_rule(monkeypatch):
     cfg = TrialConfig(
         task=Task.FRAME_ORDER, layout=LAYOUT, steps=5, train_size=8, eval_size=4, batch_size=3, num_symbols=4, d_head=4
     )
-    trained = []
+    trained = []  # the parameters the eval runs on
 
     class Recorded(TinyModel):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            trained.append(self)
+        def predict(self, tokens, plan):
+            trained.append(self.flat)
+            return super().predict(tokens, plan)
 
     monkeypatch.setattr(frameattn.harness, "TinyModel", Recorded)
     report = train_trial(cfg)
@@ -120,7 +120,7 @@ def test_flat_momentum_update_matches_the_per_parameter_rule(monkeypatch):
             velocity[k] = cfg.momentum * velocity[k] + g
             ref.params[k] -= cfg.lr * velocity[k]
     assert report.loss_curve == curve
-    assert trained[0].flat.tobytes() == ref.flat.tobytes()
+    assert len(trained) == 1 and trained[0].tobytes() == ref.flat.tobytes()
     assert not np.array_equal(ref.flat, setup_trial(cfg)[2].flat)
 
 
@@ -294,7 +294,7 @@ def test_train_trial_starts_from_setup_trial(monkeypatch):
             initial.append(self.flat.copy())
 
         def loss_and_grads(self, tokens, labels, plan):
-            plans.append(plan)
+            plans.append(plan[0])  # a training step takes a tuple of one plan per cell
             return super().loss_and_grads(tokens, labels, plan)
 
         def predict(self, tokens, plan):
